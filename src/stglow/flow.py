@@ -81,18 +81,31 @@ def random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 class InvertibleLinear:
-    """Dense channel-mixing map, initialized as a rotation (log-det zero)."""
+    """Dense channel-mixing map, initialized as a rotation (log-det zero).
+
+    Untaped reverse passes (sampling, eval) reuse W^-T for as long as the
+    contents of W are unchanged. The key is a copy of W compared in full,
+    so an in-place update from any site (Adam, checkpoint loads, tests)
+    invalidates it.
+    """
 
     def __init__(self, rng: np.random.Generator, channels: int):
         self.channels = channels
         self.w = Tensor(random_rotation(rng, channels), requires_grad=True)
+        self._inv_t: Tensor | None = None
+        self._inv_of: np.ndarray | None = None
 
     def forward(self, x: Tensor, _st: Tensor | None = None) -> tuple[Tensor, Tensor]:
         y = nc.matmul(x, nc.transpose(self.w))
         return y, nc.logabsdet(self.w)
 
     def reverse(self, y: Tensor, _st: Tensor | None = None) -> Tensor:
-        return nc.matmul(y, nc.transpose(nc.inverse(self.w)))
+        if nc.active_tape() is not None:
+            return nc.matmul(y, nc.transpose(nc.inverse(self.w)))
+        if self._inv_of is None or not np.array_equal(self._inv_of, self.w.data):
+            self._inv_t = nc.transpose(nc.inverse(self.w))
+            self._inv_of = self.w.data.copy()
+        return nc.matmul(y, self._inv_t)
 
     def params(self) -> dict[str, Tensor]:
         return {"w": self.w}

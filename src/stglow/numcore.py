@@ -442,76 +442,31 @@ def transpose(a: Tensor) -> Tensor:
     return _register(a.data.T.copy(), (a,), vjp)
 
 
-def lu_decompose(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """LU factorization with partial pivoting (Doolittle, in-place copy).
-
-    Returns (lu, perm, n_swaps) where lu packs L (unit diagonal, below) and
-    U (on/above diagonal) and perm maps factored rows back to input rows.
-    """
-    n = a.shape[0]
-    lu = a.astype(np.float64, copy=True)
-    perm = np.arange(n)
-    swaps = 0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            swaps += 1
-        pivot = lu[k, k]
-        if pivot == 0.0:
-            continue  # singular; caller inspects the diagonal
-        lu[k + 1 :, k] /= pivot
-        lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, perm, swaps
-
-
-def lu_logabsdet(a: np.ndarray) -> tuple[float, float]:
-    """(log|det a|, sign of det a) from the pivoted LU diagonal."""
-    lu, _, swaps = lu_decompose(a)
-    diag = np.diag(lu)
-    if np.any(diag == 0.0):
-        return -math.inf, 0.0
-    sign = (-1.0) ** swaps * np.prod(np.sign(diag))
-    return float(np.sum(np.log(np.abs(diag)))), float(sign)
-
-
-def lu_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a @ x = rhs via the pivoted LU factors."""
-    lu, perm, _ = lu_decompose(a)
-    n = a.shape[0]
-    b = rhs[perm].astype(np.float64, copy=True)
-    for k in range(1, n):  # forward substitution, unit lower triangle
-        b[k] -= lu[k, :k] @ b[:k]
-    for k in range(n - 1, -1, -1):  # back substitution
-        b[k] -= lu[k, k + 1 :] @ b[k + 1 :]
-        b[k] /= lu[k, k]
-    return b
-
-
-def _inverse_np(a: np.ndarray) -> np.ndarray:
-    return lu_solve(a, np.eye(a.shape[0]))
+def _checked_logabsdet(a: np.ndarray) -> float:
+    """log|det a| via LAPACK; raises if `a` is numerically singular."""
+    sign, val = np.linalg.slogdet(a)
+    if sign == 0.0 or val < math.log(1e-12):
+        raise SingularMatrixError(f"matrix is numerically singular (log|det| = {val:.3g})")
+    return float(val)
 
 
 def logabsdet(w: Tensor) -> Tensor:
-    """log|det W| as a taped scalar; raises if W is numerically singular."""
-    val, sign = lu_logabsdet(w.data)
-    if sign == 0.0 or val < math.log(1e-12):
-        raise SingularMatrixError(f"matrix is numerically singular (log|det| = {val:.3g})")
-    w_inv_t = _inverse_np(w.data).T
+    """log|det W| as a taped scalar; raises if W is numerically singular.
+
+    W^-T, the gradient, is only formed when the backward pass asks for it.
+    """
+    val = _checked_logabsdet(w.data)
 
     def vjp(g):
-        return (float(g) * w_inv_t,)
+        return (float(g) * np.linalg.inv(w.data).T,)
 
     return _register(np.asarray(val), (w,), vjp)
 
 
 def inverse(w: Tensor) -> Tensor:
-    """Taped matrix inverse via the package LU solver."""
-    val, sign = lu_logabsdet(w.data)
-    if sign == 0.0 or val < math.log(1e-12):
-        raise SingularMatrixError("cannot invert a numerically singular matrix")
-    inv = _inverse_np(w.data)
+    """Taped matrix inverse via LAPACK; raises if W is numerically singular."""
+    _checked_logabsdet(w.data)
+    inv = np.linalg.inv(w.data)
 
     def vjp(g):
         return (-inv.T @ g @ inv.T,)
@@ -564,14 +519,6 @@ def euclid_rows(a: Tensor) -> Tensor:
         return (a.data * scale[..., None],)
 
     return _register(norms, (a,), vjp)
-
-
-def assert_finite(a: Tensor | np.ndarray, what: str) -> None:
-    data = a.data if isinstance(a, Tensor) else a
-    if not np.all(np.isfinite(data)):
-        from .errors import DataError
-
-        raise DataError(f"{what} contains non-finite values")
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -295,20 +296,6 @@ def evaluate(
     return report
 
 
-def prediction_spread(preds: np.ndarray) -> float:
-    """Mean pairwise ADE among K sampled trajectories (diversity measure)."""
-    k = preds.shape[0]
-    if k < 2:
-        return 0.0
-    total = 0.0
-    count = 0
-    for i in range(k):
-        for j in range(i + 1, k):
-            total += float(np.linalg.norm(preds[i] - preds[j], axis=-1).mean())
-            count += 1
-    return total / count
-
-
 # ---------------------------------------------------------------------------
 # consistency checks
 # ---------------------------------------------------------------------------
@@ -441,8 +428,14 @@ def _check_checkpoint_roundtrip(model: TrajectoryModel, cfg: Config, tmp: Path, 
 
 
 def check(ckpt_path: str | Path | None = None, work_dir: str | Path | None = None) -> tuple[dict, bool]:
-    """Run the consistency suites; returns (machine-readable report, ok)."""
-    import tempfile
+    """Run the consistency suites; returns (machine-readable report, ok).
+
+    Without a `work_dir` the suites write to a temporary directory that is
+    removed on return.
+    """
+    if work_dir is None:
+        with tempfile.TemporaryDirectory(prefix="stglow-check-") as tmp:
+            return check(ckpt_path, tmp)
 
     from .config import toy_config
 
@@ -465,7 +458,7 @@ def check(ckpt_path: str | Path | None = None, work_dir: str | Path | None = Non
         model.flow.initialize(rng.normal(size=(64, cfg.model.d)), rng.normal(size=(64, cfg.model.d)))
 
     checks = []
-    tmp = Path(work_dir) if work_dir is not None else Path(tempfile.mkdtemp(prefix="stglow-check-"))
+    tmp = Path(work_dir)
     tmp.mkdir(parents=True, exist_ok=True)
     suite = [
         ("flow_invertibility", lambda d: _check_invertibility(d)),

@@ -123,6 +123,61 @@ class TestInvertibleLinear:
         y, _ = lin.forward(Tensor(x))
         assert np.max(np.abs(lin.reverse(y).data - x)) < 1e-9
 
+    def test_singular_rejected_in_cached_reverse(self):
+        lin = fl.InvertibleLinear(np.random.default_rng(0), 3)
+        y = Tensor(np.ones((2, 3)))
+        with nc.no_grad():
+            lin.reverse(y)  # caches the inverse of the rotation
+            lin.w.data[:] = 0.0
+            with pytest.raises(nc.SingularMatrixError):
+                lin.reverse(y)
+
+    def test_untaped_reverse_inverts_once(self, monkeypatch):
+        lin = fl.InvertibleLinear(np.random.default_rng(1), 4)
+        calls = []
+        inverse = nc.inverse
+        monkeypatch.setattr(nc, "inverse", lambda w: calls.append(w) or inverse(w))
+        y = Tensor(np.random.default_rng(2).normal(size=(3, 4)))
+        with nc.no_grad():
+            first = lin.reverse(y).data
+            second = lin.reverse(y).data
+        assert len(calls) == 1
+        assert np.array_equal(first, second)
+        with nc.record():
+            lin.reverse(y)  # the taped path never reads the cache
+        assert len(calls) == 2
+
+    def test_cached_reverse_follows_in_place_update(self):
+        rng = np.random.default_rng(3)
+        lin = fl.InvertibleLinear(rng, 5)
+        y = Tensor(rng.normal(size=(4, 5)))
+        with nc.no_grad():
+            before = lin.reverse(y).data
+            lin.w.data += 0.1 * rng.normal(size=(5, 5))
+            after = lin.reverse(y).data
+            fresh = nc.matmul(y, nc.transpose(nc.inverse(lin.w))).data
+        assert not np.allclose(before, after)
+        assert np.array_equal(after, fresh)
+
+    def test_reverse_gradient_after_cached_call(self):
+        rng = np.random.default_rng(4)
+        lin = fl.InvertibleLinear(rng, 4)
+        lin.w.data += 0.3 * rng.normal(size=(4, 4))
+        w0 = lin.w.data.copy()
+        y = rng.normal(size=(3, 4))
+        with nc.no_grad():
+            lin.reverse(Tensor(y))
+        with nc.record() as tape:
+            loss = nc.sum_all(nc.tanh(lin.reverse(Tensor(y))))
+        nc.backward(loss, tape)
+
+        def f_np(w):
+            lin.w.data[:] = w
+            with nc.no_grad():
+                return float(nc.sum_all(nc.tanh(lin.reverse(Tensor(y)))).data)
+
+        assert rel_err(lin.w.grad, fd_gradient(f_np, w0)) < 1e-3
+
 
 class TestAffineCoupling:
     def test_zero_net_is_identity(self):

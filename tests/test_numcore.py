@@ -246,20 +246,25 @@ def test_apply_mask_blocks_gradient():
 
 
 class TestLinearAlgebra:
-    def test_lu_logabsdet_matches_numpy(self):
+    def test_logabsdet_negative_determinant(self):
+        # W = Q1 diag(d) Q2 with orthogonal Q1, Q2 has |det W| = prod |d|
         rng = np.random.default_rng(5)
         for _ in range(20):
-            a = rng.normal(size=(6, 6))
-            val, sign = nc.lu_logabsdet(a)
-            s, v = np.linalg.slogdet(a)
-            assert val == pytest.approx(v, abs=1e-10)
-            assert sign == pytest.approx(s)
+            q1, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+            q2, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+            d = rng.uniform(0.5, 2.0, 6) * rng.choice([-1.0, 1.0], 6)
+            a = q1 @ np.diag(d) @ q2
+            if np.linalg.det(a) > 0:
+                a[[0, 1]] = a[[1, 0]]  # a row swap flips the sign only
+            assert np.linalg.det(a) < 0
+            val = float(nc.logabsdet(nc.Tensor(a)).data)
+            assert val == pytest.approx(np.sum(np.log(np.abs(d))), abs=1e-10)
 
-    def test_lu_solve_matches_numpy(self):
+    def test_inverse_is_right_inverse(self):
         rng = np.random.default_rng(6)
-        a = rng.normal(size=(5, 5))
-        b = rng.normal(size=(5, 3))
-        assert np.allclose(nc.lu_solve(a, b), np.linalg.solve(a, b), atol=1e-10)
+        for n in (1, 5, 32):
+            a = rng.normal(size=(n, n))
+            assert np.allclose(a @ nc.inverse(nc.Tensor(a)).data, np.eye(n), atol=1e-10)
 
     def test_logabsdet_gradient(self):
         rng = np.random.default_rng(8)

@@ -1,7 +1,10 @@
 import json
 import logging
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +208,12 @@ class TestCheckCommand:
         names = {c["name"] for c in report["checks"]}
         assert {"flow_invertibility", "logdet_oracle", "gradient_check", "mask_causality", "checkpoint_roundtrip"} <= names
 
+    def test_no_temp_dir_left_behind(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        report, ok = pl.check()
+        assert ok, report
+        assert not list(tmp_path.glob("stglow-check-*"))
+
     def test_corrupt_checkpoint_fails(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)
         result = pl.train(cfg)
@@ -347,7 +356,10 @@ class TestCli:
         ckpt = load_checkpoint(tmp_path / "runa" / "last.ckpt")
         assert ckpt.config.seed == 777
 
-    def test_entry_point_runs(self):
+    def test_entry_point_runs(self, monkeypatch):
+        # the child imports the same stglow as this process, installed or not
+        src = str(Path(pl.__file__).parents[1])
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run(
             [sys.executable, "-m", "stglow.cli", "--help"],
             capture_output=True,
