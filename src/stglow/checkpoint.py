@@ -18,10 +18,19 @@ from pathlib import Path
 import numpy as np
 
 from .config import Config, flatten, from_flat
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 
 MAGIC = b"STGF"
 VERSION = 1
+HEADER_TYPES = {
+    "config": dict,
+    "epoch": int,
+    "opt_step": int,
+    "pn_initialized": bool,
+    "rng_state": dict,
+    "param_names": list,
+    "opt_names": list,
+}
 
 
 @dataclass
@@ -97,7 +106,10 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read checkpoint ({exc.strerror})") from None
     if len(raw) < 12 or raw[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     payload, crc_stored = raw[4:-4], struct.unpack("<I", raw[-4:])[0]
@@ -107,10 +119,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     version = r.u32()
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    header = json.loads(r.take(r.u32()).decode("utf-8"))
-    flat = header["config"]
-    flat = {k: tuple(v) if isinstance(v, list) else v for k, v in flat.items()}
-    config = from_flat(flat)
+    try:
+        header = json.loads(r.take(r.u32()).decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise CheckpointError(f"{path}: undecodable header: {exc}") from None
+    if not isinstance(header, dict) or any(not isinstance(header.get(k), t) for k, t in HEADER_TYPES.items()):
+        raise CheckpointError(f"{path}: incomplete header (needs {', '.join(HEADER_TYPES)})")
+    try:
+        config = from_flat(header["config"])
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: header config: {exc}") from None
     params = {}
     for expected in header["param_names"]:
         name, arr = _unpack_record(r)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint
 from .config import load_config
-from .errors import StglowError
+from .errors import ConfigError, StglowError
 from .pipeline import (
     check,
     evaluate,
@@ -24,7 +24,12 @@ from .pipeline import (
 
 def _seed_override(seed: int) -> int:
     env = os.environ.get("STGLOW_SEED")
-    return int(env) if env else seed
+    if not env:
+        return seed
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"STGLOW_SEED must be an integer, got {env!r}") from None
 
 
 def _cmd_train(args) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -146,7 +147,8 @@ def flatten(cfg: Config) -> dict[str, object]:
 
 
 def from_flat(flat: dict[str, object], base: Config | None = None) -> Config:
-    """Apply dotted-key values onto a (copy of a) base config."""
+    """Apply dotted-key values onto a (copy of a) base config, each checked
+    against its field's type; a mistyped value raises ConfigError."""
     cfg = dataclasses.replace(base) if base is not None else Config()
     # replace() is shallow; deep-copy the sections so the base stays intact
     cfg = Config(
@@ -166,10 +168,26 @@ def from_flat(flat: dict[str, object], base: Config | None = None) -> Config:
         leaf = parts[-1]
         if not is_dataclass(obj) or leaf not in {f.name for f in fields(obj)}:
             raise ConfigError(f"unknown config field {key!r}")
-        if isinstance(val, list):
-            val = tuple(val)
-        setattr(obj, leaf, val)
+        setattr(obj, leaf, _typed(key, typing.get_type_hints(type(obj))[leaf], val))
     return cfg
+
+
+def _typed(key: str, hint, val):
+    """`val` checked against a field's type: ints widen to float, lists
+    become tuples of the declared arity, bools count as neither int nor float."""
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(val, (tuple, list)):
+            raise ConfigError(f"{key}: expected a tuple, got {val!r}")
+        args = typing.get_args(hint)
+        elems = args[:1] * len(val) if args[-1] is Ellipsis else args
+        if len(elems) != len(val):
+            raise ConfigError(f"{key}: expected {len(elems)} values, got {len(val)}")
+        return tuple(_typed(key, h, v) for h, v in zip(elems, val))
+    if hint is float and type(val) is int:
+        return float(val)
+    if isinstance(val, bool) != (hint is bool) or not isinstance(val, hint):
+        raise ConfigError(f"{key}: expected {hint.__name__}, got {val!r}")
+    return val
 
 
 def save_config(cfg: Config, path: str | Path) -> None:
@@ -178,8 +196,12 @@ def save_config(cfg: Config, path: str | Path) -> None:
 
 
 def load_config(path: str | Path) -> Config:
-    flat: dict[str, object] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config ({exc})") from None
+    cfg = Config()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -190,5 +212,8 @@ def load_config(path: str | Path) -> Config:
             parsed = ast.literal_eval(val.strip())
         except (ValueError, SyntaxError):
             parsed = val.strip()
-        flat[key.strip()] = parsed
-    return validate(from_flat(flat))
+        try:
+            cfg = from_flat({key.strip(): parsed}, cfg)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    return validate(cfg)

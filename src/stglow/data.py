@@ -73,7 +73,11 @@ class SceneWindow:
 def load_tracks(path: str | Path) -> list[RawTrack]:
     """Parse a dataset file into per-pedestrian tracks sorted by frame."""
     rows: dict[int, list[tuple[int, float, float]]] = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot open dataset file ({exc.strerror})") from None
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -9,7 +9,7 @@ sample receives gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,16 +27,6 @@ class LossWeights:
     fwd: float = 0.25
     bwd: float = 0.25
     both: float = 0.5
-
-
-@dataclass
-class DecodedFuture:
-    """One sample's decoded future in the scene-normalized frame."""
-
-    goal: Tensor  # (2,)
-    y_f: Tensor  # (t_p, 2)
-    y_b: Tensor | None  # (t_p - 1, 2), steps 1..t_p-1; None if forward-only
-    y_both: Tensor | None  # (t_p, 2), last row goal-derived; None if forward-only
 
 
 @dataclass
@@ -105,18 +95,6 @@ class BidirectionalDecoder:
             y_both=y_both_desc[::-1],
         )
 
-    def decode(self, mb_vec: Tensor) -> DecodedFuture:
-        """Decode a single behavior vector into stacked trajectories."""
-        if mb_vec.ndim == 1:
-            mb_vec = nc.reshape(mb_vec, (1, mb_vec.shape[0]))
-        batch = self.decode_batch(mb_vec)
-        return DecodedFuture(
-            goal=nc.reshape(batch.goal, (2,)),
-            y_f=nc.concat_rows(batch.y_f),
-            y_b=nc.concat_rows(batch.y_b) if batch.y_b is not None else None,
-            y_both=nc.concat_rows(batch.y_both) if batch.y_both is not None else None,
-        )
-
     def params(self) -> dict[str, Tensor]:
         children = {
             "goal_mlp": self.goal_mlp,
@@ -138,53 +116,19 @@ class BidirectionalDecoder:
         return _prefix(children)
 
 
-def _sample_terms(sample: DecodedFuture, gt_future: np.ndarray, gt_goal: np.ndarray, weights: LossWeights):
-    """(goal distance, weighted trajectory sum) for one sample, as scalars."""
-    goal_err = nc.euclid_rows(nc.sub(nc.reshape(sample.goal, (1, 2)), gt_goal[None, :]))
-    goal_term = nc.sum_all(goal_err)
-    traj = nc.sum_all(nc.mul(nc.euclid_rows(nc.sub(sample.y_f, gt_future)), weights.fwd))
-    if sample.y_b is not None:
-        traj = nc.add(traj, nc.sum_all(nc.mul(nc.euclid_rows(nc.sub(sample.y_b, gt_future[:-1])), weights.bwd)))
-    if sample.y_both is not None:
-        traj = nc.add(traj, nc.sum_all(nc.mul(nc.euclid_rows(nc.sub(sample.y_both, gt_future)), weights.both)))
-    return goal_term, traj
-
-
-def trajectory_loss(
-    samples: list[DecodedFuture],
-    gt_future: np.ndarray,
-    gt_goal: np.ndarray,
-    weights: LossWeights = LossWeights(),
-) -> Tensor:
-    """Best-of-K supervised loss over decoded samples.
-
-    The goal minimum and the trajectory-sum minimum are taken independently
-    over samples; ties resolve to the lowest sample index and gradients flow
-    only through the winning samples' terms. Backward-trajectory terms cover
-    steps 1..t_p-1.
-    """
-    if len(samples) == 0:
-        raise ContractError("trajectory loss needs at least one sample")
-    gt_future = np.asarray(gt_future, dtype=np.float64)
-    gt_goal = np.asarray(gt_goal, dtype=np.float64)
-    goal_terms = []
-    traj_terms = []
-    for s in samples:
-        g, t = _sample_terms(s, gt_future, gt_goal, weights)
-        goal_terms.append(g)
-        traj_terms.append(t)
-    k_goal = int(np.argmin([float(g.data) for g in goal_terms]))
-    k_traj = int(np.argmin([float(t.data) for t in traj_terms]))
-    return nc.add(nc.mul(goal_terms[k_goal], weights.alpha), traj_terms[k_traj])
-
-
 def trajectory_loss_batched(
     batch: BatchDecoded,
     gt_future: np.ndarray,
     gt_goal: np.ndarray,
     weights: LossWeights = LossWeights(),
 ) -> Tensor:
-    """Same loss as `trajectory_loss`, with the K samples stacked as rows."""
+    """Best-of-K supervised loss over K decoded samples stacked as rows.
+
+    The goal minimum and the trajectory-sum minimum are taken independently
+    over samples; ties resolve to the lowest sample index and gradients flow
+    only through the winning samples' terms. Backward-trajectory terms cover
+    steps 1..t_p-1.
+    """
     k = batch.goal.shape[0]
     if k == 0:
         raise ContractError("trajectory loss needs at least one sample")

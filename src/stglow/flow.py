@@ -178,10 +178,6 @@ class BaseDensity:
         const = -0.5 * self.dim * math.log(2.0 * math.pi * self.sigma**2)
         return nc.add(quad, const)
 
-    def log_prob_np(self, z: np.ndarray) -> np.ndarray:
-        const = -0.5 * self.dim * math.log(2.0 * math.pi * self.sigma**2)
-        return -0.5 * (z * z).sum(axis=-1) / self.sigma**2 + const
-
 
 class FlowStack:
     """Ordered invertible steps with per-sample log-det accounting."""

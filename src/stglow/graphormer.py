@@ -117,19 +117,6 @@ class TemporalGraphormer:
             h = nc.add(h, nc.slice_rows(self.pos_table, 0, t))
         return self.block(h, graph.mask if self.use_mask else None)
 
-    def attention_weights(self, traj: np.ndarray) -> list[np.ndarray]:
-        """Per-head post-softmax attention over steps (diagnostics)."""
-        traj = np.asarray(traj, dtype=np.float64)
-        t = traj.shape[0]
-        graph = build_temporal_adjacency(t)
-        with nc.no_grad():
-            h = self.node_mlp(Tensor(traj))
-            if self.use_centrality:
-                h = nc.add(h, self.centrality_embedding(graph))
-            if self.use_positional:
-                h = nc.add(h, nc.slice_rows(self.pos_table, 0, t))
-        return self.block.attn.attention_weights(h, graph.mask if self.use_mask else None)
-
     def params(self) -> dict[str, Tensor]:
         out = _prefix({"node_mlp": self.node_mlp, "centrality": self.centrality, "block": self.block})
         out["pos_table"] = self.pos_table
@@ -186,18 +173,6 @@ class SpatialGraphormer:
         self.steer_mlp = ReluLinear(rng, 1, d)
         self.block = TransformerBlock(rng, d, n_heads)
 
-    def _node_features(self, graph: SpatialGraph, positions_now: np.ndarray, th_rows: Tensor, target: int) -> Tensor:
-        v = th_rows
-        if self.use_rel_pos:
-            rel_to_target = positions_now - positions_now[target]
-            v = nc.add(v, self.rel_mlp(Tensor(rel_to_target)))
-        if self.use_steering:
-            steer = np.array(
-                [[steering_cosine(graph.walk_dirs[target], graph.walk_dirs[j])] for j in range(graph.n)]
-            )
-            v = nc.add(v, self.steer_mlp(Tensor(steer)))
-        return v
-
     def __call__(
         self,
         positions_prev: np.ndarray,
@@ -207,30 +182,19 @@ class SpatialGraphormer:
     ) -> Tensor:
         positions_now = np.asarray(positions_now, dtype=np.float64)
         graph = build_spatial_adjacency(positions_prev, positions_now)
-        v = self._node_features(graph, positions_now, th_rows, target)
+        v = th_rows
+        if self.use_rel_pos:
+            rel_to_target = positions_now - positions_now[target]
+            v = nc.add(v, self.rel_mlp(Tensor(rel_to_target)))
+        if self.use_steering:
+            steer = np.array(
+                [[steering_cosine(graph.walk_dirs[target], graph.walk_dirs[j])] for j in range(graph.n)]
+            )
+            v = nc.add(v, self.steer_mlp(Tensor(steer)))
         return self.block(v, graph.mask if self.use_mask else None)
-
-    def attention_weights(
-        self, positions_prev: np.ndarray, positions_now: np.ndarray, th_rows: Tensor, target: int = 0
-    ) -> list[np.ndarray]:
-        positions_now = np.asarray(positions_now, dtype=np.float64)
-        graph = build_spatial_adjacency(positions_prev, positions_now)
-        with nc.no_grad():
-            v = self._node_features(graph, positions_now, th_rows, target)
-        return self.block.attn.attention_weights(v, graph.mask if self.use_mask else None)
 
     def params(self) -> dict[str, Tensor]:
         return _prefix({"rel_mlp": self.rel_mlp, "steer_mlp": self.steer_mlp, "block": self.block})
-
-
-@dataclass
-class EncodedScene:
-    """Per-pedestrian encodings; motion behavior only present in training."""
-
-    th: np.ndarray  # (N, t_o, D) temporal embeddings of observed steps
-    sh: np.ndarray  # (N, D) spatial embedding at the last observed step
-    st: np.ndarray  # (N, D) social-context vector
-    mb: np.ndarray | None  # (N, D) motion-behavior vector from full trajectory
 
 
 class SceneEncoder:
@@ -257,9 +221,6 @@ class SceneEncoder:
         use_steering: bool = True,
         use_spatial_mask: bool = True,
     ):
-        self.d = d
-        self.t_obs = t_obs
-        self.t_pred = t_pred
         self.use_spatial = use_spatial
         t_max = t_obs + t_pred
 
@@ -319,34 +280,6 @@ class SceneEncoder:
             th_f = self.tg_full(full[target])
             mb = nc.slice_rows(th_f, full.shape[1] - 1, full.shape[1])
         return mb, st
-
-    def encode_scene(self, obs: np.ndarray, full: np.ndarray | None = None, training: bool = False) -> EncodedScene:
-        """Encodings for every pedestrian treated as its own target."""
-        obs = np.asarray(obs, dtype=np.float64)
-        if training and full is None:
-            raise ContractError("training-mode encoding needs the full trajectory")
-        n, t_o = obs.shape[0], obs.shape[1]
-        with nc.no_grad():
-            th = np.stack([self.tg_hist(obs[i]).data for i in range(n)])
-            sh_rows = []
-            st_rows = []
-            mb_rows = []
-            for i in range(n):
-                if self.use_spatial:
-                    sh_i = self._social_rows(obs, i).data[i]
-                else:
-                    sh_i = np.zeros(self.d)
-                sh_rows.append(sh_i)
-                mb_i, st_i = self.encode_target(obs, i, full=full, training=training)
-                st_rows.append(st_i.data[0])
-                if mb_i is not None:
-                    mb_rows.append(mb_i.data[0])
-        return EncodedScene(
-            th=th,
-            sh=np.stack(sh_rows),
-            st=np.stack(st_rows),
-            mb=np.stack(mb_rows) if mb_rows else None,
-        )
 
     def params(self) -> dict[str, Tensor]:
         children = {"tg_full": self.tg_full, "tg_hist": self.tg_hist, "tg_target": self.tg_target}

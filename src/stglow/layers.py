@@ -94,7 +94,8 @@ class MultiHeadSelfAttention:
 
     The mask is a plain float array with entries in {1, NEG_INF}; masked
     score entries are replaced by the sentinel before the softmax so their
-    post-softmax weight is exactly zero.
+    post-softmax weight is exactly zero. While `capture` is a list, each
+    call appends every head's post-softmax weight matrix to it.
     """
 
     def __init__(self, rng, d_model: int, n_heads: int):
@@ -108,6 +109,7 @@ class MultiHeadSelfAttention:
         self.wk = [Linear(rng, d_model, self.d_k, bias=False) for _ in range(n_heads)]
         self.wv = [Linear(rng, d_model, self.d_k, bias=False) for _ in range(n_heads)]
         self.wo = Linear(rng, d_model, d_model, bias=False)
+        self.capture: list[np.ndarray] | None = None
 
     def __call__(self, x: Tensor, mask: np.ndarray | None) -> Tensor:
         heads = []
@@ -118,21 +120,11 @@ class MultiHeadSelfAttention:
             scores = nc.mul(nc.matmul(q, nc.transpose(k)), 1.0 / np.sqrt(self.d_k))
             if mask is not None:
                 scores = nc.apply_mask(scores, mask)
-            heads.append(nc.matmul(nc.softmax_lastdim(scores), v))
+            weights = nc.softmax_lastdim(scores)
+            if self.capture is not None:
+                self.capture.append(weights.data)
+            heads.append(nc.matmul(weights, v))
         return self.wo(nc.concat_lastdim(heads))
-
-    def attention_weights(self, x: Tensor, mask: np.ndarray | None) -> list[np.ndarray]:
-        """Post-softmax weight matrices per head (diagnostics only)."""
-        with nc.no_grad():
-            out = []
-            for h in range(self.n_heads):
-                q = self.wq[h](x)
-                k = self.wk[h](x)
-                scores = nc.mul(nc.matmul(q, nc.transpose(k)), 1.0 / np.sqrt(self.d_k))
-                if mask is not None:
-                    scores = nc.apply_mask(scores, mask)
-                out.append(nc.softmax_lastdim(scores).data)
-        return out
 
     def params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

@@ -28,8 +28,10 @@ from .data import (
     synth_scenes,
 )
 from .decoder import LossWeights
-from .errors import CheckpointError, ConfigError, SceneNotFoundError, SingularMatrixError
+from .errors import CheckpointError, ConfigError, ContractError, SceneNotFoundError, SingularMatrixError
 from .flow import AffineCoupling, FlowStack, InvertibleLinear, PatternNorm
+from .graphormer import TemporalGraphormer, build_spatial_adjacency
+from .layers import MultiHeadSelfAttention
 from .metrics import EvalReport, best_of_k
 from .model import TrajectoryModel
 from .numcore import Adam, Tensor
@@ -67,8 +69,8 @@ def snapshot(model: TrajectoryModel, cfg: Config, opt: Adam | None, epoch: int) 
     )
 
 
-def restore_model(ckpt: Checkpoint) -> TrajectoryModel:
-    model = build_model(ckpt.config)
+def load_params(model: TrajectoryModel, ckpt: Checkpoint) -> None:
+    """Copy a checkpoint's parameters and PatternNorm-initialised flag into `model`."""
     params = model.params()
     missing = set(params) ^ set(ckpt.params)
     if missing:
@@ -81,6 +83,11 @@ def restore_model(ckpt: Checkpoint) -> TrajectoryModel:
         for op in model.flow.ops:
             if isinstance(op, PatternNorm):
                 op.initialized = True
+
+
+def restore_model(ckpt: Checkpoint) -> TrajectoryModel:
+    model = build_model(ckpt.config)
+    load_params(model, ckpt)
     return model
 
 
@@ -158,18 +165,7 @@ def train(cfg: Config, resume: str | Path | None = None) -> TrainResult:
     if resume is not None:
         # the passed config drives the schedule; the checkpoint supplies state
         ckpt = load_checkpoint(resume)
-        params = model.params()
-        missing = set(params) ^ set(ckpt.params)
-        if missing:
-            raise ConfigError(f"resume checkpoint does not fit this config: {sorted(missing)[:4]}...")
-        for name, arr in ckpt.params.items():
-            if params[name].data.shape != arr.shape:
-                raise ConfigError(f"resume shape mismatch for {name}")
-            params[name].data[:] = arr
-        if ckpt.pn_initialized:
-            for op in model.flow.ops:
-                if isinstance(op, PatternNorm):
-                    op.initialized = True
+        load_params(model, ckpt)
         if ckpt.opt_state:
             opt.load_state_arrays(ckpt.opt_state, ckpt.opt_step)
         start_epoch = ckpt.epoch
@@ -390,25 +386,38 @@ def _check_gradients(detail: dict) -> bool:
     return err < 1e-3
 
 
+def _attention(attn: MultiHeadSelfAttention, run) -> list[np.ndarray]:
+    """Per-head post-softmax weights that `attn` computes during `run()`."""
+    weights: list[np.ndarray] = []
+    attn.capture = weights
+    try:
+        with nc.no_grad():
+            run()
+    finally:
+        attn.capture = None
+    if len(weights) != attn.n_heads:  # an empty capture would pass the mask checks vacuously
+        raise ContractError(f"captured {len(weights)} attention maps, expected {attn.n_heads}")
+    return weights
+
+
 def _check_masks(model: TrajectoryModel, detail: dict) -> bool:
     rng = np.random.default_rng(404)
     t_o = model.cfg.t_obs
+    tg, sg = model.encoder.tg_hist, model.encoder.sg
     for _ in range(10):
         traj = rng.normal(size=(t_o, 2)).cumsum(axis=0)
-        if hasattr(model.encoder.tg_hist, "attention_weights"):
-            for head in model.encoder.tg_hist.attention_weights(traj):
+        if isinstance(tg, TemporalGraphormer):
+            for head in _attention(tg.block.attn, lambda: tg(traj)):
                 if np.any(head[np.triu_indices(t_o, k=1)] != 0.0):
                     detail["failure"] = "temporal mask leak"
                     return False
-        if model.encoder.sg is not None:
+        if sg is not None:
             n = 4
             prev = rng.normal(size=(n, 2))
             now = prev + rng.normal(size=(n, 2)) * 0.5
-            from .graphormer import build_spatial_adjacency
-
             graph = build_spatial_adjacency(prev, now)
             th = Tensor(rng.normal(size=(n, model.cfg.d)))
-            for head in model.encoder.sg.attention_weights(prev, now, th, target=0):
+            for head in _attention(sg.block.attn, lambda: sg(prev, now, th, target=0)):
                 if np.any(head[graph.mask == nc.NEG_INF] != 0.0):
                     detail["failure"] = "spatial mask leak"
                     return False

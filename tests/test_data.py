@@ -52,6 +52,10 @@ class TestLoadTracks:
         with pytest.raises(ParseError, match="line 1"):
             dt.load_tracks(write(tmp_path, "10 1 abc 0.0\n"))
 
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ParseError, match="cannot open dataset file"):
+            dt.load_windows(tmp_path / "missing.txt")
+
     def test_non_uniform_stride_rejected(self, tmp_path):
         p = write(tmp_path, "10 1 0 0\n20 1 1 1\n35 1 2 2\n")
         with pytest.raises(DataError, match="stride"):

@@ -14,47 +14,52 @@ def make_decoder(seed=0, channels=6, d_h=8, t_pred=12, **kw):
     return dec.BidirectionalDecoder(np.random.default_rng(seed), channels, d_h, t_pred, **kw)
 
 
-def decode_samples(decoder, rng, k):
-    return [decoder.decode(Tensor(rng.normal(size=decoder.channels))) for _ in range(k)]
+def rows(seq):
+    """(M, len(seq), 2): a decoder head's per-step (M, 2) outputs, row by row."""
+    return np.stack([t.data for t in seq], axis=1)
+
+
+def decode_one(decoder, mb_vec):
+    return decoder.decode_batch(Tensor(np.asarray(mb_vec, dtype=float).reshape(1, -1)))
 
 
 class TestDecode:
     def test_shape_contract(self):
         d = make_decoder()
-        out = d.decode(Tensor(np.zeros(6)))
-        assert out.goal.data.shape == (2,)
-        assert out.y_f.data.shape == (12, 2)
-        assert out.y_both.data.shape == (12, 2)
-        assert out.y_b.data.shape == (11, 2)
+        out = decode_one(d, np.zeros(6))
+        assert out.goal.data.shape == (1, 2)
+        assert rows(out.y_f).shape == (1, 12, 2)
+        assert rows(out.y_both).shape == (1, 12, 2)
+        assert rows(out.y_b).shape == (1, 11, 2)
 
     def test_deterministic(self):
         d = make_decoder(seed=1)
-        mb = Tensor(np.random.default_rng(2).normal(size=6))
-        a = d.decode(mb)
-        b = d.decode(mb)
-        assert a.y_f.data.tobytes() == b.y_f.data.tobytes()
-        assert a.y_both.data.tobytes() == b.y_both.data.tobytes()
+        mb = np.random.default_rng(2).normal(size=6)
+        a = decode_one(d, mb)
+        b = decode_one(d, mb)
+        assert rows(a.y_f).tobytes() == rows(b.y_f).tobytes()
+        assert rows(a.y_both).tobytes() == rows(b.y_both).tobytes()
 
     def test_goal_head_feeds_backward_pass_only(self):
         d = make_decoder(seed=3)
-        mb = Tensor(np.random.default_rng(4).normal(size=6))
-        base = d.decode(mb)
+        mb = np.random.default_rng(4).normal(size=6)
+        base = decode_one(d, mb)
         for p in d.goal_mlp.params().values():
             p.data += 0.37
-        perturbed = d.decode(mb)
-        assert np.array_equal(perturbed.y_f.data, base.y_f.data)
-        assert not np.allclose(perturbed.y_both.data, base.y_both.data)
+        perturbed = decode_one(d, mb)
+        assert np.array_equal(rows(perturbed.y_f), rows(base.y_f))
+        assert not np.allclose(rows(perturbed.y_both), rows(base.y_both))
 
     def test_last_both_row_is_goal(self):
         d = make_decoder(seed=5)
-        out = d.decode(Tensor(np.random.default_rng(6).normal(size=6)))
-        assert np.array_equal(out.y_both.data[-1], out.goal.data)
+        out = decode_one(d, np.random.default_rng(6).normal(size=6))
+        assert np.array_equal(out.y_both[-1].data, out.goal.data)
 
     def test_forward_only_mode(self):
         d = make_decoder(seed=7, bidirectional=False)
-        out = d.decode(Tensor(np.zeros(6)))
+        out = decode_one(d, np.zeros(6))
         assert out.y_b is None and out.y_both is None
-        assert out.y_f.data.shape == (12, 2)
+        assert rows(out.y_f).shape == (1, 12, 2)
 
     def test_batch_matches_single(self):
         d = make_decoder(seed=8, t_pred=5)
@@ -62,76 +67,82 @@ class TestDecode:
         mb = rng.normal(size=(3, 6))
         batch = d.decode_batch(Tensor(mb))
         for m in range(3):
-            single = d.decode(Tensor(mb[m]))
-            assert np.allclose(batch.goal.data[m], single.goal.data, atol=0)
-            for t in range(5):
-                assert np.allclose(batch.y_f[t].data[m], single.y_f.data[t], atol=0)
-                assert np.allclose(batch.y_both[t].data[m], single.y_both.data[t], atol=0)
+            single = d.decode_batch(Tensor(mb[m : m + 1]))
+            # rows are independent; BLAS may round a (3, C) and a (1, C) matmul differently
+            np.testing.assert_allclose(batch.goal.data[m], single.goal.data[0], rtol=0, atol=1e-12)
+            for head in ("y_f", "y_b", "y_both"):
+                np.testing.assert_allclose(
+                    rows(getattr(batch, head))[m], rows(getattr(single, head))[0], rtol=0, atol=1e-12, err_msg=head
+                )
 
 
 class TestTrajectoryLoss:
-    def brute_force(self, samples, gt_future, gt_goal, w):
+    def brute_force(self, batch, gt_future, gt_goal, w):
         """Independent enumeration of both minima in plain numpy."""
         goal_vals = []
         traj_vals = []
-        for s in samples:
-            goal_vals.append(np.linalg.norm(s.goal.data - gt_goal))
-            total = w.fwd * np.linalg.norm(s.y_f.data - gt_future, axis=1).sum()
-            if s.y_b is not None:
-                total += w.bwd * np.linalg.norm(s.y_b.data - gt_future[:-1], axis=1).sum()
-            if s.y_both is not None:
-                total += w.both * np.linalg.norm(s.y_both.data - gt_future, axis=1).sum()
+        for m in range(batch.goal.data.shape[0]):
+            goal_vals.append(np.linalg.norm(batch.goal.data[m] - gt_goal))
+            total = w.fwd * np.linalg.norm(rows(batch.y_f)[m] - gt_future, axis=1).sum()
+            if batch.y_b is not None:
+                total += w.bwd * np.linalg.norm(rows(batch.y_b)[m] - gt_future[:-1], axis=1).sum()
+            if batch.y_both is not None:
+                total += w.both * np.linalg.norm(rows(batch.y_both)[m] - gt_future, axis=1).sum()
             traj_vals.append(total)
         return w.alpha * min(goal_vals) + min(traj_vals)
 
     def test_perfect_sample_gives_zero(self):
         d = make_decoder(seed=10, t_pred=4)
         rng = np.random.default_rng(11)
-        samples = decode_samples(d, rng, 3)
-        winner = samples[1]
-        gt_future = winner.y_f.data.copy()
-        # make every head of the winner agree with the ground truth
-        perfect = dec.DecodedFuture(
-            goal=Tensor(gt_future[-1]),
-            y_f=Tensor(gt_future),
-            y_b=Tensor(gt_future[:-1]),
-            y_both=Tensor(gt_future),
+        decoded = d.decode_batch(Tensor(rng.normal(size=(3, 6))))
+        gt_future = rows(decoded.y_f)[1].copy()
+
+        def exact_row_1(seq, truth):
+            # every head of sample 1 agrees with the ground truth
+            out = []
+            for t, step in enumerate(seq):
+                arr = step.data.copy()
+                arr[1] = truth[t]
+                out.append(Tensor(arr))
+            return out
+
+        perfect = dec.BatchDecoded(
+            goal=exact_row_1([decoded.goal], gt_future[-1:])[0],
+            y_f=exact_row_1(decoded.y_f, gt_future),
+            y_b=exact_row_1(decoded.y_b, gt_future[:-1]),
+            y_both=exact_row_1(decoded.y_both, gt_future),
         )
-        loss = dec.trajectory_loss([samples[0], perfect, samples[2]], gt_future, gt_future[-1])
+        loss = dec.trajectory_loss_batched(perfect, gt_future, gt_future[-1])
         assert float(loss.data) == 0.0
 
     def test_k1_is_plain_weighted_sum(self):
         d = make_decoder(seed=12, t_pred=4)
         rng = np.random.default_rng(13)
-        samples = decode_samples(d, rng, 1)
+        decoded = d.decode_batch(Tensor(rng.normal(size=(1, 6))))
         gt = rng.normal(size=(4, 2))
         w = dec.LossWeights()
-        loss = dec.trajectory_loss(samples, gt, gt[-1], w)
-        assert float(loss.data) == pytest.approx(self.brute_force(samples, gt, gt[-1], w), abs=1e-12)
+        loss = dec.trajectory_loss_batched(decoded, gt, gt[-1], w)
+        assert float(loss.data) == pytest.approx(self.brute_force(decoded, gt, gt[-1], w), abs=1e-12)
 
     def test_matches_brute_force_enumeration(self):
         d = make_decoder(seed=14, t_pred=6)
         rng = np.random.default_rng(15)
-        samples = decode_samples(d, rng, 3)
+        decoded = d.decode_batch(Tensor(rng.normal(size=(3, 6))))
         gt = rng.normal(size=(6, 2))
         w = dec.LossWeights(alpha=0.7, fwd=0.2, bwd=0.3, both=0.5)
-        loss = dec.trajectory_loss(samples, gt, gt[-1], w)
-        assert float(loss.data) == pytest.approx(self.brute_force(samples, gt, gt[-1], w), abs=1e-12)
+        loss = dec.trajectory_loss_batched(decoded, gt, gt[-1], w)
+        assert float(loss.data) == pytest.approx(self.brute_force(decoded, gt, gt[-1], w), abs=1e-12)
 
-    def test_batched_agrees_with_per_sample(self):
-        d = make_decoder(seed=16, t_pred=5)
+    def test_forward_only_matches_brute_force(self):
+        d = make_decoder(seed=16, t_pred=5, bidirectional=False)
         rng = np.random.default_rng(17)
-        mb = rng.normal(size=(4, 6))
+        decoded = d.decode_batch(Tensor(rng.normal(size=(4, 6))))
         gt = rng.normal(size=(5, 2))
         w = dec.LossWeights()
-        batched = dec.trajectory_loss_batched(d.decode_batch(Tensor(mb)), gt, gt[-1], w)
-        singles = [d.decode(Tensor(mb[m])) for m in range(4)]
-        reference = dec.trajectory_loss(singles, gt, gt[-1], w)
-        assert float(batched.data) == pytest.approx(float(reference.data), abs=1e-12)
+        loss = dec.trajectory_loss_batched(decoded, gt, gt[-1], w)
+        assert float(loss.data) == pytest.approx(self.brute_force(decoded, gt, gt[-1], w), abs=1e-12)
 
     def test_empty_sample_set_rejected(self):
-        with pytest.raises(ContractError):
-            dec.trajectory_loss([], np.zeros((3, 2)), np.zeros(2))
         d = make_decoder(t_pred=3)
         batch = d.decode_batch(Tensor(np.zeros((0, 6))))
         with pytest.raises(ContractError):
@@ -142,10 +153,10 @@ class TestTrajectoryLoss:
     def test_nonnegative_and_monotone_in_k(self, k, seed):
         d = make_decoder(seed=18, t_pred=3)
         rng = np.random.default_rng(seed)
-        samples = decode_samples(d, rng, k + 1)
+        mb = rng.normal(size=(k + 1, 6))
         gt = rng.normal(size=(3, 2))
-        smaller = dec.trajectory_loss(samples[:k], gt, gt[-1])
-        larger = dec.trajectory_loss(samples, gt, gt[-1])
+        smaller = dec.trajectory_loss_batched(d.decode_batch(Tensor(mb[:k])), gt, gt[-1])
+        larger = dec.trajectory_loss_batched(d.decode_batch(Tensor(mb)), gt, gt[-1])
         assert float(smaller.data) >= 0.0
         assert float(larger.data) <= float(smaller.data) + 1e-12
 

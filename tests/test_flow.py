@@ -391,7 +391,7 @@ class TestDensityNormalization:
         pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
         with nc.no_grad():
             z, logdet = stack.forward(Tensor(pts), Tensor(np.tile(st_row, (pts.shape[0], 1))))
-        dens = np.exp(fl.BaseDensity(2).log_prob_np(z.data) + logdet.data).reshape(201, 201)
+        dens = np.exp(fl.BaseDensity(2).log_prob(Tensor(z.data)).data + logdet.data).reshape(201, 201)
         integral = np.trapezoid(np.trapezoid(dens, grid, axis=1), grid, axis=0)
         assert 0.99 <= integral <= 1.01
 

@@ -17,6 +17,17 @@ def make_sg(seed=0, d=16, heads=2, **kw):
     return gr.SpatialGraphormer(np.random.default_rng(seed), d, heads, **kw)
 
 
+def captured_weights(encoder, *args, **kw):
+    """Per-head post-softmax weights of the encoder's attention in one forward call."""
+    attn = encoder.block.attn
+    attn.capture = []
+    try:
+        encoder(*args, **kw)
+        return attn.capture
+    finally:
+        attn.capture = None
+
+
 class TestTemporalAdjacency:
     def test_t3_matches_hand_matrix(self):
         g = gr.build_temporal_adjacency(3)
@@ -76,7 +87,9 @@ class TestTemporalGraphormer:
     def test_masked_weights_exactly_zero_above_diagonal(self):
         tg = make_tg(seed=4)
         traj = np.random.default_rng(5).normal(size=(6, 2))
-        for head_w in tg.attention_weights(traj):
+        weights = captured_weights(tg, traj)
+        assert len(weights) == 2
+        for head_w in weights:
             upper = head_w[np.triu_indices(6, k=1)]
             assert np.all(upper == 0.0)
             assert np.allclose(head_w.sum(axis=1), 1.0, atol=1e-12)
@@ -173,7 +186,9 @@ class TestSpatialGraphormer:
         g = gr.build_spatial_adjacency(prev, now)
         assert g.mask[0, 1] == NEG_INF
         th = nc.Tensor(np.random.default_rng(14).normal(size=(3, 16)))
-        for head_w in sg.attention_weights(prev, now, th, target=0):
+        weights = captured_weights(sg, prev, now, th, target=0)
+        assert len(weights) == 2
+        for head_w in weights:
             assert head_w[0, 1] == 0.0
 
 
@@ -189,54 +204,55 @@ class TestSceneEncoder:
     def test_st_shape_and_finite(self):
         enc = self.make_encoder()
         obs, full = self.rand_scene()
-        scene = enc.encode_scene(obs, full, training=True)
-        assert scene.st.shape == (4, 16)
-        assert scene.mb.shape == (4, 16)
-        assert np.all(np.isfinite(scene.st))
-        assert np.all(np.isfinite(scene.mb))
+        for i in range(4):
+            mb, st = enc.encode_target(obs, i, full, training=True)
+            assert st.data.shape == (1, 16)
+            assert mb.data.shape == (1, 16)
+            assert np.all(np.isfinite(st.data))
+            assert np.all(np.isfinite(mb.data))
 
     def test_single_pedestrian_scene(self):
         enc = self.make_encoder()
         obs, full = self.rand_scene(n=1, seed=17)
-        scene = enc.encode_scene(obs, full, training=True)
-        assert scene.sh.shape == (1, 16)
-        assert np.all(np.isfinite(scene.sh))
+        sh = enc._social_rows(obs, 0)
+        assert sh.data.shape == (1, 16)
+        assert np.all(np.isfinite(sh.data))
 
     def test_mb_is_last_row_of_full_trajectory_encoding(self):
         enc = self.make_encoder()
         obs, full = self.rand_scene(seed=18)
-        scene = enc.encode_scene(obs, full, training=True)
         for i in range(4):
+            mb, _ = enc.encode_target(obs, i, full, training=True)
             direct = enc.tg_full(full[i]).data[-1]
-            assert np.allclose(scene.mb[i], direct, atol=0)
+            assert np.array_equal(mb.data[0], direct)
 
     def test_st_is_sum_of_temporal_and_spatial_parts(self):
         enc = self.make_encoder()
         obs, full = self.rand_scene(seed=19)
-        scene = enc.encode_scene(obs, full, training=True)
         for i in range(4):
+            _, st = enc.encode_target(obs, i, full, training=True)
             th_tgt = enc.tg_target(obs[i]).data[-1]
-            assert np.allclose(scene.st[i], th_tgt + scene.sh[i], atol=1e-12)
+            sh_i = enc._social_rows(obs, i).data[i]
+            assert np.allclose(st.data[0], th_tgt + sh_i, atol=1e-12)
 
     def test_training_requires_full_trajectory(self):
         enc = self.make_encoder()
         obs, _ = self.rand_scene()
         with pytest.raises(ContractError):
             enc.encode_target(obs, target=0, full=None, training=True)
-        with pytest.raises(ContractError):
-            enc.encode_scene(obs, full=None, training=True)
 
     def test_spatial_ablation_drops_sg(self):
         enc = self.make_encoder(use_spatial=False)
         obs, full = self.rand_scene(seed=20)
-        scene = enc.encode_scene(obs, full, training=True)
         for i in range(4):
+            _, st = enc.encode_target(obs, i, full, training=True)
             th_tgt = enc.tg_target(obs[i]).data[-1]
-            assert np.allclose(scene.st[i], th_tgt, atol=0)
+            assert np.array_equal(st.data[0], th_tgt)
 
     def test_gru_fallback_encoder(self):
         enc = self.make_encoder(use_temporal_graphormer=False)
         obs, full = self.rand_scene(seed=21)
-        scene = enc.encode_scene(obs, full, training=True)
-        assert scene.st.shape == (4, 16)
-        assert np.all(np.isfinite(scene.st))
+        for i in range(4):
+            _, st = enc.encode_target(obs, i, full, training=True)
+            assert st.data.shape == (1, 16)
+            assert np.all(np.isfinite(st.data))

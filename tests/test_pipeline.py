@@ -1,9 +1,13 @@
+import itertools
 import json
 import logging
 import os
+import re
+import struct
 import subprocess
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +15,12 @@ import pytest
 
 from stglow import numcore as nc
 from stglow import pipeline as pl
-from stglow.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from stglow.checkpoint import MAGIC, VERSION, Checkpoint, load_checkpoint, save_checkpoint
 from stglow.config import Config, flatten, from_flat, load_config, save_config, toy_config, validate
 from stglow.data import SynthSpec, synth_scenes
 from stglow.errors import CheckpointError, ConfigError, SceneNotFoundError
 from stglow.metrics import EvalReport
+from stglow.model import TrajectoryModel
 
 logging.disable(logging.INFO)
 
@@ -35,6 +40,36 @@ def tiny_config(out_dir, seed=3, epochs=2, **kw):
     return validate(cfg)
 
 
+def write_with_header(path, header: bytes) -> None:
+    """A checkpoint file with the given header, no records and a valid checksum."""
+    payload = struct.pack("<I", VERSION) + struct.pack("<I", len(header)) + header
+    path.write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
+
+
+def valid_header() -> dict:
+    return {
+        "config": flatten(toy_config()),
+        "epoch": 0,
+        "opt_step": 0,
+        "pn_initialized": False,
+        "rng_state": {},
+        "param_names": [],
+        "opt_names": [],
+    }
+
+
+def nan_on_call(n: int):
+    """A TrajectoryModel.batch_loss whose n-th call returns a NaN loss."""
+    real = TrajectoryModel.batch_loss
+    calls = itertools.count(1)
+
+    def batch_loss(self, *args, **kw):
+        loss, stats = real(self, *args, **kw)
+        return (nc.mul(loss, float("nan")) if next(calls) == n else loss), stats
+
+    return batch_loss
+
+
 class TestConfig:
     def test_flat_round_trip(self, tmp_path):
         cfg = toy_config(seed=11)
@@ -50,6 +85,40 @@ class TestConfig:
         p.write_text("model.banana = 1\n")
         with pytest.raises(ConfigError, match="unknown config field"):
             load_config(p)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("model.d = 3x", "model.d: expected int, got '3x'"),
+            ("model.d = True", "model.d: expected int"),
+            ('train.lr = "fast"', "train.lr: expected float, got 'fast'"),
+            ("train.lr = False", "train.lr: expected float"),
+            ("train.epochs = 2.5", "train.epochs: expected int, got 2.5"),
+            ("model.use_spatial = 1", "model.use_spatial: expected bool, got 1"),
+            ("data.paths = 'a.txt'", "data.paths: expected a tuple, got 'a.txt'"),
+            ("train.betas = (0.9,)", "train.betas: expected 2 values, got 1"),
+            ("train.loss_weights = (1.0, 0.25, 0.25, 'x')", "train.loss_weights: expected float, got 'x'"),
+            ("data.synth_kinds = ('straight', 3)", "data.synth_kinds: expected str, got 3"),
+            ("model = 3", "model: expected ModelConfig, got 3"),
+        ],
+    )
+    def test_mistyped_value_rejected_at_its_line(self, tmp_path, line, message):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"# typed values\nseed = 1\n{line}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{p}:3: {message}")):
+            load_config(p)
+
+    def test_ints_widen_to_float_and_lists_become_tuples(self, tmp_path):
+        p = tmp_path / "ok.cfg"
+        p.write_text("train.lr = 1\ntrain.betas = [0, 0.5]\ndata.paths = ['a.txt']\n")
+        cfg = load_config(p)
+        assert type(cfg.train.lr) is float and cfg.train.lr == 1.0
+        assert cfg.train.betas == (0.0, 0.5) and type(cfg.train.betas[0]) is float
+        assert cfg.data.paths == ("a.txt",)
+
+    def test_missing_config_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(tmp_path / "missing.cfg")
 
     def test_heads_must_divide_width(self):
         cfg = toy_config()
@@ -109,6 +178,37 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
 
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+            load_checkpoint(tmp_path / "missing.ckpt")
+
+    def test_valid_header_without_records_loads(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        write_with_header(path, json.dumps(valid_header()).encode())
+        assert flatten(load_checkpoint(path).config) == flatten(toy_config())
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (b"\xff\xfe{}", "undecodable header"),
+            (b'{"config": ', "undecodable header"),
+            (b"[]", "incomplete header"),
+            (json.dumps({k: v for k, v in valid_header().items() if k != "epoch"}).encode(), "incomplete header"),
+            (json.dumps({**valid_header(), "opt_step": "3"}).encode(), "incomplete header"),
+            (json.dumps({**valid_header(), "param_names": 7}).encode(), "incomplete header"),
+            (
+                json.dumps({**valid_header(), "config": {**flatten(toy_config()), "model.d": "x"}}).encode(),
+                "header config: model.d: expected int",
+            ),
+        ],
+        ids=["non_utf8", "cut_json", "not_an_object", "no_epoch", "str_opt_step", "int_names", "mistyped_config"],
+    )
+    def test_malformed_header_rejected(self, tmp_path, header, message):
+        path = tmp_path / "m.ckpt"
+        write_with_header(path, header)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
 
 class TestTraining:
     def test_zero_epochs_checkpoint_equals_initialization(self, tmp_path):
@@ -147,6 +247,31 @@ class TestTraining:
         assert set(resumed.checkpoint.opt_state) == set(full.checkpoint.opt_state)
         for name, arr in full.checkpoint.opt_state.items():
             assert arr.tobytes() == resumed.checkpoint.opt_state[name].tobytes(), name
+
+    def test_non_finite_loss_aborts_with_last_good_checkpoint(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path / "run", epochs=3)
+        # one step per epoch, so the second step runs after epoch 0's checkpoint
+        cfg.train.batch = len(pl.load_training_windows(cfg))
+        monkeypatch.setattr(TrajectoryModel, "batch_loss", nan_on_call(2))
+        result = pl.train(cfg)
+        assert result.aborted
+        assert result.checkpoint.epoch == 1
+        restored = pl.restore_model(load_checkpoint(result.last_path))
+        assert restored.flow.initialized
+        params = restored.params()
+        assert set(params) == set(result.checkpoint.params)
+        for name, arr in result.checkpoint.params.items():
+            assert params[name].data.tobytes() == arr.tobytes(), name
+        fresh = pl.build_model(cfg).params()
+        assert any(fresh[n].data.tobytes() != a.tobytes() for n, a in result.checkpoint.params.items())
+
+        from stglow.cli import main
+
+        cfg.train.out_dir = str(tmp_path / "cli")
+        save_config(cfg, tmp_path / "run.cfg")
+        monkeypatch.setattr(TrajectoryModel, "batch_loss", nan_on_call(2))
+        assert main(["train", "--config", str(tmp_path / "run.cfg")]) == 1
+        assert load_checkpoint(tmp_path / "cli" / "last.ckpt").epoch == 1
 
     def test_resume_rejects_mismatched_architecture(self, tmp_path):
         pl.train(tiny_config(tmp_path / "a", epochs=1))
@@ -233,6 +358,32 @@ class TestCheckCommand:
 
         assert main(["check", "--ckpt", str(bad)]) == 1
         assert json.loads(capsys.readouterr().out) == report
+
+
+    @pytest.mark.parametrize(
+        "flags, failure",
+        [({}, "temporal mask leak"), ({"use_temporal_graphormer": False}, "spatial mask leak")],
+    )
+    def test_mask_leak_in_forward_pass_fails(self, tmp_path, monkeypatch, flags, failure):
+        cfg = tiny_config(tmp_path, **flags)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(pl.snapshot(pl.build_model(cfg), cfg, None, 0), path)
+        monkeypatch.setattr(nc, "apply_mask", lambda scores, mask: scores)
+        report, ok = pl.check(path, work_dir=tmp_path)
+        assert not ok
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert by_name["mask_causality"]["passed"] is False
+        assert by_name["mask_causality"]["failure"] == failure
+        assert all(c["passed"] for name, c in by_name.items() if name != "mask_causality")
+
+    def test_missing_checkpoint_fails(self, tmp_path, capsys):
+        from stglow.cli import main
+
+        assert main(["check", "--ckpt", str(tmp_path / "missing.ckpt")]) == 1
+        [only] = json.loads(capsys.readouterr().out)["checks"]
+        assert only["name"] == "checkpoint_roundtrip"
+        assert only["passed"] is False
+        assert "cannot read checkpoint" in only["exception"]
 
 
 class TestSamplePlot:
@@ -355,6 +506,42 @@ class TestCli:
         assert self.run_cli("train", "--config", str(cfg_path)) == 0
         ckpt = load_checkpoint(tmp_path / "runa" / "last.ckpt")
         assert ckpt.config.seed == 777
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "train_missing_config",
+            "train_mistyped_config",
+            "train_non_integer_seed",
+            "eval_missing_checkpoint",
+            "eval_malformed_header",
+            "eval_missing_data",
+        ],
+    )
+    def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, case):
+        cfg = tiny_config(tmp_path / "run", epochs=0)
+        good_cfg = tmp_path / "good.cfg"
+        save_config(cfg, good_cfg)
+        bad_cfg = tmp_path / "bad.cfg"
+        bad_cfg.write_text("model.d = 3x\n")
+        good_ckpt = tmp_path / "good.ckpt"
+        save_checkpoint(pl.snapshot(pl.build_model(cfg), cfg, None, 0), good_ckpt)
+        bad_ckpt = tmp_path / "bad.ckpt"
+        write_with_header(bad_ckpt, b"{}")
+        missing = str(tmp_path / "missing")
+        synth = "synth:straight:n=2:seed=9:noise=0.01"
+        argv = {
+            "train_missing_config": ["train", "--config", missing],
+            "train_mistyped_config": ["train", "--config", str(bad_cfg)],
+            "train_non_integer_seed": ["train", "--config", str(good_cfg)],
+            "eval_missing_checkpoint": ["eval", "--ckpt", missing, "--data", synth],
+            "eval_malformed_header": ["eval", "--ckpt", str(bad_ckpt), "--data", synth],
+            "eval_missing_data": ["eval", "--ckpt", str(good_ckpt), "--data", missing + ".txt"],
+        }[case]
+        if case == "train_non_integer_seed":
+            monkeypatch.setenv("STGLOW_SEED", "12a")
+        assert self.run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_entry_point_runs(self, monkeypatch):
         # the child imports the same stglow as this process, installed or not
