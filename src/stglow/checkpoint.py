@@ -8,8 +8,8 @@ trailing CRC32 over everything after the magic.
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -102,7 +102,19 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         body.append(_pack_record(name, ckpt.opt_state[name]))
     payload = b"".join(body)
     crc = zlib.crc32(payload) & 0xFFFFFFFF
-    Path(path).write_bytes(MAGIC + payload + struct.pack("<I", crc))
+    # write beside the target and rename over it, so a crash mid-write
+    # leaves the previous file intact
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC + payload + struct.pack("<I", crc))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

@@ -8,7 +8,7 @@ and a deterministic synthetic scene generator for desk-scale training.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,25 +74,26 @@ def load_tracks(path: str | Path) -> list[RawTrack]:
     """Parse a dataset file into per-pedestrian tracks sorted by frame."""
     rows: dict[int, list[tuple[int, float, float]]] = {}
     try:
-        fh = open(path)
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"{path}: cannot open dataset file ({exc.strerror})") from None
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != 4:
-                raise ParseError(f"expected 4 fields, got {len(fields)}", line=lineno)
-            try:
-                frame = int(float(fields[0]))
-                ped = int(float(fields[1]))
-                x = float(fields[2])
-                y = float(fields[3])
-            except ValueError as exc:
-                raise ParseError(f"non-numeric field: {exc}", line=lineno) from None
-            rows.setdefault(ped, []).append((frame, x, y))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a UTF-8 text file ({exc.reason} at byte {exc.start})") from None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != 4:
+            raise ParseError(f"expected 4 fields, got {len(fields)}", line=lineno)
+        try:
+            frame = int(float(fields[0]))
+            ped = int(float(fields[1]))
+            x = float(fields[2])
+            y = float(fields[3])
+        except ValueError as exc:
+            raise ParseError(f"non-numeric field: {exc}", line=lineno) from None
+        rows.setdefault(ped, []).append((frame, x, y))
     tracks = []
     for ped in sorted(rows):
         entries = sorted(rows[ped])
@@ -225,6 +226,16 @@ class SynthSpec:
         return "synth:" + "+".join(self.kinds)
 
 
+# spec key -> (SynthSpec field, type)
+_SYNTH_FIELDS = {
+    "n": ("count", int),
+    "seed": ("seed", int),
+    "noise": ("noise_std", float),
+    "to": ("t_obs", int),
+    "tp": ("t_pred", int),
+}
+
+
 def parse_synth_spec(text: str) -> SynthSpec:
     """Parse CLI-style specs like `synth:straight+turn:n=64:seed=5:noise=0.01`."""
     parts = text.split(":")
@@ -236,18 +247,13 @@ def parse_synth_spec(text: str) -> SynthSpec:
         if "=" not in part:
             raise ConfigError(f"bad synth-spec field {part!r}")
         key, val = part.split("=", 1)
-        if key == "n":
-            spec.count = int(val)
-        elif key == "seed":
-            spec.seed = int(val)
-        elif key == "noise":
-            spec.noise_std = float(val)
-        elif key == "to":
-            spec.t_obs = int(val)
-        elif key == "tp":
-            spec.t_pred = int(val)
-        else:
+        if key not in _SYNTH_FIELDS:
             raise ConfigError(f"unknown synth-spec field {key!r}")
+        attr, cast = _SYNTH_FIELDS[key]
+        try:
+            setattr(spec, attr, cast(val))
+        except ValueError:
+            raise ConfigError(f"synth-spec field {key!r}: expected {cast.__name__}, got {val!r}") from None
     for kind in spec.kinds:
         if kind not in SYNTH_KINDS:
             raise ConfigError(f"unknown scenario kind {kind!r}; have {SYNTH_KINDS}")

@@ -31,12 +31,12 @@ class LossWeights:
 
 @dataclass
 class BatchDecoded:
-    """Row-parallel decoder outputs; row m is one (pedestrian, sample)."""
+    """Decoder outputs, one tensor per head; row b*K + j is sample j of pedestrian b."""
 
     goal: Tensor  # (M, 2)
-    y_f: list[Tensor]  # t_p entries of (M, 2)
-    y_b: list[Tensor] | None  # t_p - 1 entries (steps 1..t_p-1)
-    y_both: list[Tensor] | None  # t_p entries
+    y_f: Tensor  # (M, t_p, 2), steps 1..t_p
+    y_b: Tensor | None  # (M, t_p - 1, 2), steps 1..t_p-1
+    y_both: Tensor | None  # (M, t_p, 2), step t_p is the goal
 
 
 class BidirectionalDecoder:
@@ -66,7 +66,7 @@ class BidirectionalDecoder:
 
     def decode_batch(self, mb: Tensor) -> BatchDecoded:
         """Decode every row of (M, C) behavior vectors in parallel."""
-        t_p = self.t_pred
+        t_p, m = self.t_pred, mb.shape[0]
         goal = self.goal_mlp(mb)
         f_h = self.fwd_init(mb)
         f_i: list[Tensor] = [self.fwd_in(f_h)]  # f_i[t] is the input feature at step t
@@ -76,7 +76,7 @@ class BidirectionalDecoder:
             f_i.append(self.fwd_in(f_h))
             y_f.append(self.fwd_out(nc.concat_lastdim([f_i[t], mb])))
         if not self.bidirectional:
-            return BatchDecoded(goal=goal, y_f=y_f, y_b=None, y_both=None)
+            return BatchDecoded(goal=goal, y_f=_stack_steps(y_f, m), y_b=None, y_both=None)
         b_h = self.bwd_init(mb)
         b_i = self.bwd_in(goal)
         y_both_desc: list[Tensor] = [goal]  # step t_p output is the goal itself
@@ -90,9 +90,9 @@ class BidirectionalDecoder:
             y_both_desc.append(y_both_t)
         return BatchDecoded(
             goal=goal,
-            y_f=y_f,
-            y_b=y_b_desc[::-1],
-            y_both=y_both_desc[::-1],
+            y_f=_stack_steps(y_f, m),
+            y_b=_stack_steps(y_b_desc[::-1], m),
+            y_both=_stack_steps(y_both_desc[::-1], m),
         )
 
     def params(self) -> dict[str, Tensor]:
@@ -116,45 +116,39 @@ class BidirectionalDecoder:
         return _prefix(children)
 
 
+def _stack_steps(steps: list[Tensor], m: int) -> Tensor:
+    """t entries of (m, 2) -> one (m, t, 2) tensor (t may be 0)."""
+    return nc.reshape(nc.concat_lastdim(steps), (m, len(steps), 2)) if steps else Tensor(np.zeros((m, 0, 2)))
+
+
 def trajectory_loss_batched(
     batch: BatchDecoded,
     gt_future: np.ndarray,
-    gt_goal: np.ndarray,
     weights: LossWeights = LossWeights(),
 ) -> Tensor:
-    """Best-of-K supervised loss over K decoded samples stacked as rows.
+    """Best-of-K supervised loss per pedestrian: (B,) from the M = B*K decoded rows.
 
-    The goal minimum and the trajectory-sum minimum are taken independently
-    over samples; ties resolve to the lowest sample index and gradients flow
-    only through the winning samples' terms. Backward-trajectory terms cover
-    steps 1..t_p-1.
+    `gt_future` is (B, t_p, 2); its last step is the goal. Rows b*K .. b*K+K-1
+    are pedestrian b's samples; over them the goal minimum and the minimum
+    of the weighted trajectory sum are taken independently. Ties resolve to
+    the lowest sample index and gradients flow only through the winning
+    samples' terms. Backward-trajectory terms cover steps 1..t_p-1.
     """
-    k = batch.goal.shape[0]
-    if k == 0:
-        raise ContractError("trajectory loss needs at least one sample")
-    gt_future = np.asarray(gt_future, dtype=np.float64)
-    gt_goal = np.asarray(gt_goal, dtype=np.float64)
-    goal_norms = nc.euclid_rows(nc.sub(batch.goal, gt_goal[None, :]))
-    traj = None
-    for t, y in enumerate(batch.y_f):
-        term = nc.mul(nc.euclid_rows(nc.sub(y, gt_future[t][None, :])), weights.fwd)
-        traj = term if traj is None else nc.add(traj, term)
+    gt = np.asarray(gt_future, dtype=np.float64)
+    m, t_p = batch.y_f.shape[:2]
+    if gt.shape[1:] != (t_p, 2) or m == 0 or len(gt) == 0 or m % len(gt):
+        raise ContractError(f"need (B, {t_p}, 2) ground truth and B*K rows, K >= 1; got {gt.shape} and {m} rows")
+    b, k = len(gt), m // len(gt)
+
+    def cost(y: Tensor, truth: np.ndarray) -> Tensor:
+        """(M, ..., 2) head vs (B, ..., 2) truth -> (B, K, ...) distances."""
+        per_window = nc.reshape(y, (b, k) + y.shape[1:])
+        return nc.euclid_rows(nc.sub(per_window, truth[:, None]))
+
+    traj = nc.mul(nc.sum_lastdim(cost(batch.y_f, gt)), weights.fwd)
     if batch.y_b is not None:
-        for t, y in enumerate(batch.y_b):
-            traj = nc.add(traj, nc.mul(nc.euclid_rows(nc.sub(y, gt_future[t][None, :])), weights.bwd))
+        traj = nc.add(traj, nc.mul(nc.sum_lastdim(cost(batch.y_b, gt[:, :-1])), weights.bwd))
     if batch.y_both is not None:
-        for t, y in enumerate(batch.y_both):
-            traj = nc.add(traj, nc.mul(nc.euclid_rows(nc.sub(y, gt_future[t][None, :])), weights.both))
-    k_goal = int(np.argmin(goal_norms.data))
-    k_traj = int(np.argmin(traj.data))
-    picked_goal = nc.sum_all(nc.slice_rows(goal_norms, k_goal, k_goal + 1))
-    picked_traj = nc.sum_all(nc.slice_rows(traj, k_traj, k_traj + 1))
-    return nc.add(nc.mul(picked_goal, weights.alpha), picked_traj)
-
-
-def total_loss(l_p: Tensor, per_pedestrian: list[Tensor]) -> Tensor:
-    """Flow likelihood loss plus the sum of per-pedestrian trajectory losses."""
-    out = l_p
-    for term in per_pedestrian:
-        out = nc.add(out, term)
-    return out
+        traj = nc.add(traj, nc.mul(nc.sum_lastdim(cost(batch.y_both, gt)), weights.both))
+    goal = nc.min_lastdim(cost(batch.goal, gt[:, -1]))
+    return nc.add(nc.mul(goal, weights.alpha), nc.min_lastdim(traj))

@@ -7,7 +7,7 @@ import numpy as np
 from . import numcore as nc
 from .config import ModelConfig
 from .data import SceneWindow
-from .decoder import BatchDecoded, BidirectionalDecoder, LossWeights, total_loss, trajectory_loss_batched
+from .decoder import BidirectionalDecoder, LossWeights, trajectory_loss_batched
 from .errors import ConfigError
 from .flow import FlowStack, nll_loss, sample_behaviors
 from .graphormer import SceneEncoder
@@ -93,30 +93,15 @@ class TrajectoryModel:
         l_p = nll_loss(mb, st, self.flow)
         behaviors, _ = sample_behaviors(st, self.flow, k_train, sigma, rng)
         decoded = self.decoder.decode_batch(behaviors)
-        l_trajs = []
-        for b, w in enumerate(windows):
-            lo, hi = b * k_train, (b + 1) * k_train
-            per_window = BatchDecoded(
-                goal=nc.slice_rows(decoded.goal, lo, hi),
-                y_f=[nc.slice_rows(t, lo, hi) for t in decoded.y_f],
-                y_b=[nc.slice_rows(t, lo, hi) for t in decoded.y_b] if decoded.y_b is not None else None,
-                y_both=[nc.slice_rows(t, lo, hi) for t in decoded.y_both] if decoded.y_both is not None else None,
-            )
-            gt = w.fut[w.target_index]
-            l_trajs.append(trajectory_loss_batched(per_window, gt, gt[-1], weights))
-        loss = total_loss(l_p, l_trajs)
+        gt_future = np.stack([w.fut[w.target_index] for w in windows])
+        per_window = trajectory_loss_batched(decoded, gt_future, weights)
+        loss = nc.add(l_p, nc.sum_all(per_window))
         stats = {
             "l_p": float(l_p.data),
-            "l_traj": float(np.mean([float(t.data) for t in l_trajs])) if l_trajs else 0.0,
+            "l_traj": float(per_window.data.mean()),
             "l_total": float(loss.data),
         }
         return loss, stats
-
-    def _stack_prediction(self, decoded: BatchDecoded) -> np.ndarray:
-        """(M, t_p, 2) trajectory used for metrics: the fused head, or the
-        forward head when running forward-only."""
-        rows = decoded.y_both if decoded.y_both is not None else decoded.y_f
-        return np.stack([r.data for r in rows], axis=1)
 
     def predict(self, window: SceneWindow, k: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
         """K sampled futures for the window's target, in world coordinates."""
@@ -125,8 +110,9 @@ class TrajectoryModel:
             _, st = self.encoder.encode_target(window.obs, window.target_index)
             behaviors, _ = sample_behaviors(st, self.flow, k, sigma, rng)
             decoded = self.decoder.decode_batch(behaviors)
-            pred = self._stack_prediction(decoded)
-        return pred + window.origin
+        # the fused head, or the forward head when running forward-only
+        pred = decoded.y_both if decoded.y_both is not None else decoded.y_f
+        return pred.data + window.origin
 
     def predict_all_pedestrians(
         self, window: SceneWindow, k: int, sigma: float, rng: np.random.Generator

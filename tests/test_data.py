@@ -52,6 +52,12 @@ class TestLoadTracks:
         with pytest.raises(ParseError, match="line 1"):
             dt.load_tracks(write(tmp_path, "10 1 abc 0.0\n"))
 
+    def test_non_utf8_file(self, tmp_path):
+        p = tmp_path / "utf16.txt"
+        p.write_bytes(b"\xff\xfe1\x000\x00 \x001\x00")
+        with pytest.raises(ParseError, match="utf16.txt: not a UTF-8 text file"):
+            dt.load_tracks(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot open dataset file"):
             dt.load_windows(tmp_path / "missing.txt")
@@ -195,6 +201,9 @@ class TestSynthScenes:
             dt.parse_synth_spec("synth:straight:bogus")
         with pytest.raises(ConfigError):
             dt.parse_synth_spec("file.txt")
+        for key in ("n", "seed", "noise", "to", "tp"):
+            with pytest.raises(ConfigError, match=f"synth-spec field '{key}'"):
+                dt.parse_synth_spec(f"synth:straight:{key}=abc")
 
 
 class TestRoundTrip:

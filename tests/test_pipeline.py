@@ -154,6 +154,25 @@ class TestCheckpoint:
             assert back.params[name].tobytes() == arr.tobytes()
         assert flatten(back.config) == flatten(cfg)
 
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path)
+        model = pl.build_model(cfg)
+        path = tmp_path / "last.ckpt"
+        save_checkpoint(pl.snapshot(model, cfg, None, epoch=1), path)
+        before = path.read_bytes()
+        for p in model.params().values():
+            p.data += 1.0
+
+        def fail(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(pl.snapshot(model, cfg, None, epoch=2), path)
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).epoch == 1
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["last.ckpt"]
+
     def test_magic_bytes(self, tmp_path):
         cfg = tiny_config(tmp_path)
         model = pl.build_model(cfg)
@@ -516,6 +535,8 @@ class TestCli:
             "eval_missing_checkpoint",
             "eval_malformed_header",
             "eval_missing_data",
+            "eval_non_utf8_data",
+            "eval_non_numeric_synth_field",
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, case):
@@ -529,6 +550,8 @@ class TestCli:
         bad_ckpt = tmp_path / "bad.ckpt"
         write_with_header(bad_ckpt, b"{}")
         missing = str(tmp_path / "missing")
+        non_utf8 = tmp_path / "utf16.txt"
+        non_utf8.write_bytes(b"\xff\xfe1\x000\x00 \x001\x00")
         synth = "synth:straight:n=2:seed=9:noise=0.01"
         argv = {
             "train_missing_config": ["train", "--config", missing],
@@ -537,6 +560,8 @@ class TestCli:
             "eval_missing_checkpoint": ["eval", "--ckpt", missing, "--data", synth],
             "eval_malformed_header": ["eval", "--ckpt", str(bad_ckpt), "--data", synth],
             "eval_missing_data": ["eval", "--ckpt", str(good_ckpt), "--data", missing + ".txt"],
+            "eval_non_utf8_data": ["eval", "--ckpt", str(good_ckpt), "--data", str(non_utf8)],
+            "eval_non_numeric_synth_field": ["eval", "--ckpt", str(good_ckpt), "--data", "synth:straight:n=abc"],
         }[case]
         if case == "train_non_integer_seed":
             monkeypatch.setenv("STGLOW_SEED", "12a")
