@@ -3,12 +3,18 @@
 Layout: magic `STGF`, little-endian u32 version, u32 header length, a JSON
 header (config snapshot, epoch, optimizer step, normalization-init flag,
 RNG bookkeeping, record names), the named float64 payload records, and a
-trailing CRC32 over everything after the magic.
+trailing CRC32 over everything after the magic. A record is a u16 name
+length, the UTF-8 name, a u8 ndim, one u32 per dim and the little-endian
+float64 values in C order.
+
+`save_checkpoint` streams this layout: it writes one record at a time and
+updates the CRC as it goes, so a save never holds a copy of the payload.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -44,23 +50,18 @@ class Checkpoint:
     rng_state: dict = field(default_factory=dict)
 
 
-def _pack_record(name: str, arr: np.ndarray) -> bytes:
-    name_b = name.encode("utf-8")
-    parts = [struct.pack("<H", len(name_b)), name_b, struct.pack("<B", arr.ndim)]
-    for dim in arr.shape:
-        parts.append(struct.pack("<I", dim))
-    parts.append(arr.astype("<f8", copy=False).tobytes())
-    return b"".join(parts)
+MAX_NDIM = 32  # numpy's own limit was 32 dims before 2.0
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: bytes, path: str | Path):
         self.buf = buf
+        self.path = path
         self.pos = 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
-            raise CheckpointError("checkpoint truncated")
+            raise CheckpointError(f"{self.path}: checkpoint truncated")
         out = self.buf[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -76,15 +77,31 @@ class _Reader:
 
 
 def _unpack_record(r: _Reader) -> tuple[str, np.ndarray]:
-    name = r.take(r.u16()).decode("utf-8")
+    try:
+        name = r.take(r.u16()).decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{r.path}: record name is not UTF-8") from None
     ndim = r.u8()
+    if ndim > MAX_NDIM:
+        raise CheckpointError(f"{r.path}: record {name!r} has {ndim} dims (at most {MAX_NDIM})")
     shape = tuple(r.u32() for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    arr = np.frombuffer(r.take(count * 8), dtype="<f8").reshape(shape).astype(np.float64)
+    values = r.take(8 * math.prod(shape))
+    try:
+        arr = np.frombuffer(values, dtype="<f8").reshape(shape).astype(np.float64)
+    except ValueError:  # an empty array whose other dims overflow numpy's size
+        raise CheckpointError(f"{r.path}: record {name!r} has an impossible shape {shape}") from None
     return name, arr
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
+    """Write `ckpt` to `path` atomically, streamed record by record.
+
+    The bytes go to a temp file beside `path`, are fsynced and then renamed
+    over it, so a crash mid-write leaves the previous file intact; on any
+    failure the temp file is removed. Each record is written straight from
+    its array's memory and the CRC is updated incrementally, so the save
+    allocates little beyond the JSON header whatever the file size.
+    """
     header = {
         "config": flatten(ckpt.config),
         "epoch": ckpt.epoch,
@@ -95,26 +112,36 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "opt_names": sorted(ckpt.opt_state),
     }
     header_b = json.dumps(header, sort_keys=True).encode("utf-8")
-    body = [struct.pack("<I", VERSION), struct.pack("<I", len(header_b)), header_b]
-    for name in header["param_names"]:
-        body.append(_pack_record(name, ckpt.params[name]))
-    for name in header["opt_names"]:
-        body.append(_pack_record(name, ckpt.opt_state[name]))
-    payload = b"".join(body)
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    # write beside the target and rename over it, so a crash mid-write
-    # leaves the previous file intact
+    arrays = [(name, ckpt.params[name]) for name in header["param_names"]]
+    arrays += [(name, ckpt.opt_state[name]) for name in header["opt_names"]]
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC + payload + struct.pack("<I", crc))
+            fh.write(MAGIC)
+            crc = 0
+            for chunk in _payload(header_b, arrays):
+                fh.write(chunk)
+                crc = zlib.crc32(chunk, crc)
+            fh.write(struct.pack("<I", crc & 0xFFFFFFFF))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _payload(header_b: bytes, arrays: list[tuple[str, np.ndarray]]):
+    """The bytes between the magic and the CRC, as a stream of buffers: the
+    version and header, then per record its name-and-shape prefix and a view
+    of its values, uncopied when the array is little-endian float64 in C order."""
+    yield struct.pack("<II", VERSION, len(header_b))
+    yield header_b
+    for name, arr in arrays:
+        name_b = name.encode("utf-8")
+        yield struct.pack(f"<H{len(name_b)}sB{arr.ndim}I", len(name_b), name_b, arr.ndim, *arr.shape)
+        yield memoryview(arr.astype("<f8", order="C", copy=False))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -127,7 +154,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     payload, crc_stored = raw[4:-4], struct.unpack("<I", raw[-4:])[0]
     if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
         raise CheckpointError(f"{path}: checksum mismatch (corrupt file)")
-    r = _Reader(payload)
+    r = _Reader(payload, path)
     version = r.u32()
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")

@@ -8,6 +8,7 @@ and a deterministic synthetic scene generator for desk-scale training.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -226,13 +227,13 @@ class SynthSpec:
         return "synth:" + "+".join(self.kinds)
 
 
-# spec key -> (SynthSpec field, type)
+# spec key -> (SynthSpec field, type, range check, the range in words)
 _SYNTH_FIELDS = {
-    "n": ("count", int),
-    "seed": ("seed", int),
-    "noise": ("noise_std", float),
-    "to": ("t_obs", int),
-    "tp": ("t_pred", int),
+    "n": ("count", int, lambda v: v >= 1, ">= 1"),
+    "seed": ("seed", int, lambda v: v >= 0, ">= 0"),
+    "noise": ("noise_std", float, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
+    "to": ("t_obs", int, lambda v: v >= 1, ">= 1"),
+    "tp": ("t_pred", int, lambda v: v >= 1, ">= 1"),
 }
 
 
@@ -249,11 +250,14 @@ def parse_synth_spec(text: str) -> SynthSpec:
         key, val = part.split("=", 1)
         if key not in _SYNTH_FIELDS:
             raise ConfigError(f"unknown synth-spec field {key!r}")
-        attr, cast = _SYNTH_FIELDS[key]
+        attr, cast, in_range, rule = _SYNTH_FIELDS[key]
         try:
-            setattr(spec, attr, cast(val))
+            value = cast(val)
         except ValueError:
             raise ConfigError(f"synth-spec field {key!r}: expected {cast.__name__}, got {val!r}") from None
+        if not in_range(value):
+            raise ConfigError(f"synth-spec field {key!r}: must be {rule}, got {val!r}")
+        setattr(spec, attr, value)
     for kind in spec.kinds:
         if kind not in SYNTH_KINDS:
             raise ConfigError(f"unknown scenario kind {kind!r}; have {SYNTH_KINDS}")

@@ -26,10 +26,7 @@ class Linear:
         self.b = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = nc.matmul(x, self.w)
-        if self.b is not None:
-            out = nc.add(out, self.b)
-        return out
+        return nc.linear(x, self.w, self.b)
 
     def params(self) -> dict[str, Tensor]:
         out = {"w": self.w}
@@ -66,7 +63,12 @@ class ReluLinear:
 
 
 class GruCell:
-    """Standard gated recurrent cell (update gate, reset gate, candidate)."""
+    """Standard gated recurrent cell (update gate, reset gate, candidate).
+
+    A step is one `nc.gru_cell` tape node. The six projections stay separate
+    `Linear`s, so parameter names, and checkpoints, are those of the unfused
+    cell.
+    """
 
     def __init__(self, rng, d_in: int, d_hidden: int):
         self.wxz = Linear(rng, d_in, d_hidden)
@@ -77,11 +79,13 @@ class GruCell:
         self.whn = Linear(rng, d_hidden, d_hidden, bias=False)
 
     def __call__(self, h: Tensor, x: Tensor) -> Tensor:
-        z = nc.sigmoid(nc.add(self.wxz(x), self.whz(h)))
-        r = nc.sigmoid(nc.add(self.wxr(x), self.whr(h)))
-        n = nc.tanh(nc.add(self.wxn(x), self.whn(nc.mul(r, h))))
-        one_minus_z = nc.sub(1.0, z)
-        return nc.add(nc.mul(one_minus_z, n), nc.mul(z, h))
+        return nc.gru_cell(
+            h,
+            x,
+            (self.wxz.w, self.wxr.w, self.wxn.w),
+            (self.wxz.b, self.wxr.b, self.wxn.b),
+            (self.whz.w, self.whr.w, self.whn.w),
+        )
 
     def params(self) -> dict[str, Tensor]:
         return _prefix(

@@ -32,7 +32,7 @@ NEG_INF = float(np.finfo(np.float64).min)
 class Tape:
     """Append-only record of executed ops; reverse order is the backward order."""
 
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "__weakref__")
 
     def __init__(self):
         self.nodes: list[_Node] = []
@@ -414,6 +414,60 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ b.data.T, a.data.T @ g
 
     return _register(out, (a, b), vjp)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """`x @ w (+ b)` as one tape node that keeps no intermediate.
+
+    Bit-identical to `add(matmul(x, w), b)`, whose tape would also hold
+    the product before the bias is added.
+    """
+    if x.ndim != 2 or w.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"linear shapes incompatible: {x.data.shape} x {w.data.shape}")
+    out = x.data @ w.data
+    if b is None:
+        inputs = (x, w)
+    else:
+        out += b.data
+        inputs = (x, w, b)
+
+    def vjp(g):
+        grads = (g @ w.data.T, x.data.T @ g)
+        return grads if b is None else grads + (_unbroadcast(g, b.data.shape),)
+
+    return _register(out, inputs, vjp)
+
+
+def gru_cell(h: Tensor, x: Tensor, wx: Sequence[Tensor], bx: Sequence[Tensor], wh: Sequence[Tensor]) -> Tensor:
+    """One GRU step as one tape node; `wx`, `bx`, `wh` are (z, r, n) triples.
+
+        z = σ(x wx_z + bx_z + h wh_z)     r = σ(x wx_r + bx_r + h wh_r)
+        n = tanh(x wx_n + bx_n + (r ⊙ h) wh_n)     h' = (1 − z) ⊙ n + z ⊙ h
+
+    Each term is computed in the order the unfused ops use, so h' is
+    bit-identical to theirs. The backward pass keeps only z, r and n; the
+    ~20 nodes of the unfused step would keep every intermediate.
+    """
+    (wxz, wxr, wxn), (bxz, bxr, bxn), (whz, whr, whn) = wx, bx, wh
+    hd, xd = h.data, x.data
+    z = 1.0 / (1.0 + np.exp(-((xd @ wxz.data + bxz.data) + hd @ whz.data)))
+    r = 1.0 / (1.0 + np.exp(-((xd @ wxr.data + bxr.data) + hd @ whr.data)))
+    n = np.tanh((xd @ wxn.data + bxn.data) + (r * hd) @ whn.data)
+    out = (1.0 - z) * n + z * hd
+
+    def vjp(g):
+        a_n = g * (1.0 - z) * (1.0 - n * n)
+        g_rh = a_n @ whn.data.T
+        a_r = g_rh * hd * r * (1.0 - r)
+        a_z = (g * hd - g * n) * z * (1.0 - z)
+        g_h = g * z + g_rh * r + a_z @ whz.data.T + a_r @ whr.data.T
+        g_x = a_z @ wxz.data.T + a_r @ wxr.data.T + a_n @ wxn.data.T
+        g_wx = (xd.T @ a_z, xd.T @ a_r, xd.T @ a_n)
+        g_bx = tuple(_unbroadcast(a, b.data.shape) for a, b in zip((a_z, a_r, a_n), bx))
+        g_wh = (hd.T @ a_z, hd.T @ a_r, (r * hd).T @ a_n)
+        return (g_h, g_x, *g_wx, *g_bx, *g_wh)
+
+    return _register(out, (h, x, *wx, *bx, *wh), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -211,17 +211,15 @@ def train(cfg: Config, resume: str | Path | None = None) -> TrainResult:
                 continue  # the likelihood loss needs at least two samples
             opt.zero_grad()
             try:
-                with nc.record() as tape:
-                    loss, stats = model.batch_loss(batch, cfg.train.k_train, sample_rng, weights)
+                loss, stats = _loss_and_grads(model, batch, cfg.train.k_train, sample_rng, weights)
             except SingularMatrixError:
                 result.skipped_steps += 1
                 log.warning("epoch %d: skipped a step (singular mixing matrix)", epoch)
                 continue
-            if not np.isfinite(float(loss.data)):
+            if not np.isfinite(loss):
                 log.error("epoch %d: non-finite loss, aborting with last-good checkpoint", epoch)
                 result.aborted = True
                 return result
-            nc.backward(loss, tape)
             if cfg.train.grad_clip > 0.0:
                 sq = 0.0
                 for p in opt.params.values():
@@ -266,6 +264,21 @@ def train(cfg: Config, resume: str | Path | None = None) -> TrainResult:
         result.checkpoint = snapshot(model, cfg, opt, cfg.train.epochs)
         save_checkpoint(result.checkpoint, last_path)
     return result
+
+
+def _loss_and_grads(model: TrajectoryModel, batch, k: int, rng, weights: LossWeights) -> tuple[float, dict]:
+    """One step's forward pass and, if its loss is finite, its backward pass.
+
+    Returns the loss and its stats. The step's tape lives only in this
+    frame, so its activations are freed before the caller steps the
+    optimizer or saves a checkpoint.
+    """
+    with nc.record() as tape:
+        loss, stats = model.batch_loss(batch, k, rng, weights)
+    value = float(loss.data)
+    if np.isfinite(value):
+        nc.backward(loss, tape)
+    return value, stats
 
 
 def evaluate(

@@ -204,6 +204,10 @@ class TestSynthScenes:
         for key in ("n", "seed", "noise", "to", "tp"):
             with pytest.raises(ConfigError, match=f"synth-spec field '{key}'"):
                 dt.parse_synth_spec(f"synth:straight:{key}=abc")
+        for field in ("n=0", "n=-3", "seed=-1", "noise=-1", "noise=nan", "noise=inf", "to=0", "tp=0"):
+            key = field.split("=")[0]
+            with pytest.raises(ConfigError, match=f"synth-spec field '{key}': must be"):
+                dt.parse_synth_spec(f"synth:straight:{field}")
 
 
 class TestRoundTrip:

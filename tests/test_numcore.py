@@ -179,12 +179,33 @@ OP_CASES = [
     ("slice_lastdim", lambda t: nc.slice_lastdim(t, 0, 2), 1),
     ("repeat_rows", lambda t: nc.repeat_rows(t, 3), 1),
     ("reshape", lambda t: nc.reshape(t, (2, 6)), 1),
+    # fused ops: the gradient is checked for every operand, of these shapes
+    ("linear", lambda x, w, b: nc.linear(x, w, b), [(3, 4), (4, 2), (2,)]),
+    ("linear_no_bias", lambda x, w: nc.linear(x, w), [(3, 4), (4, 2)]),
+    (
+        "gru_cell",
+        lambda h, x, *p: nc.gru_cell(h, x, p[0:3], p[3:6], p[6:9]),
+        [(3, 4), (3, 2)] + [(2, 4)] * 3 + [(4,)] * 3 + [(4, 4)] * 3,
+    ),
 ]
 
 
 @pytest.mark.parametrize("name,op,arity", OP_CASES, ids=[c[0] for c in OP_CASES])
 def test_op_gradients_match_finite_differences(name, op, arity):
     rng = np.random.default_rng(hash(name) % 2**32)
+    if isinstance(arity, list):
+        args = [rng.normal(size=shape) * 0.8 for shape in arity]
+        for i in range(len(args)):
+
+            def f_t(t, i=i):
+                return nc.sum_all(nc.tanh(op(*[t if j == i else nc.Tensor(a) for j, a in enumerate(args)])))
+
+            def f_np(x, f_t=f_t):
+                with nc.no_grad():
+                    return float(f_t(nc.Tensor(x)).data)
+
+            assert rel_err(analytic_gradient(f_t, args[i]), fd_gradient(f_np, args[i])) < 1e-3, f"operand {i}"
+        return
     x0 = rng.normal(size=(3, 4)) * 0.8
     if arity == "matmul":
         u0 = rng.normal(size=(4, 2))

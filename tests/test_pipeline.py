@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import itertools
 import json
 import logging
@@ -7,11 +9,15 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+import weakref
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
 from stglow import numcore as nc
 from stglow import pipeline as pl
@@ -40,10 +46,16 @@ def tiny_config(out_dir, seed=3, epochs=2, **kw):
     return validate(cfg)
 
 
-def write_with_header(path, header: bytes) -> None:
-    """A checkpoint file with the given header, no records and a valid checksum."""
-    payload = struct.pack("<I", VERSION) + struct.pack("<I", len(header)) + header
+def write_with_header(path, header: bytes, records: bytes = b"") -> None:
+    """A checkpoint file with the given header and records and a valid checksum."""
+    payload = struct.pack("<I", VERSION) + struct.pack("<I", len(header)) + header + records
     path.write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
+
+
+def record_bytes(name: bytes, shape: tuple[int, ...], values: bytes) -> bytes:
+    """One record as the file layout defines it, built independently of the writer."""
+    dims = b"".join(struct.pack("<I", d) for d in shape)
+    return struct.pack("<H", len(name)) + name + struct.pack("<B", len(shape)) + dims + values
 
 
 def valid_header() -> dict:
@@ -56,6 +68,17 @@ def valid_header() -> dict:
         "param_names": [],
         "opt_names": [],
     }
+
+
+@functools.cache
+def fuzz_base() -> bytes:
+    """A small valid checkpoint with 0-d, empty and non-ASCII-named records."""
+    rng = np.random.default_rng(5)
+    params = {"a": rng.normal(size=(2, 3)), "b.c": np.array(0.5), "d": np.zeros((0, 2)), "é": rng.normal(size=2)}
+    ckpt = Checkpoint(toy_config(), params, {"m.a": rng.normal(size=(2, 3))}, opt_step=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(ckpt, Path(tmp) / "base.ckpt")
+        return (Path(tmp) / "base.ckpt").read_bytes()
 
 
 def nan_on_call(n: int):
@@ -172,6 +195,82 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert load_checkpoint(path).epoch == 1
         assert sorted(f.name for f in tmp_path.iterdir()) == ["last.ckpt"]
+
+    def test_streamed_file_matches_reference_layout(self, tmp_path):
+        rng = np.random.default_rng(0)
+        params = {"b": rng.normal(size=(3, 2)).T, "a.w": np.array(1.5), "c": rng.normal(size=4).astype(">f8")}
+        opt_state = {"m.b": np.zeros((0, 3))}
+        ckpt = Checkpoint(toy_config(), params, opt_state, opt_step=4, epoch=2, pn_initialized=True, rng_state={"s": 1})
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, path)
+        header = {
+            "config": flatten(ckpt.config),
+            "epoch": 2,
+            "opt_step": 4,
+            "pn_initialized": True,
+            "rng_state": {"s": 1},
+            "param_names": ["a.w", "b", "c"],
+            "opt_names": ["m.b"],
+        }
+        header_b = json.dumps(header, sort_keys=True).encode()
+        payload = struct.pack("<II", VERSION, len(header_b)) + header_b
+        for name, arr in [("a.w", params["a.w"]), ("b", params["b"]), ("c", params["c"]), ("m.b", opt_state["m.b"])]:
+            payload += record_bytes(name.encode(), arr.shape, arr.astype("<f8").tobytes(order="C"))
+        assert path.read_bytes() == MAGIC + payload + struct.pack("<I", zlib.crc32(payload))
+
+    def test_save_allocates_a_fraction_of_the_file(self, tmp_path):
+        ckpt = Checkpoint(toy_config(), {f"p{i}": np.full((256, 512), float(i)) for i in range(8)})
+        path = tmp_path / "big.ckpt"
+        tracemalloc.start()
+        try:
+            save_checkpoint(ckpt, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size >= 8 * 2**20
+        assert peak <= 0.1 * size
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            (record_bytes(b"\xffa", (1,), bytes(8)), "record name is not UTF-8"),
+            (record_bytes(b"a", (1,) * 200, bytes(8)), "has 200 dims"),
+            (record_bytes(b"a", (3, 4), bytes(8)), "checkpoint truncated"),
+            (record_bytes(b"a", (2**32 - 1, 2**32 - 1, 0), b""), "impossible shape"),
+        ],
+        ids=["non_utf8_name", "ndim_200", "dims_overrun", "empty_but_too_big"],
+    )
+    def test_malformed_record_rejected(self, tmp_path, record, message):
+        path = tmp_path / "m.ckpt"
+        write_with_header(path, json.dumps({**valid_header(), "param_names": ["a"]}).encode(), record)
+        with pytest.raises(CheckpointError, match=message) as exc:
+            load_checkpoint(path)
+        assert str(path) in str(exc.value)
+
+    @given(data=hst.data())
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_damaged_file_raises_only_checkpoint_error(self, tmp_path, data):
+        raw = fuzz_base()
+        payload = bytearray(raw[4:-4])
+        header_len = struct.unpack("<I", payload[4:8])[0]
+        anywhere = hst.integers(0, len(payload) - 1)
+        in_records = hst.integers(8 + header_len, len(payload) - 1)
+        pos = data.draw(hst.one_of(in_records, anywhere), label="pos")
+        damage = data.draw(hst.sampled_from(["truncate", "flip", "overwrite"]), label="damage")
+        if damage == "truncate":
+            del payload[pos:]
+        elif damage == "flip":
+            payload[pos] ^= 1 << data.draw(hst.integers(0, 7), label="bit")
+        else:
+            payload[pos] = data.draw(hst.integers(0, 255), label="byte")
+        crc = zlib.crc32(payload) if data.draw(hst.booleans(), label="fix_crc") else struct.unpack("<I", raw[-4:])[0]
+        path = tmp_path / "fuzz.ckpt"
+        path.write_bytes(MAGIC + payload + struct.pack("<I", crc))
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
 
     def test_magic_bytes(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -291,6 +390,27 @@ class TestTraining:
         monkeypatch.setattr(TrajectoryModel, "batch_loss", nan_on_call(2))
         assert main(["train", "--config", str(tmp_path / "run.cfg")]) == 1
         assert load_checkpoint(tmp_path / "cli" / "last.ckpt").epoch == 1
+
+    def test_step_tape_freed_before_epoch_checkpoint(self, tmp_path, monkeypatch):
+        tapes: list[weakref.ref] = []
+        live_at_save: list[int] = []
+        real_record, real_save = nc.record, pl.save_checkpoint
+
+        @contextlib.contextmanager
+        def tracked_record():
+            with real_record() as tape:
+                tapes.append(weakref.ref(tape))
+                yield tape
+
+        def counting_save(ckpt, path):
+            live_at_save.append(sum(ref() is not None for ref in tapes))
+            real_save(ckpt, path)
+
+        monkeypatch.setattr(nc, "record", tracked_record)
+        monkeypatch.setattr(pl, "save_checkpoint", counting_save)
+        pl.train(tiny_config(tmp_path, epochs=2))
+        assert len(tapes) >= 2 and len(live_at_save) >= 3
+        assert live_at_save == [0] * len(live_at_save)
 
     def test_resume_rejects_mismatched_architecture(self, tmp_path):
         pl.train(tiny_config(tmp_path / "a", epochs=1))
@@ -537,6 +657,7 @@ class TestCli:
             "eval_missing_data",
             "eval_non_utf8_data",
             "eval_non_numeric_synth_field",
+            "eval_synth_out_of_range",
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, case):
@@ -562,6 +683,7 @@ class TestCli:
             "eval_missing_data": ["eval", "--ckpt", str(good_ckpt), "--data", missing + ".txt"],
             "eval_non_utf8_data": ["eval", "--ckpt", str(good_ckpt), "--data", str(non_utf8)],
             "eval_non_numeric_synth_field": ["eval", "--ckpt", str(good_ckpt), "--data", "synth:straight:n=abc"],
+            "eval_synth_out_of_range": ["eval", "--ckpt", str(good_ckpt), "--data", "synth:straight:noise=-1"],
         }[case]
         if case == "train_non_integer_seed":
             monkeypatch.setenv("STGLOW_SEED", "12a")
