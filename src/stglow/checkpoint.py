@@ -7,8 +7,9 @@ trailing CRC32 over everything after the magic. A record is a u16 name
 length, the UTF-8 name, a u8 ndim, one u32 per dim and the little-endian
 float64 values in C order.
 
-`save_checkpoint` streams this layout: it writes one record at a time and
-updates the CRC as it goes, so a save never holds a copy of the payload.
+`save_checkpoint` and `load_checkpoint` stream this layout: they write or
+read one record at a time and update the CRC as they go, so neither holds
+a second copy of the payload.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .config import Config, flatten, from_flat
 from .errors import CheckpointError, ConfigError
 
 MAGIC = b"STGF"
-VERSION = 1
+VERSION = 2  # 2: fused attention projections (`attn.wqkv`)
 HEADER_TYPES = {
     "config": dict,
     "epoch": int,
@@ -54,17 +55,42 @@ MAX_NDIM = 32  # numpy's own limit was 32 dims before 2.0
 
 
 class _Reader:
-    def __init__(self, buf: bytes, path: str | Path):
-        self.buf = buf
+    """Reads the bytes between the magic and the trailing CRC, refusing any
+    read past them and folding every byte read into a running CRC."""
+
+    def __init__(self, fh, path: str | Path, left: int):
+        self.fh = fh
         self.path = path
-        self.pos = 0
+        self.left = left
+        self.crc = 0
+
+    def _claim(self, n: int) -> None:
+        if n > self.left:
+            raise CheckpointError(f"{self.path}: checkpoint truncated")
+        self.left -= n
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
+        self._claim(n)
+        out = self.fh.read(n)
+        if len(out) != n:  # the file shrank while being read
             raise CheckpointError(f"{self.path}: checkpoint truncated")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
+        self.crc = zlib.crc32(out, self.crc)
         return out
+
+    def fill(self, arr: np.ndarray) -> None:
+        """Read `arr.nbytes` bytes straight into the C-contiguous `arr`."""
+        view = memoryview(arr.reshape(-1)).cast("B")
+        self._claim(len(view))
+        if self.fh.readinto(view) != len(view):
+            raise CheckpointError(f"{self.path}: checkpoint truncated")
+        self.crc = zlib.crc32(view, self.crc)
+
+    def crc_matches(self) -> bool:
+        """Whether the stored CRC matches all bytes before it, reading any
+        not yet read in bounded chunks."""
+        while self.left:
+            self.take(min(self.left, 1 << 20))
+        return struct.unpack("<I", self.fh.read(4))[0] == self.crc & 0xFFFFFFFF
 
     def u16(self) -> int:
         return struct.unpack("<H", self.take(2))[0]
@@ -85,12 +111,14 @@ def _unpack_record(r: _Reader) -> tuple[str, np.ndarray]:
     if ndim > MAX_NDIM:
         raise CheckpointError(f"{r.path}: record {name!r} has {ndim} dims (at most {MAX_NDIM})")
     shape = tuple(r.u32() for _ in range(ndim))
-    values = r.take(8 * math.prod(shape))
+    if 8 * math.prod(shape) > r.left:  # before allocating: the dims may be garbage
+        raise CheckpointError(f"{r.path}: checkpoint truncated")
     try:
-        arr = np.frombuffer(values, dtype="<f8").reshape(shape).astype(np.float64)
+        arr = np.empty(shape, dtype="<f8")
     except ValueError:  # an empty array whose other dims overflow numpy's size
         raise CheckpointError(f"{r.path}: record {name!r} has an impossible shape {shape}") from None
-    return name, arr
+    r.fill(arr)
+    return name, arr.astype(np.float64, copy=False)
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
@@ -145,16 +173,33 @@ def _payload(header_b: bytes, arrays: list[tuple[str, np.ndarray]]):
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint, streaming each record into its array.
+
+    Memory use is about one copy of the file. Damage that the CRC catches
+    is reported as a checksum mismatch, even where it also broke the
+    parse.
+    """
     try:
-        raw = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size < 12 or fh.read(4) != MAGIC:
+                raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+            r = _Reader(fh, path, size - 8)
+            try:
+                ckpt = _parse(r)
+            except CheckpointError:
+                if not r.crc_matches():
+                    raise CheckpointError(f"{path}: checksum mismatch (corrupt file)") from None
+                raise
+            if not r.crc_matches():
+                raise CheckpointError(f"{path}: checksum mismatch (corrupt file)")
     except OSError as exc:
         raise CheckpointError(f"{path}: cannot read checkpoint ({exc.strerror})") from None
-    if len(raw) < 12 or raw[:4] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    payload, crc_stored = raw[4:-4], struct.unpack("<I", raw[-4:])[0]
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
-        raise CheckpointError(f"{path}: checksum mismatch (corrupt file)")
-    r = _Reader(payload, path)
+    return ckpt
+
+
+def _parse(r: _Reader) -> Checkpoint:
+    path = r.path
     version = r.u32()
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
@@ -168,24 +213,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         config = from_flat(header["config"])
     except ConfigError as exc:
         raise CheckpointError(f"{path}: header config: {exc}") from None
-    params = {}
-    for expected in header["param_names"]:
-        name, arr = _unpack_record(r)
-        if name != expected:
-            raise CheckpointError(f"{path}: record order mismatch at {name!r}")
-        params[name] = arr
-    opt_state = {}
-    for expected in header["opt_names"]:
-        name, arr = _unpack_record(r)
-        if name != expected:
-            raise CheckpointError(f"{path}: record order mismatch at {name!r}")
-        opt_state[name] = arr
-    if r.pos != len(payload):
+    records = {}
+    for group in ("param_names", "opt_names"):
+        records[group] = {}
+        for expected in header[group]:
+            name, arr = _unpack_record(r)
+            if name != expected:
+                raise CheckpointError(f"{path}: record order mismatch at {name!r}")
+            records[group][name] = arr
+    if r.left:
         raise CheckpointError(f"{path}: trailing bytes in checkpoint")
     return Checkpoint(
         config=config,
-        params=params,
-        opt_state=opt_state,
+        params=records["param_names"],
+        opt_state=records["opt_names"],
         opt_step=header["opt_step"],
         epoch=header["epoch"],
         pn_initialized=header["pn_initialized"],

@@ -31,12 +31,22 @@ class LossWeights:
 
 @dataclass
 class BatchDecoded:
-    """Decoder outputs, one tensor per head; row b*K + j is sample j of pedestrian b."""
+    """Decoder outputs, one tensor per head; row b*K + j is sample j of pedestrian b.
+
+    A head the caller did not ask for (`decode_batch(prediction_only=True)`)
+    is None.
+    """
 
     goal: Tensor  # (M, 2)
-    y_f: Tensor  # (M, t_p, 2), steps 1..t_p
+    y_f: Tensor | None  # (M, t_p, 2), steps 1..t_p
     y_b: Tensor | None  # (M, t_p - 1, 2), steps 1..t_p-1
     y_both: Tensor | None  # (M, t_p, 2), step t_p is the goal
+
+    @property
+    def prediction(self) -> Tensor:
+        """The head a forecast reports: the fused one, or the forward one
+        when the decoder runs forward-only."""
+        return self.y_both if self.y_both is not None else self.y_f
 
 
 class BidirectionalDecoder:
@@ -64,9 +74,15 @@ class BidirectionalDecoder:
             self.bwd_out = Linear(rng, d_h + channels, 2)
             self.both_out = Linear(rng, 2 * d_h, 2)
 
-    def decode_batch(self, mb: Tensor) -> BatchDecoded:
-        """Decode every row of (M, C) behavior vectors in parallel."""
+    def decode_batch(self, mb: Tensor, prediction_only: bool = False) -> BatchDecoded:
+        """Decode every row of (M, C) behavior vectors in parallel.
+
+        With `prediction_only` the heads that only training reads are not
+        built (left None); the recurrences and the `prediction` head are
+        computed exactly as for training.
+        """
         t_p, m = self.t_pred, mb.shape[0]
+        want_f = not (prediction_only and self.bidirectional)  # y_f is a forward-only decoder's forecast
         goal = self.goal_mlp(mb)
         f_h = self.fwd_init(mb)
         f_i: list[Tensor] = [self.fwd_in(f_h)]  # f_i[t] is the input feature at step t
@@ -74,24 +90,26 @@ class BidirectionalDecoder:
         for t in range(1, t_p + 1):
             f_h = self.fwd_gru(f_h, f_i[t - 1])
             f_i.append(self.fwd_in(f_h))
-            y_f.append(self.fwd_out(nc.concat_lastdim([f_i[t], mb])))
+            if want_f:
+                y_f.append(self.fwd_out(nc.concat_lastdim([f_i[t], mb])))
+        y_f_head = _stack_steps(y_f, m) if want_f else None
         if not self.bidirectional:
-            return BatchDecoded(goal=goal, y_f=_stack_steps(y_f, m), y_b=None, y_both=None)
+            return BatchDecoded(goal=goal, y_f=y_f_head, y_b=None, y_both=None)
         b_h = self.bwd_init(mb)
         b_i = self.bwd_in(goal)
         y_both_desc: list[Tensor] = [goal]  # step t_p output is the goal itself
         y_b_desc: list[Tensor] = []
         for _t_b in range(t_p - 1, 0, -1):
             b_h = self.bwd_gru(b_h, b_i)
-            y_b_t = self.bwd_out(nc.concat_lastdim([b_h, mb]))
+            if not prediction_only:
+                y_b_desc.append(self.bwd_out(nc.concat_lastdim([b_h, mb])))
             y_both_t = self.both_out(nc.concat_lastdim([b_h, f_i[_t_b]]))
             b_i = self.bwd_in(y_both_t)
-            y_b_desc.append(y_b_t)
             y_both_desc.append(y_both_t)
         return BatchDecoded(
             goal=goal,
-            y_f=_stack_steps(y_f, m),
-            y_b=_stack_steps(y_b_desc[::-1], m),
+            y_f=y_f_head,
+            y_b=None if prediction_only else _stack_steps(y_b_desc[::-1], m),
             y_both=_stack_steps(y_both_desc[::-1], m),
         )
 

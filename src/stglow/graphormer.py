@@ -1,12 +1,15 @@
-"""Dual graph-attention scene encoder.
+"""Dual graph-attention scene encoder, run on stacks of scenes.
 
-A temporal encoder turns one pedestrian's trajectory into per-step
-embeddings under a causal step-graph mask, with a degree-based centrality
-embedding and a learned positional table. A spatial encoder mixes the
-per-pedestrian embeddings at the last observed step under a field-of-view
-mask built from walking directions. Together they produce, per target
-pedestrian, a motion-behavior vector (from the full trajectory, training
-only) and a social-context vector (from observed history).
+A temporal encoder turns trajectories into per-step embeddings under a
+causal step-graph mask, with a degree-based centrality embedding and a
+learned positional table; it takes a (P, T, 2) stack of P trajectories at
+once. A spatial encoder mixes the per-pedestrian embeddings at the last
+observed step under a field-of-view mask built from walking directions; it
+takes a (Q, N, d) stack of Q scenes of N pedestrians, each with its own
+mask and target. `SceneEncoder.encode` runs both over Q scenes normalised
+to their targets, one call per encoder, and returns per scene a
+motion-behavior vector (from the full trajectory, training only) and a
+social-context vector (from observed history).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError, DataError, ShapeError
 from .layers import GruCell, Linear, Mlp, ReluLinear, TransformerBlock, _prefix
 from .numcore import NEG_INF, Tensor
 
@@ -31,12 +34,13 @@ class TemporalGraph:
 
 @dataclass
 class SpatialGraph:
-    """Pairwise field-of-view graph over pedestrians at one time step."""
+    """Pairwise field-of-view graphs over pedestrians at one time step;
+    any leading axes stack independent scenes."""
 
     n: int
-    mask: np.ndarray  # (N, N), entries in {1, NEG_INF}
-    walk_dirs: np.ndarray  # (N, 2) displacement per step
-    rel_pos: np.ndarray  # (N, N, 2); rel_pos[i, j] = position_j - position_i
+    mask: np.ndarray  # (..., N, N), entries in {1, NEG_INF}
+    walk_dirs: np.ndarray  # (..., N, 2) displacement per step
+    rel_pos: np.ndarray  # (..., N, N, 2); rel_pos[i, j] = position_j - position_i
 
 
 def build_temporal_adjacency(t: int) -> TemporalGraph:
@@ -53,29 +57,45 @@ def temporal_degrees(graph: TemporalGraph) -> np.ndarray:
 
 
 def build_spatial_adjacency(positions_prev: np.ndarray, positions_now: np.ndarray) -> SpatialGraph:
+    """FOV graph of (..., N, 2) positions: i sees j if j lies ahead of i on both axes."""
     positions_prev = np.asarray(positions_prev, dtype=np.float64)
     positions_now = np.asarray(positions_now, dtype=np.float64)
-    n = positions_now.shape[0]
+    n = positions_now.shape[-2]
     dirs = positions_now - positions_prev
-    rel = positions_now[None, :, :] - positions_now[:, None, :]  # rel[i, j] = x_j - x_i
-    visible = (rel[:, :, 0] * dirs[:, None, 0] >= 0.0) & (rel[:, :, 1] * dirs[:, None, 1] >= 0.0)
+    rel = positions_now[..., None, :, :] - positions_now[..., :, None, :]  # rel[i, j] = x_j - x_i
+    visible = (rel[..., 0] * dirs[..., :, None, 0] >= 0.0) & (rel[..., 1] * dirs[..., :, None, 1] >= 0.0)
     mask = np.where(visible, 1.0, NEG_INF)
     return SpatialGraph(n=n, mask=mask, walk_dirs=dirs, rel_pos=rel)
 
 
-def steering_cosine(dir_i, dir_j, eps: float = 1e-12) -> float:
-    """Cosine between walking directions; 0 if either pedestrian is still."""
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, each as numpy's 1-D `a @ b` computes it."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def steering_cosine(dir_i, dir_j, eps: float = 1e-12) -> np.ndarray:
+    """Cosine between (..., 2) walking directions, broadcast over leading
+    axes; 0 where either pedestrian is still."""
     a = np.asarray(dir_i, dtype=np.float64)
     b = np.asarray(dir_j, dtype=np.float64)
-    na = np.sqrt(a @ a)
-    nb = np.sqrt(b @ b)
-    if na <= eps or nb <= eps:
-        return 0.0
-    return float(np.clip((a @ b) / (na * nb), -1.0, 1.0))
+    na = np.sqrt(_dot(a, a))
+    nb = np.sqrt(_dot(b, b))
+    moving = (na > eps) & (nb > eps)
+    cos = _dot(a, b) / np.where(moving, na * nb, 1.0)
+    return np.where(moving, np.clip(cos, -1.0, 1.0), 0.0)
+
+
+def _checked_trajectories(traj) -> np.ndarray:
+    traj = np.asarray(traj, dtype=np.float64)
+    if traj.ndim != 3 or traj.shape[-1] != 2:
+        raise ShapeError(f"expected (P, T, 2) trajectories, got shape {traj.shape}")
+    if not np.all(np.isfinite(traj)):
+        raise DataError("trajectory contains non-finite positions")
+    return traj
 
 
 class TemporalGraphormer:
-    """Per-pedestrian trajectory encoder with causal masked attention."""
+    """Trajectory encoder with causal masked attention, over (P, T, 2) stacks."""
 
     def __init__(
         self,
@@ -103,10 +123,9 @@ class TemporalGraphormer:
         return self.centrality(Tensor(deg))
 
     def __call__(self, traj: np.ndarray) -> Tensor:
-        traj = np.asarray(traj, dtype=np.float64)
-        if not np.all(np.isfinite(traj)):
-            raise DataError("trajectory contains non-finite positions")
-        t = traj.shape[0]
+        """(P, T, 2) trajectories -> (P, T, d) per-step embeddings."""
+        traj = _checked_trajectories(traj)
+        t = traj.shape[1]
         if t > self.t_max:
             raise ConfigError(f"trajectory length {t} exceeds positional table size {self.t_max}")
         graph = build_temporal_adjacency(t)
@@ -132,25 +151,25 @@ class GruTrajEncoder:
         self.cell = GruCell(rng, d, d)
 
     def __call__(self, traj: np.ndarray) -> Tensor:
-        traj = np.asarray(traj, dtype=np.float64)
-        if not np.all(np.isfinite(traj)):
-            raise DataError("trajectory contains non-finite positions")
-        if traj.shape[0] < 1:
+        """(P, T, 2) trajectories -> (P, T, d) hidden states."""
+        traj = _checked_trajectories(traj)
+        p, t = traj.shape[:2]
+        if t < 1:
             raise DataError("empty window")
-        h = Tensor(np.zeros((1, self.d)))
-        rows = []
-        for t in range(traj.shape[0]):
-            x = self.in_proj(Tensor(traj[t : t + 1]))
-            h = self.cell(h, x)
-            rows.append(h)
-        return nc.concat_rows(rows)
+        h = Tensor(np.zeros((p, self.d)))
+        steps = []
+        for s in range(t):
+            h = self.cell(h, self.in_proj(Tensor(traj[:, s])))
+            steps.append(h)
+        return nc.reshape(nc.concat_lastdim(steps), (p, t, self.d))
 
     def params(self) -> dict[str, Tensor]:
         return _prefix({"in_proj": self.in_proj, "cell": self.cell})
 
 
 class SpatialGraphormer:
-    """Cross-pedestrian encoder at one time step under the FOV mask.
+    """Cross-pedestrian encoder at one time step under the FOV mask, over
+    (Q, N, d) stacks of scenes.
 
     Node features add target-relative position and steering embeddings to
     the incoming temporal embeddings. No positional encoding: pedestrians
@@ -178,19 +197,22 @@ class SpatialGraphormer:
         positions_prev: np.ndarray,
         positions_now: np.ndarray,
         th_rows: Tensor,
-        target: int = 0,
+        targets,
     ) -> Tensor:
+        """(Q, N, 2) positions at the last two observed steps and (Q, N, d)
+        temporal embeddings of Q scenes -> (Q, N, d); scene q's node features
+        are relative to its pedestrian `targets[q]`."""
         positions_now = np.asarray(positions_now, dtype=np.float64)
         graph = build_spatial_adjacency(positions_prev, positions_now)
+        scenes = np.arange(positions_now.shape[0])
+        targets = np.asarray(targets)
         v = th_rows
         if self.use_rel_pos:
-            rel_to_target = positions_now - positions_now[target]
+            rel_to_target = positions_now - positions_now[scenes, targets][:, None]
             v = nc.add(v, self.rel_mlp(Tensor(rel_to_target)))
         if self.use_steering:
-            steer = np.array(
-                [[steering_cosine(graph.walk_dirs[target], graph.walk_dirs[j])] for j in range(graph.n)]
-            )
-            v = nc.add(v, self.steer_mlp(Tensor(steer)))
+            steer = steering_cosine(graph.walk_dirs[scenes, targets][:, None], graph.walk_dirs)
+            v = nc.add(v, self.steer_mlp(Tensor(steer[..., None])))
         return self.block(v, graph.mask if self.use_mask else None)
 
     def params(self) -> dict[str, Tensor]:
@@ -198,7 +220,7 @@ class SpatialGraphormer:
 
 
 class SceneEncoder:
-    """Assembles the temporal/spatial encoders into target-wise encodings.
+    """Assembles the temporal/spatial encoders into per-target encodings.
 
     Three separate temporal encoders are kept: one for the full trajectory
     (motion behavior), one shared over all pedestrians' histories (feeds the
@@ -246,39 +268,36 @@ class SceneEncoder:
             else None
         )
 
-    def _social_rows(self, obs: np.ndarray, target: int) -> Tensor:
-        """SG output rows for the given target's frame; (N, D)."""
-        n, t_o = obs.shape[0], obs.shape[1]
-        last_rows = [nc.slice_rows(self.tg_hist(obs[i]), t_o - 1, t_o) for i in range(n)]
-        th0 = nc.concat_rows(last_rows)
-        prev = obs[:, t_o - 2, :] if t_o >= 2 else obs[:, t_o - 1, :]
-        return self.sg(prev, obs[:, t_o - 1, :], th0, target)
-
-    def encode_target(
+    def encode(
         self,
         obs: np.ndarray,
-        target: int,
+        targets,
         full: np.ndarray | None = None,
         training: bool = False,
     ) -> tuple[Tensor | None, Tensor]:
-        """(motion_behavior, social_context) for one target; each (1, D)."""
+        """(motion_behavior, social_context), each (Q, D), for Q scenes.
+
+        `obs` is (Q, N, t_o, 2) and `full` (Q, N, t_o + t_p, 2), scene q
+        normalised to its target pedestrian `targets[q]`. Each encoder runs
+        once over the whole stack: `tg_hist` over all Q·N histories.
+        """
         obs = np.asarray(obs, dtype=np.float64)
         if training and full is None:
             raise ContractError("training-mode encoding needs the full trajectory")
-        t_o = obs.shape[1]
-        th_y = self.tg_target(obs[target])
-        th_target = nc.slice_rows(th_y, t_o - 1, t_o)
+        q, n, t_o = obs.shape[:3]
+        scenes = np.arange(q)
+        targets = np.asarray(targets)
+        last = (slice(None), -1)  # each trajectory's last step
+        st = nc.index(self.tg_target(obs[scenes, targets]), last)
         if self.use_spatial:
-            sh = self._social_rows(obs, target)
-            sh_target = nc.slice_rows(sh, target, target + 1)
-            st = nc.add(th_target, sh_target)
-        else:
-            st = th_target
+            th = nc.index(self.tg_hist(obs.reshape(q * n, t_o, 2)), last)
+            prev = obs[:, :, t_o - 2] if t_o >= 2 else obs[:, :, t_o - 1]
+            sh = self.sg(prev, obs[:, :, t_o - 1], nc.reshape(th, (q, n, -1)), targets)
+            st = nc.add(st, nc.index(sh, (scenes, targets)))
         mb = None
         if full is not None:
             full = np.asarray(full, dtype=np.float64)
-            th_f = self.tg_full(full[target])
-            mb = nc.slice_rows(th_f, full.shape[1] - 1, full.shape[1])
+            mb = nc.index(self.tg_full(full[scenes, targets]), last)
         return mb, st
 
     def params(self) -> dict[str, Tensor]:

@@ -94,12 +94,20 @@ class GruCell:
 
 
 class MultiHeadSelfAttention:
-    """Masked multi-head self-attention over row-stacked node embeddings.
+    """Masked multi-head self-attention over stacks of node embeddings.
 
-    The mask is a plain float array with entries in {1, NEG_INF}; masked
-    score entries are replaced by the sentinel before the softmax so their
-    post-softmax weight is exactly zero. While `capture` is a list, each
-    call appends every head's post-softmax weight matrix to it.
+    The input is (P, T, d): P graphs of T nodes each, attended to
+    independently. One bias-free (d, 3d) projection `wqkv` gives every
+    head's queries, keys and values; its columns hold the H query heads,
+    then the H key heads, then the H value heads, d_k = d / H columns each.
+    All heads then attend as one (P, H, T, T) batch.
+
+    The mask is (T, T), shared by all P graphs, or (P, T, T), one per
+    graph, with entries in {1, NEG_INF}; masked score entries are replaced
+    by the sentinel before the softmax so their post-softmax weight is
+    exactly zero. While `capture` is a list, each call appends the
+    post-softmax (T, T) weight matrix of every head of every graph to it,
+    graph by graph.
     """
 
     def __init__(self, rng, d_model: int, n_heads: int):
@@ -109,40 +117,34 @@ class MultiHeadSelfAttention:
             raise ConfigError(f"n_heads {n_heads} must divide model width {d_model}")
         self.n_heads = n_heads
         self.d_k = d_model // n_heads
-        self.wq = [Linear(rng, d_model, self.d_k, bias=False) for _ in range(n_heads)]
-        self.wk = [Linear(rng, d_model, self.d_k, bias=False) for _ in range(n_heads)]
-        self.wv = [Linear(rng, d_model, self.d_k, bias=False) for _ in range(n_heads)]
+        # drawn head by head in the fused column order, so the initial
+        # weights are those of 3 * n_heads separate (d, d_k) projections
+        draws = [_init_weight(rng, d_model, self.d_k) for _ in range(3 * n_heads)]
+        self.wqkv = Tensor(np.concatenate(draws, axis=1), requires_grad=True)
         self.wo = Linear(rng, d_model, d_model, bias=False)
         self.capture: list[np.ndarray] | None = None
 
     def __call__(self, x: Tensor, mask: np.ndarray | None) -> Tensor:
-        heads = []
-        for h in range(self.n_heads):
-            q = self.wq[h](x)
-            k = self.wk[h](x)
-            v = self.wv[h](x)
-            scores = nc.mul(nc.matmul(q, nc.transpose(k)), 1.0 / np.sqrt(self.d_k))
-            if mask is not None:
-                scores = nc.apply_mask(scores, mask)
-            weights = nc.softmax_lastdim(scores)
-            if self.capture is not None:
-                self.capture.append(weights.data)
-            heads.append(nc.matmul(weights, v))
-        return self.wo(nc.concat_lastdim(heads))
+        p, t, d = x.shape
+        qkv = nc.reshape(nc.linear(x, self.wqkv), (p, t, 3, self.n_heads, self.d_k))
+        qkv = nc.permute(qkv, (2, 0, 3, 1, 4))  # (3, P, H, T, d_k)
+        q, k, v = (nc.index(qkv, i) for i in range(3))
+        scores = nc.mul(nc.bmm(q, nc.transpose(k)), 1.0 / np.sqrt(self.d_k))
+        if mask is not None:
+            scores = nc.apply_mask(scores, mask)
+        weights = nc.softmax_lastdim(scores)
+        if self.capture is not None:
+            self.capture.extend(weights.data.reshape(-1, t, t))
+        heads = nc.permute(nc.bmm(weights, v), (0, 2, 1, 3))  # (P, T, H, d_k)
+        return self.wo(nc.reshape(heads, (p, t, d)))
 
     def params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for h in range(self.n_heads):
-            for tag, lin in (("wq", self.wq[h]), ("wk", self.wk[h]), ("wv", self.wv[h])):
-                for k, v in lin.params().items():
-                    out[f"h{h}.{tag}.{k}"] = v
-        for k, v in self.wo.params().items():
-            out[f"wo.{k}"] = v
-        return out
+        return {"wqkv": self.wqkv, **{f"wo.{k}": v for k, v in self.wo.params().items()}}
 
 
 class TransformerBlock:
-    """One attention + feed-forward block with plain residual connections.
+    """One attention + feed-forward block with plain residual connections,
+    over (P, T, d) stacks of node embeddings.
 
     Residual branches start small (0.25x init) so the stream stays near its
     input scale; there is no normalization layer to absorb drift otherwise.

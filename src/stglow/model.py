@@ -67,18 +67,28 @@ class TrajectoryModel:
             )
 
     def encode_windows(self, windows: list[SceneWindow], training: bool) -> tuple[Tensor | None, Tensor]:
-        """Stack per-window target encodings into (B, C) batches."""
-        mb_rows = []
-        st_rows = []
-        for w in windows:
+        """Per-window target encodings as (B, C) batches, in window order.
+
+        Windows with the same pedestrian count share one encoder call.
+        """
+        groups: dict[int, list[int]] = {}
+        for i, w in enumerate(windows):
             self._check_window(w)
-            full = np.concatenate([w.obs, w.fut], axis=1) if training else None
-            mb, st = self.encoder.encode_target(w.obs, w.target_index, full=full, training=training)
-            st_rows.append(st)
+            groups.setdefault(w.n_pedestrians, []).append(i)
+        mb_parts, st_parts = [], []
+        for members in groups.values():
+            obs = np.stack([windows[i].obs for i in members])
+            full = np.concatenate([obs, np.stack([windows[i].fut for i in members])], axis=2) if training else None
+            mb, st = self.encoder.encode(obs, [windows[i].target_index for i in members], full, training)
+            st_parts.append(st)
             if mb is not None:
-                mb_rows.append(mb)
-        mb_batch = nc.concat_rows(mb_rows) if mb_rows else None
-        return mb_batch, nc.concat_rows(st_rows)
+                mb_parts.append(mb)
+        order = np.argsort(np.concatenate(list(groups.values())))
+
+        def in_order(parts: list[Tensor]) -> Tensor:
+            return parts[0] if len(parts) == 1 else nc.index(nc.concat_rows(parts), order)
+
+        return (in_order(mb_parts) if mb_parts else None), in_order(st_parts)
 
     def batch_loss(
         self,
@@ -104,22 +114,36 @@ class TrajectoryModel:
         return loss, stats
 
     def predict(self, window: SceneWindow, k: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
-        """K sampled futures for the window's target, in world coordinates."""
+        """(K, t_p, 2) sampled futures for the window's target, in world coordinates."""
         self._check_window(window)
-        with nc.no_grad():
-            _, st = self.encoder.encode_target(window.obs, window.target_index)
-            behaviors, _ = sample_behaviors(st, self.flow, k, sigma, rng)
-            decoded = self.decoder.decode_batch(behaviors)
-        # the fused head, or the forward head when running forward-only
-        pred = decoded.y_both if decoded.y_both is not None else decoded.y_f
-        return pred.data + window.origin
+        return self._forecast([window], k, sigma, rng)[0]
 
     def predict_all_pedestrians(
         self, window: SceneWindow, k: int, sigma: float, rng: np.random.Generator
     ) -> np.ndarray:
-        """(N, K, t_p, 2) world-frame futures, re-targeting each pedestrian."""
-        preds = []
-        for i in range(window.n_pedestrians):
-            retargeted = window if i == window.target_index else window.retarget(i)
-            preds.append(self.predict(retargeted, k, sigma, rng))
-        return np.stack(preds)
+        """(N, K, t_p, 2) world-frame futures, re-targeting each pedestrian.
+
+        One encoder, flow and decoder pass that draws from `rng` as
+        predicting each re-targeted window in turn would, and gives the same
+        futures (bit for bit at K = 20; BLAS may round a product of a few
+        rows differently from one of more).
+        """
+        self._check_window(window)
+        scenes = [window if i == window.target_index else window.retarget(i) for i in range(window.n_pedestrians)]
+        return self._forecast(scenes, k, sigma, rng)
+
+    def _forecast(
+        self, windows: list[SceneWindow], k: int, sigma: float, rng: np.random.Generator
+    ) -> np.ndarray:
+        """(Q, K, t_p, 2) world-frame futures of Q windows of one scene size.
+
+        The base draws are one (Q, K, C) block: the same stream as Q
+        sequential forecasts.
+        """
+        obs = np.stack([w.obs for w in windows])
+        with nc.no_grad():
+            _, st = self.encoder.encode(obs, [w.target_index for w in windows])
+            behaviors, _ = sample_behaviors(st, self.flow, k, sigma, rng)
+            pred = self.decoder.decode_batch(behaviors, prediction_only=True).prediction
+        origins = np.stack([w.origin for w in windows])
+        return pred.data.reshape((len(windows), k) + pred.shape[1:]) + origins[:, None, None, :]

@@ -417,12 +417,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """`x @ w (+ b)` as one tape node that keeps no intermediate.
+    """`x @ w (+ b)` over the last axis of a (..., d) input, as one tape node
+    that keeps no intermediate.
 
     Bit-identical to `add(matmul(x, w), b)`, whose tape would also hold
-    the product before the bias is added.
+    the product before the bias is added. A stacked input is multiplied one
+    (T, d) item at a time, so each item's rows match an unstacked call's.
     """
-    if x.ndim != 2 or w.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+    if x.ndim < 2 or w.ndim != 2 or x.data.shape[-1] != w.data.shape[0]:
         raise ShapeError(f"linear shapes incompatible: {x.data.shape} x {w.data.shape}")
     out = x.data @ w.data
     if b is None:
@@ -432,10 +434,25 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         inputs = (x, w, b)
 
     def vjp(g):
-        grads = (g @ w.data.T, x.data.T @ g)
+        # one product over all rows; gradients need not match per-item bits
+        d_in, d_out = w.data.shape
+        g2 = g.reshape(-1, d_out)
+        grads = ((g2 @ w.data.T).reshape(x.data.shape), x.data.reshape(-1, d_in).T @ g2)
         return grads if b is None else grads + (_unbroadcast(g, b.data.shape),)
 
     return _register(out, inputs, vjp)
+
+
+def bmm(a: Tensor, b: Tensor) -> Tensor:
+    """Batched matmul over equal leading axes: (..., m, k) @ (..., k, n)."""
+    if a.ndim < 3 or a.data.shape[:-2] != b.data.shape[:-2] or a.data.shape[-1] != b.data.shape[-2]:
+        raise ShapeError(f"bmm shapes incompatible: {a.data.shape} x {b.data.shape}")
+    out = a.data @ b.data
+
+    def vjp(g):
+        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
+
+    return _register(out, (a, b), vjp)
 
 
 def gru_cell(h: Tensor, x: Tensor, wx: Sequence[Tensor], bx: Sequence[Tensor], wh: Sequence[Tensor]) -> Tensor:
@@ -471,10 +488,35 @@ def gru_cell(h: Tensor, x: Tensor, wx: Sequence[Tensor], bx: Sequence[Tensor], w
 
 
 def transpose(a: Tensor) -> Tensor:
-    def vjp(g):
-        return (g.T,)
+    """Swap the last two axes; the result is a C-contiguous copy."""
 
-    return _register(a.data.T.copy(), (a,), vjp)
+    def vjp(g):
+        return (np.swapaxes(g, -1, -2),)
+
+    return _register(np.ascontiguousarray(np.swapaxes(a.data, -1, -2)), (a,), vjp)
+
+
+def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
+    """`a` with its axes reordered as `np.transpose(a, axes)`, C-contiguous."""
+    inverse = tuple(np.argsort(axes))
+
+    def vjp(g):
+        return (np.transpose(g, inverse),)
+
+    return _register(np.ascontiguousarray(np.transpose(a.data, axes)), (a,), vjp)
+
+
+def index(a: Tensor, key) -> Tensor:
+    """`a[key]` for any numpy index: a view for basic indexing, as `reshape`
+    returns one, else a copy. The gradient is scattered back with
+    `np.add.at`, so entries picked more than once accumulate."""
+
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, key, g)
+        return (full,)
+
+    return _register(a.data[key], (a,), vjp)
 
 
 def _checked_logabsdet(a: np.ndarray) -> float:
@@ -515,8 +557,18 @@ def inverse(w: Tensor) -> Tensor:
 
 
 def apply_mask(scores: Tensor, mask: np.ndarray) -> Tensor:
-    """Replace score entries wherever `mask == NEG_INF`; keep the rest."""
-    if scores.data.shape != mask.shape:
+    """Replace score entries wherever `mask == NEG_INF`; keep the rest.
+
+    `mask` is (T, T), shared by every leading axis of `scores`, or (B, T, T),
+    one per item of (B, H, T, T) scores and shared by their H heads.
+    """
+    if mask.ndim == 3 and scores.ndim == 4:
+        mask = mask[:, None]
+    try:
+        fits = np.broadcast_shapes(scores.data.shape, mask.shape) == scores.data.shape
+    except ValueError:
+        fits = False
+    if not fits:
         raise ShapeError(f"mask shape {mask.shape} != scores shape {scores.data.shape}")
     keep = mask != NEG_INF
 

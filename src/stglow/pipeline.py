@@ -420,7 +420,7 @@ def _check_masks(model: TrajectoryModel, detail: dict) -> bool:
     for _ in range(10):
         traj = rng.normal(size=(t_o, 2)).cumsum(axis=0)
         if isinstance(tg, TemporalGraphormer):
-            for head in _attention(tg.block.attn, lambda: tg(traj)):
+            for head in _attention(tg.block.attn, lambda: tg(traj[None])):
                 if np.any(head[np.triu_indices(t_o, k=1)] != 0.0):
                     detail["failure"] = "temporal mask leak"
                     return False
@@ -429,8 +429,8 @@ def _check_masks(model: TrajectoryModel, detail: dict) -> bool:
             prev = rng.normal(size=(n, 2))
             now = prev + rng.normal(size=(n, 2)) * 0.5
             graph = build_spatial_adjacency(prev, now)
-            th = Tensor(rng.normal(size=(n, model.cfg.d)))
-            for head in _attention(sg.block.attn, lambda: sg(prev, now, th, target=0)):
+            th = Tensor(rng.normal(size=(1, n, model.cfg.d)))
+            for head in _attention(sg.block.attn, lambda: sg(prev[None], now[None], th, [0])):
                 if np.any(head[graph.mask == nc.NEG_INF] != 0.0):
                     detail["failure"] = "spatial mask leak"
                     return False

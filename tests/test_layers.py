@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 from stglow import numcore as nc
-from stglow.layers import GruCell, Linear
+from stglow.layers import GruCell, Linear, MultiHeadSelfAttention
 
 
 def unfused_linear(lin: Linear, x):
@@ -79,3 +80,87 @@ class TestFusedGru:
         with nc.record() as tape:
             cell(nc.Tensor(np.zeros((2, 4))), nc.Tensor(rng.normal(size=(2, 3))))
         assert len(tape.nodes) == 1
+
+
+def attention_oracle(x: np.ndarray, mask, wq, wk, wv, wo) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Masked multi-head attention in plain numpy, one graph and one head at a
+    time, from per-head (d, d_k) projections; returns output and weights."""
+    out, maps = [], []
+    for p in range(x.shape[0]):
+        heads = []
+        for h in range(len(wq)):
+            q, k, v = x[p] @ wq[h], x[p] @ wk[h], x[p] @ wv[h]
+            scores = q @ k.T / np.sqrt(q.shape[1])
+            if mask is not None:
+                m = mask if mask.ndim == 2 else mask[p]
+                scores = np.where(m == nc.NEG_INF, -np.inf, scores)
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            maps.append(e / e.sum(axis=1, keepdims=True))
+            heads.append(maps[-1] @ v)
+        out.append(np.concatenate(heads, axis=1) @ wo)
+    return np.stack(out), maps
+
+
+class TestFusedAttention:
+    D, H = 12, 3
+
+    def oracle_weights(self, seed: int):
+        """The per-head projections drawn from the same stream as the layer's init."""
+        rng = np.random.default_rng(seed)
+        d_k = self.D // self.H
+        draws = [rng.normal(0.0, 1.0 / np.sqrt(self.D), size=(self.D, d_k)) for _ in range(3 * self.H)]
+        wo = rng.normal(0.0, 1.0 / np.sqrt(self.D), size=(self.D, self.D))
+        return draws[: self.H], draws[self.H : 2 * self.H], draws[2 * self.H :], wo
+
+    def masks(self, rng, p: int, t: int):
+        causal = np.where(np.tril(np.ones((t, t))) == 1.0, 1.0, nc.NEG_INF)
+        per_graph = np.where(rng.random((p, t, t)) < 0.6, 1.0, nc.NEG_INF)
+        per_graph[:, np.arange(t), np.arange(t)] = 1.0  # every row keeps itself
+        return {"none": None, "shared": causal, "per_graph": per_graph}
+
+    def test_initial_weights_are_the_per_head_draws(self):
+        wq, wk, wv, wo = self.oracle_weights(seed=31)
+        attn = MultiHeadSelfAttention(np.random.default_rng(31), self.D, self.H)
+        assert sorted(attn.params()) == ["wo.w", "wqkv"]
+        assert np.array_equal(attn.wqkv.data, np.concatenate(wq + wk + wv, axis=1))
+        assert np.array_equal(attn.wo.w.data, wo)
+
+    @pytest.mark.parametrize("mask_kind", ["none", "shared", "per_graph"])
+    def test_matches_per_head_oracle(self, mask_kind):
+        rng = np.random.default_rng(32)
+        p, t = 4, 6
+        x = rng.normal(size=(p, t, self.D))
+        mask = self.masks(rng, p, t)[mask_kind]
+        attn = MultiHeadSelfAttention(np.random.default_rng(33), self.D, self.H)
+        attn.capture = []
+        got = attn(nc.Tensor(x), mask).data
+        expect, maps = attention_oracle(x, mask, *self.oracle_weights(seed=33))
+        assert np.max(np.abs(got - expect)) <= 1e-12
+        assert len(attn.capture) == p * self.H  # graph by graph, head by head
+        for captured, oracle in zip(attn.capture, maps):
+            assert np.max(np.abs(captured - oracle)) <= 1e-12
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(34)
+        attn = MultiHeadSelfAttention(rng, self.D, self.H)
+        x0 = rng.normal(size=(2, 4, self.D))
+        mask = self.masks(rng, 2, 4)["per_graph"]
+
+        def loss(x):
+            return nc.sum_all(nc.tanh(attn(x, mask)))
+
+        leaves = {**attn.params(), "x": nc.Tensor(x0, requires_grad=True)}
+        _, _, grads = run(lambda: attn(leaves["x"], mask), leaves)
+        for name, leaf in leaves.items():
+            base = leaf.data.copy()
+            fd = np.zeros_like(base)
+            for i in range(0, base.size, 7):  # a spread subset of the entries
+                for sign in (1.0, -1.0):
+                    leaf.data[...] = base
+                    leaf.data.flat[i] += sign * 1e-6
+                    with nc.no_grad():
+                        fd.flat[i] += sign * float(loss(leaves["x"]).data) / 2e-6
+            leaf.data[...] = base
+            picked = np.arange(0, base.size, 7)
+            err = np.abs(grads[name].flat[picked] - fd.flat[picked])
+            assert np.max(err) <= 1e-6 * max(1.0, np.max(np.abs(fd))), name

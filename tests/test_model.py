@@ -1,0 +1,130 @@
+"""The batched encoder path of `TrajectoryModel`, under every encoder switch.
+
+Windows are encoded in stacks of equal scene size, and a crowd forecast
+re-targets all N pedestrians in one pass. These tests hold that path to
+what encoding and forecasting one window at a time gives.
+"""
+
+import numpy as np
+import pytest
+
+from stglow import numcore as nc
+from stglow.config import toy_config
+from stglow.data import SYNTH_KINDS, SceneWindow, SynthSpec, synth_scenes
+from stglow.model import TrajectoryModel
+
+SWITCHES = [
+    None,
+    "use_spatial",
+    "use_temporal_graphormer",
+    "use_temporal_mask",
+    "use_spatial_mask",
+    "use_rel_pos",
+    "use_steering",
+    "bidirectional",
+]
+
+
+def make_model(switch):
+    cfg = toy_config(seed=4).model
+    cfg.d, cfg.d_h, cfg.n_heads = 16, 16, 2
+    if switch is not None:
+        setattr(cfg, switch, False)
+    model = TrajectoryModel(cfg, np.random.default_rng(41))
+    windows = mixed_windows()
+    with nc.no_grad():
+        mb, st = model.encode_windows(windows, training=True)
+    model.flow.initialize(mb.data, st.data)
+    return model
+
+
+def mixed_windows():
+    """Synthetic windows of one, two and three pedestrians, interleaved."""
+    windows = synth_scenes(SynthSpec(kinds=SYNTH_KINDS, count=3, seed=42, noise_std=0.05))
+    assert len({w.n_pedestrians for w in windows}) >= 2
+    return windows
+
+
+def crowd_window(n=5, seed=43):
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(0.3, 0.2, size=(n, 20, 2))
+    world = rng.uniform(0.0, 6.0, size=(n, 1, 2)) + steps.cumsum(axis=1)
+    origin = world[2, 7].copy()
+    return SceneWindow(list(range(n)), world[:, :8] - origin, world[:, 8:] - origin, 2, origin)
+
+
+def exact_unless_gru(switch):
+    """Bitwise for the graphormers; the GRU fallback multiplies a lone row as
+    a vector, so its stacked rows agree to rounding only."""
+    if switch == "use_temporal_graphormer":
+        return lambda a, b: np.allclose(a, b, rtol=0, atol=1e-12)
+    return np.array_equal
+
+
+@pytest.mark.parametrize("switch", SWITCHES, ids=[s or "default" for s in SWITCHES])
+def test_stacked_encoding_matches_one_window_at_a_time(switch):
+    model = make_model(switch)
+    windows = mixed_windows()
+    same = exact_unless_gru(switch)
+    with nc.no_grad():
+        mb, st = model.encode_windows(windows, training=True)
+        for i, w in enumerate(windows):
+            mb_i, st_i = model.encode_windows([w], training=True)
+            assert same(mb.data[i], mb_i.data[0]), i
+            assert same(st.data[i], st_i.data[0]), i
+
+
+@pytest.mark.parametrize("switch", SWITCHES, ids=[s or "default" for s in SWITCHES])
+def test_crowd_forecast_equals_retargeted_predicts(switch):
+    model = make_model(switch)
+    window = crowd_window()
+    for k in (20, 3):
+        together = model.predict_all_pedestrians(window, k, 1.0, np.random.default_rng(44))
+        rng = np.random.default_rng(44)
+        one_by_one = np.stack(
+            [model.predict(window if i == 2 else window.retarget(i), k, 1.0, rng) for i in range(window.n_pedestrians)]
+        )
+        assert together.shape == (5, k, 12, 2)
+        if k == 20:  # the best-of-20 protocol
+            assert exact_unless_gru(switch)(together, one_by_one)
+        else:  # BLAS may multiply a 3-row block with another kernel than a 15-row one
+            assert np.allclose(together, one_by_one, rtol=0, atol=1e-12)
+
+
+def test_stacked_training_gradients_match_one_window_at_a_time():
+    model = make_model(None)
+    windows = mixed_windows()
+    params = model.params()
+
+    def grads(batches):
+        for p in params.values():
+            p.grad = None
+        with nc.record() as tape:
+            parts = [model.encode_windows(b, training=True) for b in batches]
+            mb = nc.concat_rows([m for m, _ in parts])
+            st = nc.concat_rows([s for _, s in parts])
+            loss = nc.sum_all(nc.tanh(nc.add(mb, nc.mul(st, st))))
+        nc.backward(loss, tape)
+        return {k: p.grad.copy() for k, p in params.items() if p.grad is not None}
+
+    stacked = grads([windows])
+    single = grads([[w] for w in windows])
+    assert stacked.keys() == single.keys()
+    for k, g in single.items():
+        assert np.max(np.abs(stacked[k] - g)) <= 1e-12 * max(np.max(np.abs(g)), 1e-300), k
+
+
+@pytest.mark.parametrize("bidirectional", [True, False])
+def test_forecast_builds_only_the_prediction_head(bidirectional):
+    model = make_model(None if bidirectional else "bidirectional")
+    with nc.no_grad():
+        rows = nc.Tensor(np.random.default_rng(45).normal(size=(4, 16)))
+        full = model.decoder.decode_batch(rows)
+        lean = model.decoder.decode_batch(rows, prediction_only=True)
+    assert lean.y_b is None
+    if bidirectional:
+        assert lean.y_f is None
+        assert np.array_equal(lean.prediction.data, full.y_both.data)
+    else:
+        assert np.array_equal(lean.prediction.data, full.y_f.data)
+    assert np.array_equal(lean.goal.data, full.goal.data)

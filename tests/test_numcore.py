@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -187,12 +188,24 @@ OP_CASES = [
         lambda h, x, *p: nc.gru_cell(h, x, p[0:3], p[3:6], p[6:9]),
         [(3, 4), (3, 2)] + [(2, 4)] * 3 + [(4,)] * 3 + [(4, 4)] * 3,
     ),
+    # batched ops of the stacked encoder
+    ("linear_stacked", lambda x, w, b: nc.linear(x, w, b), [(2, 3, 4), (4, 2), (2,)]),
+    ("bmm", lambda a, b: nc.bmm(a, b), [(2, 3, 3, 4), (2, 3, 4, 2)]),
+    ("transpose_stacked", lambda a: nc.transpose(a), [(2, 3, 4)]),
+    ("permute", lambda a: nc.permute(a, (2, 0, 3, 1)), [(2, 3, 4, 2)]),
+    ("index_basic", lambda a: nc.index(a, (slice(None), 2)), [(2, 3, 4)]),
+    ("index_gather", lambda a: nc.index(a, (np.array([0, 1, 1]), np.array([2, 0, 0]))), [(2, 3, 4)]),
+    (
+        "apply_mask_per_graph",
+        lambda a: nc.apply_mask(a, np.where(np.eye(3)[None] + (np.arange(2) == 0)[:, None, None], 1.0, nc.NEG_INF)),
+        [(2, 2, 3, 3)],
+    ),
 ]
 
 
 @pytest.mark.parametrize("name,op,arity", OP_CASES, ids=[c[0] for c in OP_CASES])
 def test_op_gradients_match_finite_differences(name, op, arity):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     if isinstance(arity, list):
         args = [rng.normal(size=shape) * 0.8 for shape in arity]
         for i in range(len(args)):
@@ -275,6 +288,26 @@ def test_apply_mask_blocks_gradient():
     nc.backward(loss, tape)
     assert x.grad[0, 1] == 0.0
     assert x.grad[0, 0] == 1.0
+
+
+def test_apply_mask_broadcasts_over_batch_and_heads():
+    rng = np.random.default_rng(22)
+    scores = rng.normal(size=(2, 3, 4, 4))
+    shared = np.where(rng.random((4, 4)) < 0.5, 1.0, nc.NEG_INF)
+    per_graph = np.where(rng.random((2, 4, 4)) < 0.5, 1.0, nc.NEG_INF)
+    for mask, expect in ((shared, shared[None, None]), (per_graph, per_graph[:, None])):
+        out = nc.apply_mask(nc.Tensor(scores), mask).data
+        assert np.array_equal(out, np.where(expect == nc.NEG_INF, nc.NEG_INF, scores))
+    for bad in (np.ones((3, 4, 4)), np.ones((4, 3)), np.ones((2, 2, 4, 4))):
+        with pytest.raises(ShapeError, match="mask shape"):
+            nc.apply_mask(nc.Tensor(scores), bad)
+
+
+def test_batched_shapes_checked():
+    with pytest.raises(ShapeError, match="bmm"):
+        nc.bmm(nc.Tensor(np.ones((2, 3, 4))), nc.Tensor(np.ones((3, 4, 2))))
+    with pytest.raises(ShapeError, match="linear"):
+        nc.linear(nc.Tensor(np.ones((2, 3, 4))), nc.Tensor(np.ones((3, 2))))
 
 
 class TestLinearAlgebra:

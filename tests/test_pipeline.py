@@ -231,6 +231,32 @@ class TestCheckpoint:
         assert size >= 8 * 2**20
         assert peak <= 0.1 * size
 
+    def test_load_holds_about_one_copy_of_the_file(self, tmp_path):
+        ckpt = Checkpoint(toy_config(), {f"p{i}": np.full((256, 512), float(i)) for i in range(8)})
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(ckpt, path)
+        tracemalloc.start()
+        try:
+            back = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size >= 8 * 2**20
+        assert peak <= 1.25 * size
+        for name, arr in ckpt.params.items():
+            assert back.params[name].tobytes() == arr.tobytes()
+
+    def test_version_1_file_rejected(self, tmp_path):
+        # version 1 held per-head attention projections; their names are gone
+        path = tmp_path / "v1.ckpt"
+        header = json.dumps({**valid_header(), "param_names": ["attn.h0.wq.w"]}).encode()
+        payload = struct.pack("<II", 1, len(header)) + header + record_bytes(b"attn.h0.wq.w", (1,), bytes(8))
+        path.write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
+        assert VERSION == 2
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize(
         "record, message",
         [
@@ -658,6 +684,7 @@ class TestCli:
             "eval_non_utf8_data",
             "eval_non_numeric_synth_field",
             "eval_synth_out_of_range",
+            "eval_version_1_checkpoint",
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, case):
@@ -674,6 +701,10 @@ class TestCli:
         non_utf8 = tmp_path / "utf16.txt"
         non_utf8.write_bytes(b"\xff\xfe1\x000\x00 \x001\x00")
         synth = "synth:straight:n=2:seed=9:noise=0.01"
+        v1_ckpt = tmp_path / "v1.ckpt"
+        payload = bytearray(good_ckpt.read_bytes()[4:-4])
+        payload[:4] = struct.pack("<I", 1)
+        v1_ckpt.write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
         argv = {
             "train_missing_config": ["train", "--config", missing],
             "train_mistyped_config": ["train", "--config", str(bad_cfg)],
@@ -684,6 +715,7 @@ class TestCli:
             "eval_non_utf8_data": ["eval", "--ckpt", str(good_ckpt), "--data", str(non_utf8)],
             "eval_non_numeric_synth_field": ["eval", "--ckpt", str(good_ckpt), "--data", "synth:straight:n=abc"],
             "eval_synth_out_of_range": ["eval", "--ckpt", str(good_ckpt), "--data", "synth:straight:noise=-1"],
+            "eval_version_1_checkpoint": ["eval", "--ckpt", str(v1_ckpt), "--data", synth],
         }[case]
         if case == "train_non_integer_seed":
             monkeypatch.setenv("STGLOW_SEED", "12a")
