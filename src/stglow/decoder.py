@@ -3,8 +3,14 @@
 A behavior vector is decoded three ways: a forward GRU rolls out the
 future step by step; a backward GRU starts from a predicted goal and walks
 back to the present; a combined head fuses both passes. All three outputs
-plus the goal are supervised with a best-of-K minimum so only the closest
-sample receives gradient.
+plus the goal are supervised with a best-of-K minimum, so only the closest
+samples receive gradient: per pedestrian, the goal winner (least goal
+distance) and the trajectory winner (least weighted trajectory sum).
+
+Training therefore decodes in two passes. An untaped pass decodes all B*K
+samples and `best_of_k_rows` picks the winners; a taped pass decodes only
+the at most 2B winning rows, and `trajectory_loss_batched` takes its loss
+at the rows it is given. Both passes score rows with the same cost code.
 """
 
 from __future__ import annotations
@@ -47,6 +53,11 @@ class BatchDecoded:
         """The head a forecast reports: the fused one, or the forward one
         when the decoder runs forward-only."""
         return self.y_both if self.y_both is not None else self.y_f
+
+    def rows(self, idx: np.ndarray) -> "BatchDecoded":
+        """The decoded rows `idx`, in that order, of every head."""
+        heads = (self.goal, self.y_f, self.y_b, self.y_both)
+        return BatchDecoded(*(None if h is None else nc.index(h, idx) for h in heads))
 
 
 class BidirectionalDecoder:
@@ -139,34 +150,73 @@ def _stack_steps(steps: list[Tensor], m: int) -> Tensor:
     return nc.reshape(nc.concat_lastdim(steps), (m, len(steps), 2)) if steps else Tensor(np.zeros((m, 0, 2)))
 
 
+def _truth(batch: BatchDecoded, gt_future: np.ndarray) -> np.ndarray:
+    gt = np.asarray(gt_future, dtype=np.float64)
+    t_p = batch.y_f.shape[1]
+    if gt.ndim != 3 or gt.shape[1:] != (t_p, 2) or len(gt) == 0:
+        raise ContractError(f"need (B, {t_p}, 2) ground truth, B >= 1; got {gt.shape}")
+    return gt
+
+
+def _goal_cost(goal: Tensor, truth: np.ndarray) -> Tensor:
+    """(M, 2) goals vs (M, t_p, 2) truth rows -> (M,) distances to the last step."""
+    return nc.euclid_rows(nc.sub(goal, truth[:, -1]))
+
+
+def _traj_cost(batch: BatchDecoded, truth: np.ndarray, weights: LossWeights) -> Tensor:
+    """Weighted sum of per-step distances of each row's heads to its own
+    (t_p, 2) truth row: (M,). Backward-trajectory terms cover steps 1..t_p-1."""
+
+    def dist(y: Tensor, t: np.ndarray) -> Tensor:
+        return nc.sum_lastdim(nc.euclid_rows(nc.sub(y, t)))
+
+    traj = nc.mul(dist(batch.y_f, truth), weights.fwd)
+    if batch.y_b is not None:
+        traj = nc.add(traj, nc.mul(dist(batch.y_b, truth[:, :-1]), weights.bwd))
+    if batch.y_both is not None:
+        traj = nc.add(traj, nc.mul(dist(batch.y_both, truth), weights.both))
+    return traj
+
+
+def best_of_k_rows(
+    batch: BatchDecoded, gt_future: np.ndarray, weights: LossWeights = LossWeights()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each pedestrian's goal winner and trajectory winner, as (B,) row indices.
+
+    `gt_future` is (B, t_p, 2); rows b*K .. b*K+K-1 are pedestrian b's
+    samples. The two minima are taken independently, and ties (and NaN
+    costs, as `np.argmin` treats them) go to the lowest sample index.
+    """
+    gt = _truth(batch, gt_future)
+    m, b = batch.goal.shape[0], len(gt)
+    if m == 0 or m % b:
+        raise ContractError(f"need B*K rows, K >= 1, for {b} pedestrians; got {m} rows")
+    k = m // b
+    truth = np.repeat(gt, k, axis=0)
+    with nc.no_grad():
+        goal, traj = _goal_cost(batch.goal, truth), _traj_cost(batch, truth, weights)
+    first = np.arange(b) * k
+    return first + np.argmin(goal.data.reshape(b, k), axis=1), first + np.argmin(traj.data.reshape(b, k), axis=1)
+
+
 def trajectory_loss_batched(
     batch: BatchDecoded,
     gt_future: np.ndarray,
     weights: LossWeights = LossWeights(),
+    winners: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Tensor:
-    """Best-of-K supervised loss per pedestrian: (B,) from the M = B*K decoded rows.
+    """Best-of-K supervised loss per pedestrian: (B,), with `gt_future` (B, t_p, 2).
 
-    `gt_future` is (B, t_p, 2); its last step is the goal. Rows b*K .. b*K+K-1
-    are pedestrian b's samples; over them the goal minimum and the minimum
-    of the weighted trajectory sum are taken independently. Ties resolve to
-    the lowest sample index and gradients flow only through the winning
-    samples' terms. Backward-trajectory terms cover steps 1..t_p-1.
+    The loss of pedestrian b is alpha times its goal winner's goal distance
+    plus its trajectory winner's weighted trajectory sum, and gradients flow
+    only through those rows' terms. `winners` is (goal rows, trajectory
+    rows), each (B,) indices into the batch; by default they are those of
+    `best_of_k_rows`, over M = B*K pedestrian-major rows.
     """
-    gt = np.asarray(gt_future, dtype=np.float64)
-    m, t_p = batch.y_f.shape[:2]
-    if gt.shape[1:] != (t_p, 2) or m == 0 or len(gt) == 0 or m % len(gt):
-        raise ContractError(f"need (B, {t_p}, 2) ground truth and B*K rows, K >= 1; got {gt.shape} and {m} rows")
-    b, k = len(gt), m // len(gt)
-
-    def cost(y: Tensor, truth: np.ndarray) -> Tensor:
-        """(M, ..., 2) head vs (B, ..., 2) truth -> (B, K, ...) distances."""
-        per_window = nc.reshape(y, (b, k) + y.shape[1:])
-        return nc.euclid_rows(nc.sub(per_window, truth[:, None]))
-
-    traj = nc.mul(nc.sum_lastdim(cost(batch.y_f, gt)), weights.fwd)
-    if batch.y_b is not None:
-        traj = nc.add(traj, nc.mul(nc.sum_lastdim(cost(batch.y_b, gt[:, :-1])), weights.bwd))
-    if batch.y_both is not None:
-        traj = nc.add(traj, nc.mul(nc.sum_lastdim(cost(batch.y_both, gt)), weights.both))
-    goal = nc.min_lastdim(cost(batch.goal, gt[:, -1]))
-    return nc.add(nc.mul(goal, weights.alpha), nc.min_lastdim(traj))
+    gt = _truth(batch, gt_future)
+    goal_rows, traj_rows = best_of_k_rows(batch, gt, weights) if winners is None else winners
+    if len(goal_rows) != len(gt) or len(traj_rows) != len(gt):
+        raise ContractError(f"need one goal and one trajectory winner per pedestrian, {len(gt)} each")
+    goal = _goal_cost(nc.index(batch.goal, goal_rows), gt)
+    traj = _traj_cost(batch.rows(traj_rows), gt, weights)
+    return nc.add(nc.mul(goal, weights.alpha), traj)

@@ -7,7 +7,7 @@ import numpy as np
 from . import numcore as nc
 from .config import ModelConfig
 from .data import SceneWindow
-from .decoder import BidirectionalDecoder, LossWeights, trajectory_loss_batched
+from .decoder import BidirectionalDecoder, LossWeights, best_of_k_rows, trajectory_loss_batched
 from .errors import ConfigError
 from .flow import FlowStack, nll_loss, sample_behaviors
 from .graphormer import SceneEncoder
@@ -98,18 +98,36 @@ class TrajectoryModel:
         weights: LossWeights = LossWeights(),
         sigma: float = 1.0,
     ) -> tuple[Tensor, dict[str, float]]:
-        """Likelihood loss on the batch plus best-of-K trajectory losses."""
+        """Likelihood loss on the batch plus best-of-K trajectory losses.
+
+        The best-of-K minimum sends gradient to at most two of a
+        pedestrian's K samples, its goal winner and its trajectory winner,
+        so the samples are drawn and decoded in two passes. The first,
+        untaped, evolves and decodes all B*K base draws and picks the
+        winners; it gives the reported `l_traj` and `l_total`. The second
+        re-runs the flow reverse and the decoder taped on the winning rows
+        only (at most 2B), conditioned on their pedestrians' rows of `st`,
+        and gives the loss that is differentiated. Both score rows with the
+        same cost code, so the loss and its gradients are those of one taped
+        pass over all rows, up to rounding.
+        """
         mb, st = self.encode_windows(windows, training=True)
         l_p = nll_loss(mb, st, self.flow)
-        behaviors, _ = sample_behaviors(st, self.flow, k_train, sigma, rng)
-        decoded = self.decoder.decode_batch(behaviors)
         gt_future = np.stack([w.fut[w.target_index] for w in windows])
-        per_window = trajectory_loss_batched(decoded, gt_future, weights)
+        with nc.no_grad():
+            behaviors, z = sample_behaviors(st, self.flow, k_train, sigma, rng)
+            decoded = self.decoder.decode_batch(behaviors)
+            winners = best_of_k_rows(decoded, gt_future, weights)
+            full = trajectory_loss_batched(decoded, gt_future, weights, winners)
+        b = len(windows)
+        rows, pos = np.unique(np.concatenate(winners), return_inverse=True)
+        winning = self.decoder.decode_batch(self.flow.reverse(Tensor(z[rows]), nc.index(st, rows // k_train)))
+        per_window = trajectory_loss_batched(winning, gt_future, weights, (pos[:b], pos[b:]))
         loss = nc.add(l_p, nc.sum_all(per_window))
         stats = {
             "l_p": float(l_p.data),
-            "l_traj": float(per_window.data.mean()),
-            "l_total": float(loss.data),
+            "l_traj": float(full.data.mean()),
+            "l_total": float(l_p.data + full.data.sum()),
         }
         return loss, stats
 

@@ -237,15 +237,6 @@ def relu(a: Tensor) -> Tensor:
     return _register(np.where(mask, a.data, 0.0), (a,), vjp)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-a.data))
-
-    def vjp(g):
-        return (g * out * (1.0 - out),)
-
-    return _register(out, (a,), vjp)
-
-
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
 
@@ -326,18 +317,6 @@ def sum_lastdim(a: Tensor) -> Tensor:
         return (np.repeat(np.expand_dims(g, -1), a.data.shape[-1], axis=-1),)
 
     return _register(a.data.sum(axis=-1), (a,), vjp)
-
-
-def min_lastdim(a: Tensor) -> Tensor:
-    """Minimum over the trailing axis: (..., K) -> (...). Ties, and the gradient, go to the lowest index."""
-    idx = np.expand_dims(np.argmin(a.data, axis=-1), -1)
-
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        np.put_along_axis(full, idx, np.expand_dims(g, -1), axis=-1)
-        return (full,)
-
-    return _register(np.take_along_axis(a.data, idx, axis=-1)[..., 0], (a,), vjp)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

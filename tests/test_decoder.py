@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 from helpers import fd_gradient, rel_err
 from stglow import decoder as dec
+from stglow import flow as fl
 from stglow import model as model_mod
 from stglow import numcore as nc
 from stglow import pipeline as pl
 from stglow.config import toy_config
-from stglow.data import SynthSpec, synth_scenes
+from stglow.data import SYNTH_KINDS, SynthSpec, synth_scenes
 from stglow.errors import ContractError
+from stglow.flow import nll_loss, sample_behaviors
 from stglow.numcore import Tensor
 
 
@@ -246,7 +248,8 @@ class TestTrajectoryLoss:
 
 
 class BatchLossRun:
-    """Shared setup: a toy model run through batch_loss with the loss call recorded."""
+    """Shared setup: a toy model run through batch_loss with its decodes and
+    loss calls recorded, each with whether a tape was active."""
 
     def setup_model(self):
         cfg = toy_config(seed=4)
@@ -259,64 +262,277 @@ class BatchLossRun:
         return model, windows
 
     def run_batches(self, monkeypatch, weights, batch_size=3, loss_fn=None):
-        """batch_loss over consecutive batches of batch_size windows;
-        per batch: (windows, stats, loss calls)."""
+        """batch_loss over consecutive batches of batch_size windows; per
+        batch: (windows, stats, loss calls, decodes). A loss call is
+        (decoded, gt_future, weights, winners, taped); a decode is
+        (decoded, taped)."""
         model, windows = self.setup_model()
         loss_fn = loss_fn or dec.trajectory_loss_batched
-        calls = []
+        decode = dec.BidirectionalDecoder.decode_batch
+        calls, decodes = [], []
 
-        def recording(batch, gt_future, weights):
-            calls.append((batch, np.array(gt_future), weights))
-            return loss_fn(batch, gt_future, weights)
+        def recording(batch, gt_future, weights, winners=None):
+            calls.append((batch, np.array(gt_future), weights, winners, nc.active_tape() is not None))
+            return loss_fn(batch, gt_future, weights, winners)
+
+        def recording_decode(decoder, mb, **kw):
+            out = decode(decoder, mb, **kw)
+            decodes.append((out, nc.active_tape() is not None))
+            return out
 
         # the benchmark traces the loss under this name in stglow.model
         monkeypatch.setattr(model_mod, "trajectory_loss_batched", recording)
+        monkeypatch.setattr(dec.BidirectionalDecoder, "decode_batch", recording_decode)
         out = []
         for i in range(0, len(windows), batch_size):
             batch_windows = windows[i : i + batch_size]
             calls.clear()
+            decodes.clear()
             with nc.record():
                 _, stats = model.batch_loss(batch_windows, 4, np.random.default_rng(8), weights)
-            out.append((batch_windows, stats, list(calls)))
+            out.append((batch_windows, stats, list(calls), list(decodes)))
         return out
+
+
+def all_rows_decode(decodes, n_rows):
+    """The one untaped decode of all B*K rows."""
+    (decoded,) = [d for d, taped in decodes if not taped]
+    assert decoded.goal.shape == (n_rows, 2)
+    return decoded
 
 
 class TestBatchLoss(BatchLossRun):
     def test_one_loss_call_per_batch(self, monkeypatch):
         w = dec.LossWeights()
-        for batch_windows, _, calls in self.run_batches(monkeypatch, w):
-            assert len(calls) == 1
-            decoded, gt_future, weights = calls[0]
+        for batch_windows, _, calls, _ in self.run_batches(monkeypatch, w):
+            taped = [c for c in calls if c[4]]
+            assert len(taped) == 1
+            decoded, gt_future, weights, winners, _ = taped[0]
             assert weights is w
-            assert decoded.goal.shape == (3 * 4, 2)
+            # the taped loss sees the winning rows only: at most two per pedestrian
+            assert 3 <= decoded.goal.shape[0] <= 2 * 3
+            assert len(winners[0]) == len(winners[1]) == 3
             assert np.array_equal(gt_future, np.stack([x.fut[x.target_index] for x in batch_windows]))
 
 
 class TestTotalLoss(BatchLossRun):
-    """batch_loss's l_total is l_p plus the sum of the per-window trajectory losses."""
+    """batch_loss's l_total is l_p plus the sum of the per-window best-of-K
+    trajectory losses over all B*K decoded rows; l_traj is their mean."""
 
     def test_zero_trajectory_losses(self, monkeypatch):
-        def zeros(batch, gt_future, weights):
+        def zeros(batch, gt_future, weights, winners=None):
             return Tensor(np.zeros(len(gt_future)))
 
-        for _, stats, calls in self.run_batches(monkeypatch, dec.LossWeights(), loss_fn=zeros):
-            assert len(calls) == 1
+        for _, stats, calls, _ in self.run_batches(monkeypatch, dec.LossWeights(), loss_fn=zeros):
+            assert sum(taped for *_, taped in calls) == 1
             assert stats["l_total"] == stats["l_p"]
             assert stats["l_traj"] == 0.0
 
     def test_single_pedestrian(self, monkeypatch):
         w = dec.LossWeights()
-        for batch_windows, stats, calls in self.run_batches(monkeypatch, w, batch_size=1):
+        for batch_windows, stats, calls, decodes in self.run_batches(monkeypatch, w, batch_size=1):
             assert len(batch_windows) == 1
-            decoded, gt_future, _ = calls[0]
-            (expected,) = brute_force(decoded, gt_future, w)
+            gt_future = calls[0][1]
+            (expected,) = brute_force(all_rows_decode(decodes, 4), gt_future, w)
             assert stats["l_total"] == pytest.approx(stats["l_p"] + expected, rel=0, abs=1e-12)
             assert stats["l_traj"] == pytest.approx(expected, rel=0, abs=1e-12)
 
     def test_matches_manual_sum(self, monkeypatch):
         w = dec.LossWeights(alpha=0.7, fwd=0.2, bwd=0.3, both=0.5)
-        for _, stats, calls in self.run_batches(monkeypatch, w):
-            decoded, gt_future, _ = calls[0]
-            expected = brute_force(decoded, gt_future, w)
+        for _, stats, calls, decodes in self.run_batches(monkeypatch, w):
+            gt_future = calls[0][1]
+            expected = brute_force(all_rows_decode(decodes, 3 * 4), gt_future, w)
             assert stats["l_total"] == pytest.approx(stats["l_p"] + expected.sum(), rel=0, abs=1e-12)
             assert stats["l_traj"] == pytest.approx(expected.mean(), rel=0, abs=1e-12)
+
+
+def one_row(decoded, m):
+    return dec.BatchDecoded(*(Tensor(getattr(decoded, f).data[m : m + 1]) for f in ("goal",) + HEADS))
+
+
+class TestWinnerSelection:
+    def test_ties_go_to_the_lowest_row(self):
+        d = make_decoder(seed=25, t_pred=4)
+        row = d.decode_batch(Tensor(np.random.default_rng(26).normal(size=(1, 6))))
+        # two pedestrians, K = 3 equal rows each, as leaves so the gradient shows which rows won
+        tied = dec.BatchDecoded(
+            *(Tensor(np.repeat(getattr(row, f).data, 2 * 3, axis=0), requires_grad=True) for f in ("goal",) + HEADS)
+        )
+        gt = np.random.default_rng(27).normal(size=(2, 4, 2))
+        goal_rows, traj_rows = dec.best_of_k_rows(tied, gt)
+        assert goal_rows.tolist() == traj_rows.tolist() == [0, 3]
+        with nc.record() as tape:
+            loss = nc.sum_all(dec.trajectory_loss_batched(tied, gt))
+        nc.backward(loss, tape)
+        for f in ("goal",) + HEADS:
+            per_row = getattr(tied, f).grad.reshape(2 * 3, -1)
+            assert np.flatnonzero(np.any(per_row != 0.0, axis=1)).tolist() == [0, 3], f
+
+    def test_nan_cost_wins_like_a_minimum(self):
+        # a NaN sample wins its pedestrian's minimum (the first NaN, as np.argmin), so the loss is NaN
+        d = make_decoder(seed=28, t_pred=4)
+        decoded = d.decode_batch(Tensor(np.random.default_rng(29).normal(size=(4, 6))))
+        decoded.goal.data[2] = np.nan
+        decoded.y_f.data[3, 1] = np.nan
+        gt = np.random.default_rng(30).normal(size=(1, 4, 2))
+        goal_rows, traj_rows = dec.best_of_k_rows(decoded, gt)
+        assert goal_rows.tolist() == [2] and traj_rows.tolist() == [3]
+        assert np.isnan(dec.trajectory_loss_batched(decoded, gt).data[0])
+
+    def test_given_winners_score_those_rows(self):
+        n_windows, k, t_p = 2, 3, 5
+        d = make_decoder(seed=31, t_pred=t_p)
+        rng = np.random.default_rng(32)
+        decoded = d.decode_batch(Tensor(rng.normal(size=(n_windows * k, 6))))
+        gt = rng.normal(size=(n_windows, t_p, 2))
+        w = dec.LossWeights(alpha=0.7, fwd=0.2, bwd=0.3, both=0.5)
+        goal_rows, traj_rows = np.array([2, 4]), np.array([0, 5])
+        loss = dec.trajectory_loss_batched(decoded, gt, w, (goal_rows, traj_rows))
+        goal_w = dec.LossWeights(alpha=w.alpha, fwd=0.0, bwd=0.0, both=0.0)
+        traj_w = dec.LossWeights(alpha=0.0, fwd=w.fwd, bwd=w.bwd, both=w.both)
+        for b in range(n_windows):
+            # a single row is its own best of K = 1
+            goal_term = brute_force(one_row(decoded, goal_rows[b]), gt[b : b + 1], goal_w)
+            traj_term = brute_force(one_row(decoded, traj_rows[b]), gt[b : b + 1], traj_w)
+            assert loss.data[b] == pytest.approx(goal_term[0] + traj_term[0], rel=0, abs=1e-12)
+
+    def test_winner_count_must_match_pedestrians(self):
+        d = make_decoder(t_pred=3)
+        batch = d.decode_batch(Tensor(np.zeros((4, 6))))
+        with pytest.raises(ContractError):
+            dec.trajectory_loss_batched(batch, np.zeros((2, 3, 2)), winners=(np.array([0]), np.array([1])))
+
+
+def full_rows_step(model, windows, k, sigma, seed, weights):
+    """The reference step: one taped pass over all B*K sampled rows."""
+    gt = np.stack([w.fut[w.target_index] for w in windows])
+    with nc.record() as tape:
+        mb, st_ = model.encode_windows(windows, training=True)
+        l_p = nll_loss(mb, st_, model.flow)
+        behaviors, _ = sample_behaviors(st_, model.flow, k, sigma, np.random.default_rng(seed))
+        decoded = model.decoder.decode_batch(behaviors)
+        loss = nc.add(l_p, nc.sum_all(dec.trajectory_loss_batched(decoded, gt, weights)))
+    nc.backward(loss, tape)
+    return float(loss.data)
+
+
+def step_grads(model, run):
+    params = model.mark_trainable()
+    for p in params.values():
+        p.grad = None
+    value = run()
+    return value, {k: (np.zeros_like(p.data) if p.grad is None else p.grad.copy()) for k, p in params.items()}
+
+
+def batch_loss_step(model, windows, k, sigma, seed, weights):
+    with nc.record() as tape:
+        loss, _ = model.batch_loss(windows, k, np.random.default_rng(seed), weights, sigma)
+    nc.backward(loss, tape)
+    return float(loss.data)
+
+
+class TestWinnerGradients:
+    """batch_loss differentiates only the winning rows; its loss and
+    gradients are those of one taped pass over all rows."""
+
+    def setup_model(self):
+        """A toy model on scenes of one to three pedestrians whose couplings
+        are no longer the identity, so `st` (and through it the encoder) gets
+        gradient through the flow."""
+        cfg = toy_config(seed=4)
+        model = pl.build_model(cfg)
+        spec = SynthSpec(kinds=SYNTH_KINDS, count=5, seed=7, t_obs=cfg.model.t_obs, t_pred=cfg.model.t_pred)
+        windows = synth_scenes(spec)
+        with nc.no_grad():
+            mb, st_ = model.encode_windows(windows, training=True)
+        model.flow.initialize(mb.data, st_.data)
+        rng = np.random.default_rng(14)
+        for op in model.flow.ops:
+            if isinstance(op, fl.AffineCoupling):
+                op.fc1.w.data[:] = rng.normal(0.0, 0.05, op.fc1.w.data.shape)
+        return model, windows
+
+    @pytest.mark.parametrize("k,sigma", [(4, 1.0), (4, 0.0), (1, 1.0)], ids=["k4", "sigma0_ties", "k1"])
+    def test_matches_full_row_reference(self, k, sigma):
+        model, windows = self.setup_model()
+        w = dec.LossWeights(alpha=0.7, fwd=0.2, bwd=0.3, both=0.5)
+        ref_loss, ref = step_grads(model, lambda: full_rows_step(model, windows, k, sigma, 9, w))
+        loss, new = step_grads(model, lambda: batch_loss_step(model, windows, k, sigma, 9, w))
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+        for name, g in ref.items():
+            assert np.max(np.abs(new[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+        for part in ("encoder.tg_target.", "encoder.sg.", "flow.", "decoder."):
+            assert any(np.any(g != 0.0) for name, g in new.items() if name.startswith(part)), part
+
+    @pytest.mark.parametrize(
+        "name,entry",
+        [
+            ("encoder.tg_target.node_mlp.fc1.w", (3, 5)),
+            ("encoder.sg.block.ffn.fc1.b", (7,)),
+            ("flow.op04.lin.w", (2, 9)),
+            ("flow.op08.coup.fc1.w", (11, 20)),
+            ("decoder.goal_mlp.fc1.w", (4, 1)),
+            ("decoder.fwd_gru.wxn.w", (6, 2)),
+            ("decoder.both_out.w", (30, 0)),
+        ],
+    )
+    def test_gradient_matches_finite_differences(self, name, entry):
+        model, windows = self.setup_model()
+        w = dec.LossWeights()
+        _, grads = step_grads(model, lambda: batch_loss_step(model, windows, 4, 1.0, 10, w))
+        p = model.params()[name]
+
+        def f(x):
+            saved = p.data[entry]
+            p.data[entry] = x[0]
+            with nc.no_grad():
+                value = float(model.batch_loss(windows, 4, np.random.default_rng(10), w)[0].data)
+            p.data[entry] = saved
+            return value
+
+        fd = fd_gradient(f, np.array([p.data[entry]]))[0]
+        assert grads[name][entry] != 0.0
+        assert rel_err(grads[name][entry], fd, floor=1e-4) < 1e-6, (grads[name][entry], fd)
+
+
+class TestTapedRows(BatchLossRun):
+    """Regression guard: a training step tapes the decoder and the flow
+    reverse on at most 2B rows, however many samples it draws."""
+
+    def test_taped_decoder_and_flow_reverse_see_at_most_two_rows_per_pedestrian(self, monkeypatch):
+        model, windows = self.setup_model()
+        seen = {"decode": [], "reverse": []}
+        decode, reverse = dec.BidirectionalDecoder.decode_batch, fl.FlowStack.reverse
+
+        def recording_decode(decoder, mb, **kw):
+            seen["decode"].append((mb.shape[0], nc.active_tape() is not None))
+            return decode(decoder, mb, **kw)
+
+        def recording_reverse(stack, z, st_):
+            seen["reverse"].append((z.shape[0], nc.active_tape() is not None))
+            return reverse(stack, z, st_)
+
+        monkeypatch.setattr(dec.BidirectionalDecoder, "decode_batch", recording_decode)
+        monkeypatch.setattr(fl.FlowStack, "reverse", recording_reverse)
+        b, k = 5, 20
+        pl._loss_and_grads(model, windows[:b], k, np.random.default_rng(12), dec.LossWeights())
+        for stage, calls in seen.items():
+            taped = [rows for rows, on_tape in calls if on_tape]
+            assert taped and max(taped) <= 2 * b, (stage, calls)
+            assert [rows for rows, on_tape in calls if not on_tape] == [b * k], (stage, calls)
+
+    def test_ties_tape_one_row_per_pedestrian(self, monkeypatch):
+        model, windows = self.setup_model()
+        rows = []
+        decode = dec.BidirectionalDecoder.decode_batch
+
+        def recording_decode(decoder, mb, **kw):
+            if nc.active_tape() is not None:
+                rows.append(mb.shape[0])
+            return decode(decoder, mb, **kw)
+
+        monkeypatch.setattr(dec.BidirectionalDecoder, "decode_batch", recording_decode)
+        with nc.record():
+            model.batch_loss(windows[:3], 4, np.random.default_rng(13), dec.LossWeights(), sigma=0.0)
+        # with sigma = 0 all K samples tie, and each pedestrian's first sample wins both minima
+        assert rows == [3]

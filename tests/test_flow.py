@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from helpers import fd_gradient, flow_map, numerical_jacobian, random_stack, rel_err
 from stglow import flow as fl
@@ -283,6 +285,30 @@ class TestFlowStack:
         assert z.data.shape == (6, 16)
         back = stack.reverse(z, Tensor(st))
         assert np.max(np.abs(back.data - x)) < 1e-9
+
+    @given(
+        n_steps=hst.integers(1, 6),
+        every=hst.integers(1, 3),
+        half_out=hst.integers(1, 3),
+        half_last=hst.integers(1, 3),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_factor_out_round_trip_over_random_schedules(self, n_steps, every, half_out, half_last, seed):
+        # widths are even and every split leaves at least 2 channels, so each schedule is valid
+        splits = (n_steps - 1) // every
+        out = 2 * half_out
+        channels = splits * out + 2 * half_last
+        rng = np.random.default_rng(seed)
+        stack = random_stack(
+            channels, 3, n_steps, rng, factor_out=True, factor_out_every=every, factor_out_channels=out
+        )
+        assert stack._part_widths == [out] * splits + [2 * half_last]
+        x = rng.normal(size=(5, channels))
+        st = rng.normal(size=(5, 3))
+        z, _ = stack.forward(Tensor(x), Tensor(st))
+        back = stack.reverse(z, Tensor(st))
+        assert np.max(np.abs(back.data - x)) <= 1e-9
 
     def test_factor_out_logdet_matches_jacobian(self):
         rng = np.random.default_rng(6)

@@ -10,11 +10,15 @@ def unfused_linear(lin: Linear, x):
     return out if lin.b is None else nc.add(out, lin.b)
 
 
+def sigmoid(t):
+    return nc.div(1.0, nc.add(1.0, nc.exp(nc.neg(t))))
+
+
 def unfused_gru(cell: GruCell, h, x):
-    """The GRU step as separate matmul/add/sigmoid/tanh/mul ops: the reference
+    """The GRU step as separate matmul/add/exp/div/tanh/mul ops: the reference
     the fused `nc.gru_cell` must reproduce."""
-    z = nc.sigmoid(nc.add(unfused_linear(cell.wxz, x), unfused_linear(cell.whz, h)))
-    r = nc.sigmoid(nc.add(unfused_linear(cell.wxr, x), unfused_linear(cell.whr, h)))
+    z = sigmoid(nc.add(unfused_linear(cell.wxz, x), unfused_linear(cell.whz, h)))
+    r = sigmoid(nc.add(unfused_linear(cell.wxr, x), unfused_linear(cell.whr, h)))
     n = nc.tanh(nc.add(unfused_linear(cell.wxn, x), unfused_linear(cell.whn, nc.mul(r, h))))
     return nc.add(nc.mul(nc.sub(1.0, z), n), nc.mul(z, h))
 
