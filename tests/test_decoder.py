@@ -261,7 +261,7 @@ class BatchLossRun:
         model.flow.initialize(mb.data, st_.data)
         return model, windows
 
-    def run_batches(self, monkeypatch, weights, batch_size=3, loss_fn=None):
+    def run_batches(self, monkeypatch, weights, batch_size=3, loss_fn=None, sigma=1.0):
         """batch_loss over consecutive batches of batch_size windows; per
         batch: (windows, stats, loss calls, decodes). A loss call is
         (decoded, gt_future, weights, winners, taped); a decode is
@@ -289,7 +289,7 @@ class BatchLossRun:
             calls.clear()
             decodes.clear()
             with nc.record():
-                _, stats = model.batch_loss(batch_windows, 4, np.random.default_rng(8), weights)
+                _, stats = model.batch_loss(batch_windows, 4, np.random.default_rng(8), weights, sigma)
             out.append((batch_windows, stats, list(calls), list(decodes)))
         return out
 
@@ -522,17 +522,6 @@ class TestTapedRows(BatchLossRun):
             assert [rows for rows, on_tape in calls if not on_tape] == [b * k], (stage, calls)
 
     def test_ties_tape_one_row_per_pedestrian(self, monkeypatch):
-        model, windows = self.setup_model()
-        rows = []
-        decode = dec.BidirectionalDecoder.decode_batch
-
-        def recording_decode(decoder, mb, **kw):
-            if nc.active_tape() is not None:
-                rows.append(mb.shape[0])
-            return decode(decoder, mb, **kw)
-
-        monkeypatch.setattr(dec.BidirectionalDecoder, "decode_batch", recording_decode)
-        with nc.record():
-            model.batch_loss(windows[:3], 4, np.random.default_rng(13), dec.LossWeights(), sigma=0.0)
         # with sigma = 0 all K samples tie, and each pedestrian's first sample wins both minima
-        assert rows == [3]
+        for batch_windows, _, _, decodes in self.run_batches(monkeypatch, dec.LossWeights(), sigma=0.0):
+            assert [d.goal.shape[0] for d, taped in decodes if taped] == [len(batch_windows)]
