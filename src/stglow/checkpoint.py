@@ -28,7 +28,7 @@ from .config import Config, flatten, from_flat
 from .errors import CheckpointError, ConfigError
 
 MAGIC = b"STGF"
-VERSION = 2  # 2: fused attention projections (`attn.wqkv`)
+VERSION = 3  # 2: fused attention projections (`attn.wqkv`); 3: fused GRU weights (`wx`, `bx`, `wh`)
 HEADER_TYPES = {
     "config": dict,
     "epoch": int,

@@ -28,14 +28,14 @@ class ModelConfig:
     d_h: int = 256  # decoder hidden width
     t_obs: int = 8
     t_pred: int = 12
-    # ablation switches
+    # ablation switches. The temporal causal mask has none: each temporal
+    # encoder is one block read only at its last step, which sees every step.
     use_temporal_graphormer: bool = True  # False swaps in the GRU encoder
     use_spatial: bool = True
     use_pattern_norm: bool = True
     bidirectional: bool = True
     use_centrality: bool = True
     use_positional: bool = True
-    use_temporal_mask: bool = True
     use_rel_pos: bool = True
     use_steering: bool = True
     use_spatial_mask: bool = True

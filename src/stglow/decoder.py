@@ -102,7 +102,7 @@ class BidirectionalDecoder:
             f_h = self.fwd_gru(f_h, f_i[t - 1])
             f_i.append(self.fwd_in(f_h))
             if want_f:
-                y_f.append(self.fwd_out(nc.concat_lastdim([f_i[t], mb])))
+                y_f.append(self.fwd_out(nc.concat([f_i[t], mb], -1)))
         y_f_head = _stack_steps(y_f, m) if want_f else None
         if not self.bidirectional:
             return BatchDecoded(goal=goal, y_f=y_f_head, y_b=None, y_both=None)
@@ -113,8 +113,8 @@ class BidirectionalDecoder:
         for _t_b in range(t_p - 1, 0, -1):
             b_h = self.bwd_gru(b_h, b_i)
             if not prediction_only:
-                y_b_desc.append(self.bwd_out(nc.concat_lastdim([b_h, mb])))
-            y_both_t = self.both_out(nc.concat_lastdim([b_h, f_i[_t_b]]))
+                y_b_desc.append(self.bwd_out(nc.concat([b_h, mb], -1)))
+            y_both_t = self.both_out(nc.concat([b_h, f_i[_t_b]], -1))
             b_i = self.bwd_in(y_both_t)
             y_both_desc.append(y_both_t)
         return BatchDecoded(
@@ -147,7 +147,7 @@ class BidirectionalDecoder:
 
 def _stack_steps(steps: list[Tensor], m: int) -> Tensor:
     """t entries of (m, 2) -> one (m, t, 2) tensor (t may be 0)."""
-    return nc.reshape(nc.concat_lastdim(steps), (m, len(steps), 2)) if steps else Tensor(np.zeros((m, 0, 2)))
+    return nc.reshape(nc.concat(steps, -1), (m, len(steps), 2)) if steps else Tensor(np.zeros((m, 0, 2)))
 
 
 def _truth(batch: BatchDecoded, gt_future: np.ndarray) -> np.ndarray:

@@ -129,25 +129,23 @@ class AffineCoupling:
         self.fc1 = Linear(rng, hidden, channels, zero_init=True)
 
     def _scale_shift(self, xa: Tensor, st: Tensor) -> tuple[Tensor, Tensor]:
-        h = nc.relu(self.fc0(nc.concat_lastdim([xa, st])))
+        h = nc.relu(self.fc0(nc.concat([xa, st], -1)))
         out = self.fc1(h)
-        log_s = nc.clamp(nc.slice_lastdim(out, 0, self.half), -LOG_SCALE_BOUND, LOG_SCALE_BOUND)
-        t = nc.slice_lastdim(out, self.half, self.channels)
+        log_s = nc.clamp(nc.index(out, np.s_[..., : self.half]), -LOG_SCALE_BOUND, LOG_SCALE_BOUND)
+        t = nc.index(out, np.s_[..., self.half :])
         return log_s, t
 
     def forward(self, x: Tensor, st: Tensor) -> tuple[Tensor, Tensor]:
-        xa = nc.slice_lastdim(x, 0, self.half)
-        xb = nc.slice_lastdim(x, self.half, self.channels)
+        xa, xb = nc.index(x, np.s_[..., : self.half]), nc.index(x, np.s_[..., self.half :])
         log_s, t = self._scale_shift(xa, st)
         yb = nc.add(nc.mul(nc.exp(log_s), xb), t)
-        return nc.concat_lastdim([xa, yb]), nc.sum_lastdim(log_s)
+        return nc.concat([xa, yb], -1), nc.sum_lastdim(log_s)
 
     def reverse(self, y: Tensor, st: Tensor) -> Tensor:
-        ya = nc.slice_lastdim(y, 0, self.half)
-        yb = nc.slice_lastdim(y, self.half, self.channels)
+        ya, yb = nc.index(y, np.s_[..., : self.half]), nc.index(y, np.s_[..., self.half :])
         log_s, t = self._scale_shift(ya, st)
         xb = nc.div(nc.sub(yb, t), nc.exp(log_s))
-        return nc.concat_lastdim([ya, xb])
+        return nc.concat([ya, xb], -1)
 
     def params(self) -> dict[str, Tensor]:
         return _prefix({"fc0": self.fc0, "fc1": self.fc1})
@@ -158,7 +156,6 @@ class FactorOut:
 
     def __init__(self, width_in: int, out_channels: int):
         self.keep = width_in - out_channels
-        self.out_channels = out_channels
 
     def params(self) -> dict[str, Tensor]:
         return {}
@@ -241,7 +238,7 @@ class FlowStack:
             stt = Tensor(np.asarray(st, dtype=np.float64))
             for op in self.ops:
                 if isinstance(op, FactorOut):
-                    x = nc.slice_lastdim(x, 0, op.keep)
+                    x = nc.index(x, np.s_[..., : op.keep])
                     continue
                 if isinstance(op, PatternNorm) and not op.initialized:
                     op.init_from_data(x.data)
@@ -255,26 +252,26 @@ class FlowStack:
         x = mb
         for idx, op in enumerate(self.ops):
             if isinstance(op, FactorOut):
-                parts.append(nc.slice_lastdim(x, op.keep, op.keep + op.out_channels))
-                x = nc.slice_lastdim(x, 0, op.keep)
+                parts.append(nc.index(x, np.s_[..., op.keep :]))
+                x = nc.index(x, np.s_[..., : op.keep])
                 continue
             x, ld = op.forward(x, st)
             if not np.all(np.isfinite(x.data)) or not np.all(np.isfinite(ld.data)):
                 raise FlowNumericsError("non-finite activation in forward pass", step=idx)
             logdet = nc.add(logdet, ld)
         parts.append(x)
-        z = parts[0] if len(parts) == 1 else nc.concat_lastdim(parts)
+        z = parts[0] if len(parts) == 1 else nc.concat(parts, -1)
         return z, logdet
 
     def reverse(self, z: Tensor, st: Tensor) -> Tensor:
         """Exact inverse of `forward` for the same conditioning."""
         offsets = np.cumsum([0] + self._part_widths)
-        chunks = [nc.slice_lastdim(z, int(offsets[i]), int(offsets[i + 1])) for i in range(len(self._part_widths))]
+        chunks = [nc.index(z, np.s_[..., int(offsets[i]) : int(offsets[i + 1])]) for i in range(len(self._part_widths))]
         x = chunks.pop()
         for idx in range(len(self.ops) - 1, -1, -1):
             op = self.ops[idx]
             if isinstance(op, FactorOut):
-                x = nc.concat_lastdim([x, chunks.pop()])
+                x = nc.concat([x, chunks.pop()], -1)
                 continue
             x = op.reverse(x, st)
             if not np.all(np.isfinite(x.data)):
@@ -325,5 +322,4 @@ def sample_behaviors(
         z = np.zeros((b * k, stack.channels))
     else:
         z = rng.standard_normal((b, k, stack.channels)).reshape(b * k, stack.channels) * sigma
-    st_rep = nc.repeat_rows(st, k)
-    return stack.reverse(Tensor(z), st_rep), z
+    return stack.reverse(Tensor(z), nc.index(st, np.arange(b * k) // k)), z

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .errors import ConfigError, ContractError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .layers import GruCell, Linear, Mlp, ReluLinear, TransformerBlock, _prefix
 from .numcore import NEG_INF, Tensor
 
@@ -28,7 +28,6 @@ from .numcore import NEG_INF, Tensor
 class TemporalGraph:
     """Causal step graph: node t may attend to nodes 1..t (1-indexed)."""
 
-    t: int
     mask: np.ndarray  # (T, T), entries in {1, NEG_INF}
 
 
@@ -37,10 +36,8 @@ class SpatialGraph:
     """Pairwise field-of-view graphs over pedestrians at one time step;
     any leading axes stack independent scenes."""
 
-    n: int
     mask: np.ndarray  # (..., N, N), entries in {1, NEG_INF}
     walk_dirs: np.ndarray  # (..., N, 2) displacement per step
-    rel_pos: np.ndarray  # (..., N, N, 2); rel_pos[i, j] = position_j - position_i
 
 
 def build_temporal_adjacency(t: int) -> TemporalGraph:
@@ -48,7 +45,7 @@ def build_temporal_adjacency(t: int) -> TemporalGraph:
         raise DataError("empty window: temporal graph needs at least one step")
     mask = np.full((t, t), NEG_INF)
     mask[np.tril_indices(t)] = 1.0
-    return TemporalGraph(t=t, mask=mask)
+    return TemporalGraph(mask=mask)
 
 
 def temporal_degrees(graph: TemporalGraph) -> np.ndarray:
@@ -60,12 +57,11 @@ def build_spatial_adjacency(positions_prev: np.ndarray, positions_now: np.ndarra
     """FOV graph of (..., N, 2) positions: i sees j if j lies ahead of i on both axes."""
     positions_prev = np.asarray(positions_prev, dtype=np.float64)
     positions_now = np.asarray(positions_now, dtype=np.float64)
-    n = positions_now.shape[-2]
     dirs = positions_now - positions_prev
     rel = positions_now[..., None, :, :] - positions_now[..., :, None, :]  # rel[i, j] = x_j - x_i
     visible = (rel[..., 0] * dirs[..., :, None, 0] >= 0.0) & (rel[..., 1] * dirs[..., :, None, 1] >= 0.0)
     mask = np.where(visible, 1.0, NEG_INF)
-    return SpatialGraph(n=n, mask=mask, walk_dirs=dirs, rel_pos=rel)
+    return SpatialGraph(mask=mask, walk_dirs=dirs)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -95,7 +91,12 @@ def _checked_trajectories(traj) -> np.ndarray:
 
 
 class TemporalGraphormer:
-    """Trajectory encoder with causal masked attention, over (P, T, 2) stacks."""
+    """Trajectory encoder with causal masked attention, over (P, T, 2) stacks.
+
+    The causal mask is always applied. `SceneEncoder` reads only the last
+    step, whose mask row is all ones, so its encodings do not depend on the
+    mask; the earlier steps' embeddings do.
+    """
 
     def __init__(
         self,
@@ -105,13 +106,11 @@ class TemporalGraphormer:
         t_max: int,
         use_centrality: bool = True,
         use_positional: bool = True,
-        use_mask: bool = True,
     ):
         self.d = d
         self.t_max = t_max
         self.use_centrality = use_centrality
         self.use_positional = use_positional
-        self.use_mask = use_mask
         self.node_mlp = Mlp(rng, 2, d, d)
         self.centrality = Linear(rng, 1, d)
         self.centrality.w.data *= 0.1  # raw degrees reach t_max; keep embeddings O(1)
@@ -133,8 +132,8 @@ class TemporalGraphormer:
         if self.use_centrality:
             h = nc.add(h, self.centrality_embedding(graph))
         if self.use_positional:
-            h = nc.add(h, nc.slice_rows(self.pos_table, 0, t))
-        return self.block(h, graph.mask if self.use_mask else None)
+            h = nc.add(h, nc.index(self.pos_table, slice(0, t)))
+        return self.block(h, graph.mask)
 
     def params(self) -> dict[str, Tensor]:
         out = _prefix({"node_mlp": self.node_mlp, "centrality": self.centrality, "block": self.block})
@@ -161,7 +160,7 @@ class GruTrajEncoder:
         for s in range(t):
             h = self.cell(h, self.in_proj(Tensor(traj[:, s])))
             steps.append(h)
-        return nc.reshape(nc.concat_lastdim(steps), (p, t, self.d))
+        return nc.reshape(nc.concat(steps, -1), (p, t, self.d))
 
     def params(self) -> dict[str, Tensor]:
         return _prefix({"in_proj": self.in_proj, "cell": self.cell})
@@ -224,7 +223,8 @@ class SceneEncoder:
 
     Three separate temporal encoders are kept: one for the full trajectory
     (motion behavior), one shared over all pedestrians' histories (feeds the
-    spatial encoder), and one for the target's own history.
+    spatial encoder), and one for the target's own history. Each is read at
+    its last step only.
     """
 
     def __init__(
@@ -238,7 +238,6 @@ class SceneEncoder:
         use_spatial: bool = True,
         use_centrality: bool = True,
         use_positional: bool = True,
-        use_temporal_mask: bool = True,
         use_rel_pos: bool = True,
         use_steering: bool = True,
         use_spatial_mask: bool = True,
@@ -255,7 +254,6 @@ class SceneEncoder:
                     t_max,
                     use_centrality=use_centrality,
                     use_positional=use_positional,
-                    use_mask=use_temporal_mask,
                 )
             return GruTrajEncoder(rng, d)
 
@@ -273,17 +271,15 @@ class SceneEncoder:
         obs: np.ndarray,
         targets,
         full: np.ndarray | None = None,
-        training: bool = False,
     ) -> tuple[Tensor | None, Tensor]:
         """(motion_behavior, social_context), each (Q, D), for Q scenes.
 
         `obs` is (Q, N, t_o, 2) and `full` (Q, N, t_o + t_p, 2), scene q
         normalised to its target pedestrian `targets[q]`. Each encoder runs
-        once over the whole stack: `tg_hist` over all Q·N histories.
+        once over the whole stack: `tg_hist` over all Q·N histories. Without
+        `full`, as in a forecast, the motion behavior is None.
         """
         obs = np.asarray(obs, dtype=np.float64)
-        if training and full is None:
-            raise ContractError("training-mode encoding needs the full trajectory")
         q, n, t_o = obs.shape[:3]
         scenes = np.arange(q)
         targets = np.asarray(targets)

@@ -65,32 +65,25 @@ class ReluLinear:
 class GruCell:
     """Standard gated recurrent cell (update gate, reset gate, candidate).
 
-    A step is one `nc.gru_cell` tape node. The six projections stay separate
-    `Linear`s, so parameter names, and checkpoints, are those of the unfused
-    cell.
+    A step is one `nc.gru_cell` tape node over three fused tensors: the
+    input weights `wx` (d_in, 3h), their bias `bx` (3h) and the bias-free
+    hidden weights `wh` (h, 3h), each holding the z, r and n gates' columns
+    in that order.
     """
 
     def __init__(self, rng, d_in: int, d_hidden: int):
-        self.wxz = Linear(rng, d_in, d_hidden)
-        self.whz = Linear(rng, d_hidden, d_hidden, bias=False)
-        self.wxr = Linear(rng, d_in, d_hidden)
-        self.whr = Linear(rng, d_hidden, d_hidden, bias=False)
-        self.wxn = Linear(rng, d_in, d_hidden)
-        self.whn = Linear(rng, d_hidden, d_hidden, bias=False)
+        # drawn gate by gate (input, then hidden weights), so the initial
+        # weights are those of six separate per-gate projections
+        draws = [_init_weight(rng, d, d_hidden) for _ in range(3) for d in (d_in, d_hidden)]
+        self.wx = Tensor(np.concatenate(draws[0::2], axis=1), requires_grad=True)
+        self.bx = Tensor(np.zeros(3 * d_hidden), requires_grad=True)
+        self.wh = Tensor(np.concatenate(draws[1::2], axis=1), requires_grad=True)
 
     def __call__(self, h: Tensor, x: Tensor) -> Tensor:
-        return nc.gru_cell(
-            h,
-            x,
-            (self.wxz.w, self.wxr.w, self.wxn.w),
-            (self.wxz.b, self.wxr.b, self.wxn.b),
-            (self.whz.w, self.whr.w, self.whn.w),
-        )
+        return nc.gru_cell(h, x, self.wx, self.bx, self.wh)
 
     def params(self) -> dict[str, Tensor]:
-        return _prefix(
-            {"wxz": self.wxz, "whz": self.whz, "wxr": self.wxr, "whr": self.whr, "wxn": self.wxn, "whn": self.whn}
-        )
+        return {"wx": self.wx, "bx": self.bx, "wh": self.wh}
 
 
 class MultiHeadSelfAttention:

@@ -27,7 +27,6 @@ class TrajectoryModel:
             use_spatial=cfg.use_spatial,
             use_centrality=cfg.use_centrality,
             use_positional=cfg.use_positional,
-            use_temporal_mask=cfg.use_temporal_mask,
             use_rel_pos=cfg.use_rel_pos,
             use_steering=cfg.use_steering,
             use_spatial_mask=cfg.use_spatial_mask,
@@ -79,14 +78,14 @@ class TrajectoryModel:
         for members in groups.values():
             obs = np.stack([windows[i].obs for i in members])
             full = np.concatenate([obs, np.stack([windows[i].fut for i in members])], axis=2) if training else None
-            mb, st = self.encoder.encode(obs, [windows[i].target_index for i in members], full, training)
+            mb, st = self.encoder.encode(obs, [windows[i].target_index for i in members], full)
             st_parts.append(st)
             if mb is not None:
                 mb_parts.append(mb)
         order = np.argsort(np.concatenate(list(groups.values())))
 
         def in_order(parts: list[Tensor]) -> Tensor:
-            return parts[0] if len(parts) == 1 else nc.index(nc.concat_rows(parts), order)
+            return parts[0] if len(parts) == 1 else nc.index(nc.concat(parts, 0), order)
 
         return (in_order(mb_parts) if mb_parts else None), in_order(st_parts)
 

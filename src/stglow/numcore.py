@@ -262,15 +262,6 @@ def log(a: Tensor) -> Tensor:
     return _register(np.log(a.data), (a,), vjp)
 
 
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-
-    def vjp(g):
-        return (g * 0.5 / out,)
-
-    return _register(out, (a,), vjp)
-
-
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     inside = (a.data >= lo) & (a.data <= hi)
 
@@ -328,54 +319,15 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _register(a.data.reshape(shape), (a,), vjp)
 
 
-def concat_lastdim(parts: Sequence[Tensor]) -> Tensor:
+def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
+    """Join tensors along `axis`; the gradient is split back into the parts."""
     parts = tuple(parts)
-    sizes = [p.data.shape[-1] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
+    splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
     def vjp(g):
-        return tuple(np.split(g, splits, axis=-1))
+        return tuple(np.split(g, splits, axis=axis))
 
-    return _register(np.concatenate([p.data for p in parts], axis=-1), parts, vjp)
-
-
-def slice_lastdim(a: Tensor, start: int, stop: int) -> Tensor:
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        full[..., start:stop] = g
-        return (full,)
-
-    return _register(a.data[..., start:stop].copy(), (a,), vjp)
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    parts = tuple(parts)
-    sizes = [p.data.shape[0] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=0))
-
-    return _register(np.concatenate([p.data for p in parts], axis=0), parts, vjp)
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        return (full,)
-
-    return _register(a.data[start:stop].copy(), (a,), vjp)
-
-
-def repeat_rows(a: Tensor, k: int) -> Tensor:
-    """Repeat each row k times: (B, ...) -> (B*k, ...)."""
-    b = a.data.shape[0]
-
-    def vjp(g):
-        return (g.reshape((b, k) + a.data.shape[1:]).sum(axis=1),)
-
-    return _register(np.repeat(a.data, k, axis=0), (a,), vjp)
+    return _register(np.concatenate([p.data for p in parts], axis=axis), parts, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -434,36 +386,39 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     return _register(out, (a, b), vjp)
 
 
-def gru_cell(h: Tensor, x: Tensor, wx: Sequence[Tensor], bx: Sequence[Tensor], wh: Sequence[Tensor]) -> Tensor:
-    """One GRU step as one tape node; `wx`, `bx`, `wh` are (z, r, n) triples.
+def gru_cell(h: Tensor, x: Tensor, wx: Tensor, bx: Tensor, wh: Tensor) -> Tensor:
+    """One GRU step as one tape node. `wx` (d_in, 3h), `bx` (3h) and `wh`
+    (h, 3h) hold the columns of the update (z), reset (r) and candidate (n)
+    gates, in that order:
 
         z = σ(x wx_z + bx_z + h wh_z)     r = σ(x wx_r + bx_r + h wh_r)
         n = tanh(x wx_n + bx_n + (r ⊙ h) wh_n)     h' = (1 − z) ⊙ n + z ⊙ h
 
-    Each term is computed in the order the unfused ops use, so h' is
-    bit-identical to theirs. The backward pass keeps only z, r and n; the
-    ~20 nodes of the unfused step would keep every intermediate.
+    Each gate is computed from its own column slices, as the unfused ops
+    do, so h' is bit-identical to theirs and no temporary is wider than h.
+    The backward pass keeps only z, r and n.
     """
-    (wxz, wxr, wxn), (bxz, bxr, bxn), (whz, whr, whn) = wx, bx, wh
     hd, xd = h.data, x.data
-    z = 1.0 / (1.0 + np.exp(-((xd @ wxz.data + bxz.data) + hd @ whz.data)))
-    r = 1.0 / (1.0 + np.exp(-((xd @ wxr.data + bxr.data) + hd @ whr.data)))
-    n = np.tanh((xd @ wxn.data + bxn.data) + (r * hd) @ whn.data)
+    k = hd.shape[-1]
+    (wxz, wxr, wxn), (bxz, bxr, bxn), (whz, whr, whn) = (
+        (p.data[..., :k], p.data[..., k : 2 * k], p.data[..., 2 * k :]) for p in (wx, bx, wh)
+    )
+    z = 1.0 / (1.0 + np.exp(-((xd @ wxz + bxz) + hd @ whz)))
+    r = 1.0 / (1.0 + np.exp(-((xd @ wxr + bxr) + hd @ whr)))
+    n = np.tanh((xd @ wxn + bxn) + (r * hd) @ whn)
     out = (1.0 - z) * n + z * hd
 
     def vjp(g):
         a_n = g * (1.0 - z) * (1.0 - n * n)
-        g_rh = a_n @ whn.data.T
+        g_rh = a_n @ whn.T
         a_r = g_rh * hd * r * (1.0 - r)
         a_z = (g * hd - g * n) * z * (1.0 - z)
-        g_h = g * z + g_rh * r + a_z @ whz.data.T + a_r @ whr.data.T
-        g_x = a_z @ wxz.data.T + a_r @ wxr.data.T + a_n @ wxn.data.T
-        g_wx = (xd.T @ a_z, xd.T @ a_r, xd.T @ a_n)
-        g_bx = tuple(_unbroadcast(a, b.data.shape) for a, b in zip((a_z, a_r, a_n), bx))
-        g_wh = (hd.T @ a_z, hd.T @ a_r, (r * hd).T @ a_n)
-        return (g_h, g_x, *g_wx, *g_bx, *g_wh)
+        a = np.concatenate([a_z, a_r, a_n], axis=1)
+        g_h = g * z + g_rh * r + a_z @ whz.T + a_r @ whr.T
+        g_wh = np.concatenate([hd.T @ a_z, hd.T @ a_r, (r * hd).T @ a_n], axis=1)
+        return g_h, a @ wx.data.T, xd.T @ a, _unbroadcast(a, bx.data.shape), g_wh
 
-    return _register(out, (h, x, *wx, *bx, *wh), vjp)
+    return _register(out, (h, x, wx, bx, wh), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -487,12 +442,19 @@ def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 def index(a: Tensor, key) -> Tensor:
     """`a[key]` for any numpy index: a view for basic indexing, as `reshape`
-    returns one, else a copy. The gradient is scattered back with
-    `np.add.at`, so entries picked more than once accumulate."""
+    returns one, else a copy. The gradient of a basic key is assigned into
+    place; an array key's is scattered with `np.add.at`, so entries picked
+    more than once accumulate."""
+    # a key of ints, slices, Ellipsis and None picks no entry twice
+    parts = key if isinstance(key, tuple) else (key,)
+    basic = all(k is None or k is Ellipsis or isinstance(k, (int, np.integer, slice)) for k in parts)
 
     def vjp(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, key, g)
+        if basic:
+            full[key] = g
+        else:
+            np.add.at(full, key, g)
         return (full,)
 
     return _register(a.data[key], (a,), vjp)

@@ -208,7 +208,7 @@ class TestTrajectoryLoss:
             near = d.decode_batch(mb_near)
             far = d.decode_batch(mb_far)
             merged = dec.BatchDecoded(
-                **{f: nc.concat_rows([getattr(near, f), getattr(far, f)]) for f in ("goal",) + HEADS}
+                **{f: nc.concat([getattr(near, f), getattr(far, f)], 0) for f in ("goal",) + HEADS}
             )
             loss = nc.sum_all(dec.trajectory_loss_batched(merged, gt_future))
         nc.backward(loss, tape)
@@ -472,7 +472,7 @@ class TestWinnerGradients:
             ("flow.op04.lin.w", (2, 9)),
             ("flow.op08.coup.fc1.w", (11, 20)),
             ("decoder.goal_mlp.fc1.w", (4, 1)),
-            ("decoder.fwd_gru.wxn.w", (6, 2)),
+            ("decoder.fwd_gru.wx", (6, 66)),  # the candidate gate, column 2 of 32
             ("decoder.both_out.w", (30, 0)),
         ],
     )

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from stglow import graphormer as gr
 from stglow import numcore as nc
-from stglow.errors import ContractError, DataError, ShapeError
+from stglow.errors import DataError, ShapeError
 from stglow.numcore import NEG_INF
 
 
@@ -114,7 +114,7 @@ class TestTemporalGraphormer:
         perturbed[:, 3:] += 1.0
         assert np.array_equal(enc(perturbed).data[:, :3], base[:, :3])
 
-    @pytest.mark.parametrize("kw", [{}, {"use_mask": False}, {"use_centrality": False, "use_positional": False}])
+    @pytest.mark.parametrize("kw", [{}, {"use_positional": False}, {"use_centrality": False, "use_positional": False}])
     def test_batched_rows_equal_single_calls(self, kw):
         tg = make_tg(seed=22, **kw)
         traj = np.random.default_rng(23).normal(size=(5, 8, 2)).cumsum(axis=1)
@@ -263,7 +263,7 @@ class TestSceneEncoder:
     def test_st_shape_and_finite(self):
         enc = self.make_encoder()
         obs, full, targets = self.retargeted(seed=16)
-        mb, st = enc.encode(obs, targets, full, training=True)
+        mb, st = enc.encode(obs, targets, full)
         assert st.data.shape == (4, 16)
         assert mb.data.shape == (4, 16)
         assert np.all(np.isfinite(st.data))
@@ -272,7 +272,7 @@ class TestSceneEncoder:
     def test_single_pedestrian_scene(self):
         enc = self.make_encoder()
         obs, full = self.rand_scene(n=1, seed=17)
-        mb, st = enc.encode(obs[None], [0], full[None], training=True)
+        mb, st = enc.encode(obs[None], [0], full[None])
         assert st.data.shape == (1, 16)
         assert mb.data.shape == (1, 16)
         assert np.all(np.isfinite(st.data))
@@ -280,7 +280,7 @@ class TestSceneEncoder:
     def test_mb_is_last_row_of_full_trajectory_encoding(self):
         enc = self.make_encoder()
         obs, full, targets = self.retargeted(seed=18)
-        mb, _ = enc.encode(obs, targets, full, training=True)
+        mb, _ = enc.encode(obs, targets, full)
         for i in targets:
             direct = enc.tg_full(full[i, i : i + 1]).data[0, -1]
             assert np.array_equal(mb.data[i], direct)
@@ -288,23 +288,24 @@ class TestSceneEncoder:
     def test_st_is_sum_of_temporal_and_spatial_parts(self):
         enc = self.make_encoder()
         obs, full, targets = self.retargeted(seed=19)
-        _, st = enc.encode(obs, targets, full, training=True)
+        _, st = enc.encode(obs, targets, full)
         for i in targets:
             th_tgt = enc.tg_target(obs[i, i : i + 1]).data[0, -1]
             th = enc.tg_hist(obs[i]).data[:, -1]
             sh = enc.sg(obs[i : i + 1, :, -2], obs[i : i + 1, :, -1], nc.Tensor(th[None]), [i]).data[0]
             assert np.array_equal(st.data[i], th_tgt + sh[i])
 
-    def test_training_requires_full_trajectory(self):
+    def test_forecast_encoding_has_no_motion_behavior(self):
         enc = self.make_encoder()
-        obs, _, targets = self.retargeted(seed=16)
-        with pytest.raises(ContractError):
-            enc.encode(obs, targets, full=None, training=True)
+        obs, full, targets = self.retargeted(seed=16)
+        mb, st = enc.encode(obs, targets)
+        assert mb is None
+        assert np.array_equal(st.data, enc.encode(obs, targets, full)[1].data)
 
     def test_spatial_ablation_drops_sg(self):
         enc = self.make_encoder(use_spatial=False)
         obs, full, targets = self.retargeted(seed=20)
-        _, st = enc.encode(obs, targets, full, training=True)
+        _, st = enc.encode(obs, targets, full)
         for i in targets:
             th_tgt = enc.tg_target(obs[i, i : i + 1]).data[0, -1]
             assert np.array_equal(st.data[i], th_tgt)
@@ -312,7 +313,7 @@ class TestSceneEncoder:
     def test_gru_fallback_encoder(self):
         enc = self.make_encoder(use_temporal_graphormer=False)
         obs, full, targets = self.retargeted(seed=21)
-        _, st = enc.encode(obs, targets, full, training=True)
+        _, st = enc.encode(obs, targets, full)
         assert st.data.shape == (4, 16)
         assert np.all(np.isfinite(st.data))
 
@@ -323,5 +324,5 @@ class TestSceneEncoder:
         for name in ("tg_full", "tg_hist", "tg_target", "sg"):
             real = getattr(enc, name)
             monkeypatch.setattr(enc, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
-        enc.encode(obs, targets, full, training=True)
+        enc.encode(obs, targets, full)
         assert sorted(calls) == ["sg", "tg_full", "tg_hist", "tg_target"]

@@ -15,11 +15,19 @@ def sigmoid(t):
 
 
 def unfused_gru(cell: GruCell, h, x):
-    """The GRU step as separate matmul/add/exp/div/tanh/mul ops: the reference
-    the fused `nc.gru_cell` must reproduce."""
-    z = sigmoid(nc.add(unfused_linear(cell.wxz, x), unfused_linear(cell.whz, h)))
-    r = sigmoid(nc.add(unfused_linear(cell.wxr, x), unfused_linear(cell.whr, h)))
-    n = nc.tanh(nc.add(unfused_linear(cell.wxn, x), unfused_linear(cell.whn, nc.mul(r, h))))
+    """The GRU step as separate index/matmul/add/exp/div/tanh/mul ops on
+    per-gate column slices of the fused tensors: the reference the fused
+    `nc.gru_cell` must reproduce."""
+    k = cell.wh.shape[0]
+
+    def gate(i, inp, w, b=None):
+        cols = slice(i * k, (i + 1) * k)
+        out = nc.matmul(inp, nc.index(w, (slice(None), cols)))
+        return out if b is None else nc.add(out, nc.index(b, cols))
+
+    z = sigmoid(nc.add(gate(0, x, cell.wx, cell.bx), gate(0, h, cell.wh)))
+    r = sigmoid(nc.add(gate(1, x, cell.wx, cell.bx), gate(1, h, cell.wh)))
+    n = nc.tanh(nc.add(gate(2, x, cell.wx, cell.bx), gate(2, nc.mul(r, h), cell.wh)))
     return nc.add(nc.mul(nc.sub(1.0, z), n), nc.mul(z, h))
 
 
@@ -77,6 +85,19 @@ class TestFusedGru:
         assert fused[1].tobytes() == old[1].tobytes()
         for k in leaves:
             assert np.max(np.abs(fused[2][k] - old[2][k])) <= 1e-12 * np.max(np.abs(old[2][k])), k
+
+    def test_initial_weights_are_the_per_gate_draws(self):
+        # six per-gate projections drawn in the order z, r, n, input before hidden
+        rng = np.random.default_rng(35)
+        draws = {}
+        for gate in "zrn":
+            draws["x" + gate] = rng.normal(0.0, 1.0 / np.sqrt(3), size=(3, 4))
+            draws["h" + gate] = rng.normal(0.0, 1.0 / np.sqrt(4), size=(4, 4))
+        cell = GruCell(np.random.default_rng(35), 3, 4)
+        assert sorted(cell.params()) == ["bx", "wh", "wx"]
+        assert np.array_equal(cell.wx.data, np.concatenate([draws["x" + g] for g in "zrn"], axis=1))
+        assert np.array_equal(cell.wh.data, np.concatenate([draws["h" + g] for g in "zrn"], axis=1))
+        assert np.array_equal(cell.bx.data, np.zeros(12))
 
     def test_one_tape_node_per_call(self):
         rng = np.random.default_rng(4)

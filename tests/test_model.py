@@ -17,7 +17,6 @@ SWITCHES = [
     None,
     "use_spatial",
     "use_temporal_graphormer",
-    "use_temporal_mask",
     "use_spatial_mask",
     "use_rel_pos",
     "use_steering",
@@ -101,8 +100,8 @@ def test_stacked_training_gradients_match_one_window_at_a_time():
             p.grad = None
         with nc.record() as tape:
             parts = [model.encode_windows(b, training=True) for b in batches]
-            mb = nc.concat_rows([m for m, _ in parts])
-            st = nc.concat_rows([s for _, s in parts])
+            mb = nc.concat([m for m, _ in parts], 0)
+            st = nc.concat([s for _, s in parts], 0)
             loss = nc.sum_all(nc.tanh(nc.add(mb, nc.mul(st, st))))
         nc.backward(loss, tape)
         return {k: p.grad.copy() for k, p in params.items() if p.grad is not None}

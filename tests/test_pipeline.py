@@ -247,14 +247,20 @@ class TestCheckpoint:
         for name, arr in ckpt.params.items():
             assert back.params[name].tobytes() == arr.tobytes()
 
-    def test_version_1_file_rejected(self, tmp_path):
-        # version 1 held per-head attention projections; their names are gone
-        path = tmp_path / "v1.ckpt"
-        header = json.dumps({**valid_header(), "param_names": ["attn.h0.wq.w"]}).encode()
-        payload = struct.pack("<II", 1, len(header)) + header + record_bytes(b"attn.h0.wq.w", (1,), bytes(8))
+    @pytest.mark.parametrize(
+        "version, name",
+        # version 1 held per-head attention projections, version 2 per-gate
+        # GRU projections; their names are gone
+        [(1, "attn.h0.wq.w"), (2, "decoder.fwd_gru.wxz.w")],
+        ids=["v1", "v2"],
+    )
+    def test_old_version_file_rejected(self, tmp_path, version, name):
+        path = tmp_path / f"v{version}.ckpt"
+        header = json.dumps({**valid_header(), "param_names": [name]}).encode()
+        payload = struct.pack("<II", version, len(header)) + header + record_bytes(name.encode(), (1,), bytes(8))
         path.write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
-        assert VERSION == 2
-        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        assert VERSION == 3
+        with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -604,7 +610,7 @@ class TestAblationConfigs:
 
     @pytest.mark.parametrize(
         "flag",
-        ["use_centrality", "use_positional", "use_temporal_mask", "use_rel_pos", "use_steering", "use_spatial_mask"],
+        ["use_centrality", "use_positional", "use_rel_pos", "use_steering", "use_spatial_mask"],
     )
     def test_encoder_component_switches_run(self, tmp_path, flag):
         cfg = tiny_config(tmp_path / flag, epochs=1, **{flag: False})
@@ -685,6 +691,7 @@ class TestCli:
             "eval_non_numeric_synth_field",
             "eval_synth_out_of_range",
             "eval_version_1_checkpoint",
+            "eval_version_2_checkpoint",
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, case):
@@ -701,10 +708,10 @@ class TestCli:
         non_utf8 = tmp_path / "utf16.txt"
         non_utf8.write_bytes(b"\xff\xfe1\x000\x00 \x001\x00")
         synth = "synth:straight:n=2:seed=9:noise=0.01"
-        v1_ckpt = tmp_path / "v1.ckpt"
-        payload = bytearray(good_ckpt.read_bytes()[4:-4])
-        payload[:4] = struct.pack("<I", 1)
-        v1_ckpt.write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
+        for version in (1, 2):
+            payload = bytearray(good_ckpt.read_bytes()[4:-4])
+            payload[:4] = struct.pack("<I", version)
+            (tmp_path / f"v{version}.ckpt").write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
         argv = {
             "train_missing_config": ["train", "--config", missing],
             "train_mistyped_config": ["train", "--config", str(bad_cfg)],
@@ -715,7 +722,8 @@ class TestCli:
             "eval_non_utf8_data": ["eval", "--ckpt", str(good_ckpt), "--data", str(non_utf8)],
             "eval_non_numeric_synth_field": ["eval", "--ckpt", str(good_ckpt), "--data", "synth:straight:n=abc"],
             "eval_synth_out_of_range": ["eval", "--ckpt", str(good_ckpt), "--data", "synth:straight:noise=-1"],
-            "eval_version_1_checkpoint": ["eval", "--ckpt", str(v1_ckpt), "--data", synth],
+            "eval_version_1_checkpoint": ["eval", "--ckpt", str(tmp_path / "v1.ckpt"), "--data", synth],
+            "eval_version_2_checkpoint": ["eval", "--ckpt", str(tmp_path / "v2.ckpt"), "--data", synth],
         }[case]
         if case == "train_non_integer_seed":
             monkeypatch.setenv("STGLOW_SEED", "12a")
