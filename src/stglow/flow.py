@@ -307,19 +307,23 @@ def sample_behaviors(
     stack: FlowStack,
     k: int,
     sigma: float,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
 ) -> tuple[Tensor, np.ndarray]:
     """Evolve base draws into behavior vectors, k per conditioning row.
 
     Returns (behaviors, z) where behaviors has shape (B*k, C) with row
     b*k + j holding sample j for conditioning row b (a (B, k, C) layout
     flattened along the first axis), and z holds the raw base draws.
+    Row b's (k, C) block is drawn from `rngs[b]`, rows in order, so one
+    generator passed B times, `[rng] * B`, draws one (B, k, C) block.
     """
     if k < 1:
         raise ContractError("need at least one sample")
     b = st.data.shape[0]
+    if len(rngs) != b:
+        raise ContractError(f"need one generator per conditioning row, got {len(rngs)} for {b} rows")
     if sigma == 0.0:
         z = np.zeros((b * k, stack.channels))
     else:
-        z = rng.standard_normal((b, k, stack.channels)).reshape(b * k, stack.channels) * sigma
+        z = np.concatenate([rng.standard_normal((k, stack.channels)) for rng in rngs]) * sigma
     return stack.reverse(Tensor(z), nc.index(st, np.arange(b * k) // k)), z

@@ -9,32 +9,14 @@ import numpy as np
 from .errors import ContractError
 
 
-def ade(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Mean per-step Euclidean distance between trajectories."""
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape:
-        raise ContractError(f"ade shape mismatch: {pred.shape} vs {gt.shape}")
-    return float(np.linalg.norm(pred - gt, axis=-1).mean())
-
-
-def fde(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Euclidean distance at the final prediction step."""
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    if pred.shape != gt.shape:
-        raise ContractError(f"fde shape mismatch: {pred.shape} vs {gt.shape}")
-    return float(np.linalg.norm(pred[-1] - gt[-1]))
-
-
-def best_of_k(preds: np.ndarray, gt: np.ndarray) -> tuple[float, float]:
-    """Minimum ADE and minimum FDE over K samples, taken independently."""
+def best_of_k(preds: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-window minima over K samples of ADE (mean step distance) and FDE (final step distance)."""
     preds = np.asarray(preds, dtype=np.float64)
-    if preds.ndim != 3 or preds.shape[0] == 0:
-        raise ContractError(f"best_of_k needs a non-empty (K, T, 2) array, got {preds.shape}")
-    ades = [ade(p, gt) for p in preds]
-    fdes = [fde(p, gt) for p in preds]
-    return min(ades), min(fdes)
+    gt = np.asarray(gt, dtype=np.float64)
+    if preds.ndim < 3 or preds.shape[-3] == 0 or preds.shape[:-3] + preds.shape[-2:] != gt.shape:
+        raise ContractError(f"best_of_k needs (..., K>0, T, 2) and (..., T, 2) arrays, got {preds.shape}, {gt.shape}")
+    dist = np.linalg.norm(preds - gt[..., None, :, :], axis=-1)
+    return dist.mean(axis=-1).min(axis=-1), dist[..., -1].min(axis=-1)
 
 
 @dataclass
@@ -52,7 +34,7 @@ class EvalReport:
 
     rows: list[EvalRow] = field(default_factory=list)
 
-    def add(self, dataset: str, k: int, ades: list[float], fdes: list[float]) -> None:
+    def add(self, dataset: str, k: int, ades: np.ndarray | list[float], fdes: np.ndarray | list[float]) -> None:
         self.rows.append(
             EvalRow(dataset=dataset, k=k, ade=float(np.mean(ades)), fde=float(np.mean(fdes)), n_instances=len(ades))
         )

@@ -8,7 +8,7 @@ from . import numcore as nc
 from .config import ModelConfig
 from .data import SceneWindow
 from .decoder import BidirectionalDecoder, LossWeights, best_of_k_rows, trajectory_loss_batched
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .flow import FlowStack, nll_loss, sample_behaviors
 from .graphormer import SceneEncoder
 from .numcore import Tensor
@@ -58,21 +58,20 @@ class TrajectoryModel:
             p.requires_grad = True
         return params
 
-    def _check_window(self, w: SceneWindow) -> None:
-        if w.t_obs != self.cfg.t_obs or w.t_pred != self.cfg.t_pred:
-            raise ConfigError(
-                f"window steps ({w.t_obs}, {w.t_pred}) do not match model "
-                f"configuration ({self.cfg.t_obs}, {self.cfg.t_pred})"
-            )
-
     def encode_windows(self, windows: list[SceneWindow], training: bool) -> tuple[Tensor | None, Tensor]:
         """Per-window target encodings as (B, C) batches, in window order.
 
         Windows with the same pedestrian count share one encoder call.
         """
+        if not windows:
+            raise ContractError("need at least one window to encode")
         groups: dict[int, list[int]] = {}
         for i, w in enumerate(windows):
-            self._check_window(w)
+            if w.t_obs != self.cfg.t_obs or w.t_pred != self.cfg.t_pred:
+                raise ConfigError(
+                    f"window steps ({w.t_obs}, {w.t_pred}) do not match model "
+                    f"configuration ({self.cfg.t_obs}, {self.cfg.t_pred})"
+                )
             groups.setdefault(w.n_pedestrians, []).append(i)
         mb_parts, st_parts = [], []
         for members in groups.values():
@@ -114,7 +113,7 @@ class TrajectoryModel:
         l_p = nll_loss(mb, st, self.flow)
         gt_future = np.stack([w.fut[w.target_index] for w in windows])
         with nc.no_grad():
-            behaviors, z = sample_behaviors(st, self.flow, k_train, sigma, rng)
+            behaviors, z = sample_behaviors(st, self.flow, k_train, sigma, [rng] * len(windows))
             decoded = self.decoder.decode_batch(behaviors)
             winners = best_of_k_rows(decoded, gt_future, weights)
             full = trajectory_loss_batched(decoded, gt_future, weights, winners)
@@ -132,35 +131,32 @@ class TrajectoryModel:
 
     def predict(self, window: SceneWindow, k: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
         """(K, t_p, 2) sampled futures for the window's target, in world coordinates."""
-        self._check_window(window)
-        return self._forecast([window], k, sigma, rng)[0]
+        return self.forecast([window], k, sigma, [rng])[0]
 
     def predict_all_pedestrians(
         self, window: SceneWindow, k: int, sigma: float, rng: np.random.Generator
     ) -> np.ndarray:
         """(N, K, t_p, 2) world-frame futures, re-targeting each pedestrian.
 
-        One encoder, flow and decoder pass that draws from `rng` as
-        predicting each re-targeted window in turn would, and gives the same
-        futures (bit for bit at K = 20; BLAS may round a product of a few
-        rows differently from one of more).
+        One `forecast` whose N windows all draw from `rng`, in pedestrian
+        order, as predicting each re-targeted window in turn would, and with
+        the same futures (bit for bit at K = 20; BLAS may round a product of
+        a few rows differently from one of more).
         """
-        self._check_window(window)
         scenes = [window if i == window.target_index else window.retarget(i) for i in range(window.n_pedestrians)]
-        return self._forecast(scenes, k, sigma, rng)
+        return self.forecast(scenes, k, sigma, [rng] * len(scenes))
 
-    def _forecast(
-        self, windows: list[SceneWindow], k: int, sigma: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        """(Q, K, t_p, 2) world-frame futures of Q windows of one scene size.
+    def forecast(self, windows: list[SceneWindow], k: int, sigma: float, rngs: list[np.random.Generator]) -> np.ndarray:
+        """(W, K, t_p, 2) world-frame futures of windows of any scene sizes.
 
-        The base draws are one (Q, K, C) block: the same stream as Q
-        sequential forecasts.
+        One encoder, flow and decoder pass. Window i's K base draws come
+        from `rngs[i]`, taken in window order, so the futures are those of
+        forecasting the windows one at a time (bit for bit at K = 20; BLAS
+        may round a product of a few rows differently from one of more).
         """
-        obs = np.stack([w.obs for w in windows])
         with nc.no_grad():
-            _, st = self.encoder.encode(obs, [w.target_index for w in windows])
-            behaviors, _ = sample_behaviors(st, self.flow, k, sigma, rng)
+            _, st = self.encode_windows(windows, training=False)
+            behaviors, _ = sample_behaviors(st, self.flow, k, sigma, rngs)
             pred = self.decoder.decode_batch(behaviors, prediction_only=True).prediction
         origins = np.stack([w.origin for w in windows])
         return pred.data.reshape((len(windows), k) + pred.shape[1:]) + origins[:, None, None, :]

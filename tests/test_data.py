@@ -122,6 +122,48 @@ class TestWindowScenes:
         assert np.array_equal(r.obs[other, -1], [0.0, 0.0])
         assert np.allclose(r.world_obs(), w.world_obs(), atol=1e-12)
 
+    @given(
+        tracks=st.lists(
+            st.tuples(
+                st.sampled_from([10, 20, 30]),  # the track's frame stride
+                st.integers(0, 12),  # first frame, in steps of 5, so tracks can be out of phase
+                st.integers(1, 14),  # frames, before any are dropped
+                st.sets(st.integers(2, 13), max_size=3),  # dropped frame indices (never the first two)
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        t_obs=st.integers(1, 4),
+        t_pred=st.integers(1, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_windows_hold_exactly_the_fully_present_pedestrians(self, tracks, t_obs, t_pred):
+        raw, frame_sets = [], {}
+        for ped, (stride, first, length, gaps) in enumerate(tracks, start=1):
+            frames = np.array([first * 5 + i * stride for i in range(length) if i not in gaps], dtype=np.int64)
+            # dyadic positions keep the origin shift exact; x encodes the frame, y the pedestrian
+            raw.append(dt.RawTrack(ped, frames, np.stack([frames * 0.5, np.full(len(frames), ped * 0.25)], axis=1)))
+            frame_sets[ped] = set(frames.tolist())
+        step = min((stride for stride, _, length, _ in tracks if length > 1), default=1)  # the scene's frame step
+        expected = set()
+        for start in set().union(*frame_sets.values()):
+            required = {start + i * step for i in range(t_obs + t_pred)}
+            expected |= {(start, ped) for ped, frames in frame_sets.items() if required <= frames}
+        windows = dt.window_scenes(raw, t_obs=t_obs, t_pred=t_pred)
+        assert len(windows) == len(expected)
+        seen = set()
+        for w in windows:
+            assert np.array_equal(w.obs[w.target_index, -1], [0.0, 0.0])
+            world = np.concatenate([w.world_obs(), w.world_fut()], axis=1)
+            start = int(world[0, 0, 0] * 2)
+            required = [start + i * step for i in range(t_obs + t_pred)]
+            assert w.ped_ids == [ped for ped in sorted(frame_sets) if set(required) <= frame_sets[ped]]
+            for row, ped in enumerate(w.ped_ids):
+                assert np.array_equal(world[row, :, 0], np.array(required) * 0.5)
+                assert np.all(world[row, :, 1] == ped * 0.25)
+            seen.add((start, w.ped_ids[w.target_index]))
+        assert seen == expected
+
 
 class TestLeaveOneOut:
     def make_scenes(self):

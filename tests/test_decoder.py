@@ -409,7 +409,7 @@ def full_rows_step(model, windows, k, sigma, seed, weights):
     with nc.record() as tape:
         mb, st_ = model.encode_windows(windows, training=True)
         l_p = nll_loss(mb, st_, model.flow)
-        behaviors, _ = sample_behaviors(st_, model.flow, k, sigma, np.random.default_rng(seed))
+        behaviors, _ = sample_behaviors(st_, model.flow, k, sigma, [np.random.default_rng(seed)] * len(windows))
         decoded = model.decoder.decode_batch(behaviors)
         loss = nc.add(l_p, nc.sum_all(dec.trajectory_loss_batched(decoded, gt, weights)))
     nc.backward(loss, tape)

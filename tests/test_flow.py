@@ -427,7 +427,7 @@ class TestSampling:
         rng = np.random.default_rng(13)
         stack = random_stack(4, 2, 2, rng)
         st = Tensor(rng.normal(size=(3, 2)))
-        mb, z = fl.sample_behaviors(st, stack, k=5, sigma=0.0, rng=np.random.default_rng(0))
+        mb, z = fl.sample_behaviors(st, stack, k=5, sigma=0.0, rngs=[np.random.default_rng(0)] * 3)
         assert np.all(z == 0.0)
         grouped = mb.data.reshape(3, 5, 4)
         for b in range(3):
@@ -436,18 +436,37 @@ class TestSampling:
     def test_identity_stack_returns_draws(self):
         stack = fl.FlowStack.identity(4, cond_dim=2)
         st = Tensor(np.zeros((2, 2)))
-        mb, z = fl.sample_behaviors(st, stack, k=3, sigma=1.0, rng=np.random.default_rng(1))
+        mb, z = fl.sample_behaviors(st, stack, k=3, sigma=1.0, rngs=[np.random.default_rng(1)] * 2)
         assert np.array_equal(mb.data, z)
 
     def test_fixed_seed_reproducible(self):
         rng = np.random.default_rng(14)
         stack = random_stack(4, 2, 2, rng)
         st = Tensor(rng.normal(size=(2, 2)))
-        a, _ = fl.sample_behaviors(st, stack, k=4, sigma=1.0, rng=np.random.default_rng(42))
-        b, _ = fl.sample_behaviors(st, stack, k=4, sigma=1.0, rng=np.random.default_rng(42))
+        a, _ = fl.sample_behaviors(st, stack, k=4, sigma=1.0, rngs=[np.random.default_rng(42)] * 2)
+        b, _ = fl.sample_behaviors(st, stack, k=4, sigma=1.0, rngs=[np.random.default_rng(42)] * 2)
         assert a.data.tobytes() == b.data.tobytes()
+
+    def test_one_generator_for_all_rows_draws_one_block(self):
+        stack = fl.FlowStack.identity(4, cond_dim=2)
+        st = Tensor(np.zeros((3, 2)))
+        _, z = fl.sample_behaviors(st, stack, k=5, sigma=0.7, rngs=[np.random.default_rng(15)] * 3)
+        block = np.random.default_rng(15).standard_normal((3, 5, 4))
+        assert np.array_equal(z, block.reshape(15, 4) * 0.7)
+
+    def test_each_row_draws_from_its_own_generator(self):
+        stack = fl.FlowStack.identity(4, cond_dim=2)
+        st = Tensor(np.zeros((3, 2)))
+        _, z = fl.sample_behaviors(st, stack, k=5, sigma=1.0, rngs=[np.random.default_rng(s) for s in (7, 8, 9)])
+        for b, s in enumerate((7, 8, 9)):
+            assert np.array_equal(z[5 * b : 5 * b + 5], np.random.default_rng(s).standard_normal((5, 4)))
+
+    def test_generator_count_must_match_rows(self):
+        stack = fl.FlowStack.identity(4, cond_dim=2)
+        with pytest.raises(ContractError):
+            fl.sample_behaviors(Tensor(np.zeros((3, 2))), stack, k=2, sigma=1.0, rngs=[np.random.default_rng(0)] * 2)
 
     def test_zero_samples_rejected(self):
         stack = fl.FlowStack.identity(4, cond_dim=2)
         with pytest.raises(ContractError):
-            fl.sample_behaviors(Tensor(np.zeros((1, 2))), stack, k=0, sigma=1.0, rng=np.random.default_rng(0))
+            fl.sample_behaviors(Tensor(np.zeros((1, 2))), stack, k=0, sigma=1.0, rngs=[np.random.default_rng(0)])

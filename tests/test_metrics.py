@@ -7,44 +7,49 @@ from stglow import metrics as mt
 from stglow.errors import ContractError
 
 
+def one(pred, gt):
+    """(ADE, FDE) of one trajectory: best-of-K with K = 1."""
+    return mt.best_of_k(np.asarray(pred)[None], gt)
+
+
 class TestAde:
     def test_equal_is_zero(self):
         traj = np.random.default_rng(0).normal(size=(12, 2))
-        assert mt.ade(traj, traj) == 0.0
+        assert one(traj, traj)[0] == 0.0
 
     def test_constant_unit_offset(self):
         gt = np.random.default_rng(1).normal(size=(12, 2))
-        assert mt.ade(gt + [1.0, 0.0], gt) == pytest.approx(1.0, abs=1e-12)
+        assert one(gt + [1.0, 0.0], gt)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(2)
         pred = rng.normal(size=(12, 2))
         gt = rng.normal(size=(12, 2))
         expect = sum(np.sqrt(((pred[t] - gt[t]) ** 2).sum()) for t in range(12)) / 12
-        assert mt.ade(pred, gt) == pytest.approx(expect, abs=1e-12)
+        assert one(pred, gt)[0] == pytest.approx(expect, abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ContractError):
-            mt.ade(np.zeros((12, 2)), np.zeros((11, 2)))
+            one(np.zeros((12, 2)), np.zeros((11, 2)))
 
 
 class TestFde:
     def test_equal_is_zero(self):
         traj = np.random.default_rng(3).normal(size=(12, 2))
-        assert mt.fde(traj, traj) == 0.0
+        assert one(traj, traj)[1] == 0.0
 
     def test_final_step_offset(self):
         gt = np.random.default_rng(4).normal(size=(12, 2))
         pred = gt.copy()
         pred[-1] += [0.0, 2.0]
-        assert mt.fde(pred, gt) == pytest.approx(2.0, abs=1e-12)
+        assert one(pred, gt)[1] == pytest.approx(2.0, abs=1e-12)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(5)
         pred = rng.normal(size=(12, 2))
         gt = rng.normal(size=(12, 2))
         expect = np.sqrt(((pred[-1] - gt[-1]) ** 2).sum())
-        assert mt.fde(pred, gt) == pytest.approx(expect, abs=1e-12)
+        assert one(pred, gt)[1] == pytest.approx(expect, abs=1e-12)
 
 
 class TestBestOfK:
@@ -53,8 +58,9 @@ class TestBestOfK:
         pred = rng.normal(size=(1, 12, 2))
         gt = rng.normal(size=(12, 2))
         a, f = mt.best_of_k(pred, gt)
-        assert a == mt.ade(pred[0], gt)
-        assert f == mt.fde(pred[0], gt)
+        dist = np.linalg.norm(pred[0] - gt, axis=-1)
+        assert a == dist.mean()
+        assert f == dist[-1]
 
     def test_perfect_sample_gives_zero(self):
         rng = np.random.default_rng(7)
@@ -81,8 +87,21 @@ class TestBestOfK:
         a, f = mt.best_of_k(np.stack([s0, s1]), gt)
         assert a == pytest.approx(1.0)  # from sample 0
         assert f == 0.0  # from sample 1
-        assert mt.ade(s1, gt) > a
-        assert mt.fde(s0, gt) > f
+        assert one(s1, gt)[0] > a
+        assert one(s0, gt)[1] > f
+
+    def test_windows_match_single_window_calls(self):
+        rng = np.random.default_rng(9)
+        preds = rng.normal(size=(7, 20, 12, 2))
+        gt = rng.normal(size=(7, 12, 2))
+        ades, fdes = mt.best_of_k(preds, gt)
+        assert ades.shape == fdes.shape == (7,)
+        for w in range(7):
+            assert (ades[w], fdes[w]) == mt.best_of_k(preds[w], gt[w])
+
+    def test_window_count_mismatch_rejected(self):
+        with pytest.raises(ContractError):
+            mt.best_of_k(np.zeros((3, 20, 12, 2)), np.zeros((2, 12, 2)))
 
     def test_empty_rejected(self):
         with pytest.raises(ContractError):

@@ -8,9 +8,12 @@ what encoding and forecasting one window at a time gives.
 import numpy as np
 import pytest
 
+from stglow import metrics as mt
 from stglow import numcore as nc
+from stglow import pipeline as pl
 from stglow.config import toy_config
 from stglow.data import SYNTH_KINDS, SceneWindow, SynthSpec, synth_scenes
+from stglow.errors import ContractError
 from stglow.model import TrajectoryModel
 
 SWITCHES = [
@@ -88,6 +91,56 @@ def test_crowd_forecast_equals_retargeted_predicts(switch):
             assert exact_unless_gru(switch)(together, one_by_one)
         else:  # BLAS may multiply a 3-row block with another kernel than a 15-row one
             assert np.allclose(together, one_by_one, rtol=0, atol=1e-12)
+
+
+def shuffled_windows(seed):
+    """Windows of one, two and three pedestrians in an order that is not group order."""
+    windows = synth_scenes(SynthSpec(kinds=SYNTH_KINDS, count=8, seed=42, noise_std=0.05))
+    windows = [windows[i] for i in np.random.default_rng(seed).permutation(len(windows))]
+    assert {w.n_pedestrians for w in windows} == {1, 2, 3}
+    return windows
+
+
+def test_forecast_does_not_depend_on_grouping():
+    """Each window draws from its own stream, in window order."""
+    model = make_model(None)
+    windows = shuffled_windows(46)
+    n = len(windows)
+    for k in (20, 3):
+        together = model.forecast(windows, k, 1.0, [np.random.default_rng([47, i]) for i in range(n)])
+        one_by_one = np.stack([model.predict(w, k, 1.0, np.random.default_rng([47, i])) for i, w in enumerate(windows)])
+        assert together.shape == (n, k, 12, 2)
+        if k == 20:
+            assert np.array_equal(together, one_by_one)
+        else:
+            assert np.allclose(together, one_by_one, rtol=0, atol=1e-12)
+        backwards = model.forecast(windows[::-1], k, 1.0, [np.random.default_rng([47, i]) for i in reversed(range(n))])
+        assert np.array_equal(backwards, together[::-1])
+
+
+def test_evaluate_equals_a_per_window_loop():
+    model = make_model(None)
+    data = {"empty": [], "s": shuffled_windows(48)}
+    ref = mt.EvalReport()
+    for d_idx, name in enumerate(sorted(data)):
+        scores = []
+        for w_idx, w in enumerate(data[name]):
+            preds = model.predict(w, 20, 1.0, pl.rng_stream(5, pl.STREAM_EVAL, d_idx, w_idx))
+            scores.append(mt.best_of_k(preds, w.world_fut()[w.target_index]))
+        if scores:
+            ref.add(name, 20, [a for a, _ in scores], [f for _, f in scores])
+    report = pl.evaluate(model, data, k=20, sigma=1.0, seed=5)
+    assert len(report.rows) == 1
+    assert report.to_csv() == ref.to_csv()
+    assert (report.rows[0].ade, report.rows[0].fde) == (ref.rows[0].ade, ref.rows[0].fde)
+
+
+def test_empty_input_is_a_contract_error():
+    model = make_model(None)
+    with pytest.raises(ContractError):
+        model.encode_windows([], training=False)
+    with pytest.raises(ContractError):
+        model.forecast([], 20, 1.0, [])
 
 
 def test_stacked_training_gradients_match_one_window_at_a_time():

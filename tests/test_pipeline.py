@@ -489,8 +489,8 @@ class TestEvaluate:
         class Oracle:
             cfg = model.cfg
 
-            def predict(self, w, k, sigma, rng):
-                return np.repeat(w.world_fut()[w.target_index][None], k, axis=0)
+            def forecast(self, windows, k, sigma, rngs):
+                return np.stack([np.repeat(w.world_fut()[w.target_index][None], k, axis=0) for w in windows])
 
         report = pl.evaluate(Oracle(), {"s": ws}, k=4, sigma=1.0, seed=0)
         assert report.rows[0].ade == 0.0
