@@ -44,7 +44,7 @@ STREAM_SPLIT = 1
 STREAM_SHUFFLE = 2
 STREAM_SAMPLE = 3
 STREAM_EVAL = 4
-EVAL_CHUNK = 64  # windows per `forecast` in `evaluate`: caps its temporaries, ~0.9 MB a window at K = 20
+EVAL_CHUNK = 2  # windows per `forecast` in `evaluate`: few, for small temporaries (~0.9 MB each at K = 20) and steady times
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:

@@ -58,9 +58,16 @@ class TestBestOfK:
         pred = rng.normal(size=(1, 12, 2))
         gt = rng.normal(size=(12, 2))
         a, f = mt.best_of_k(pred, gt)
-        dist = np.linalg.norm(pred[0] - gt, axis=-1)
-        assert a == dist.mean()
-        assert f == dist[-1]
+        assert a == np.linalg.norm(pred[0] - gt, axis=-1).mean()
+        assert f == np.linalg.norm(pred[0, -1] - gt[-1])
+
+    def test_fde_is_the_norm_of_each_final_step_vector(self):
+        """Bit for bit: a norm over the last axis of all samples at once rounds some of them 1 ulp apart."""
+        rng = np.random.default_rng(10)
+        preds = rng.normal(size=(50, 20, 12, 2)) * 5.0
+        gt = rng.normal(size=(50, 12, 2))
+        _, fdes = mt.best_of_k(preds, gt)
+        assert np.array_equal(fdes, [min(np.linalg.norm(p[-1] - g[-1]) for p in ps) for ps, g in zip(preds, gt)])
 
     def test_perfect_sample_gives_zero(self):
         rng = np.random.default_rng(7)

@@ -121,8 +121,9 @@ def test_forecast_does_not_depend_on_grouping():
 def test_evaluate_equals_a_per_window_loop():
     """Also past one chunk: no forecast holds more than EVAL_CHUNK windows."""
     model = make_model(None)
-    data = {"empty": [], "s": shuffled_windows(48) * (pl.EVAL_CHUNK // 12 + 2)}
-    assert len(data["s"]) > pl.EVAL_CHUNK
+    data = {"empty": [], "s": (shuffled_windows(48) * (pl.EVAL_CHUNK // 12 + 2))[:-1]}
+    n, step = len(data["s"]), pl.EVAL_CHUNK
+    assert n > step and n % step  # several chunks, the last one short
     ref = mt.EvalReport()
     for d_idx, name in enumerate(sorted(data)):
         scores = []
@@ -135,7 +136,7 @@ def test_evaluate_equals_a_per_window_loop():
     forecast = model.forecast
     model.forecast = lambda ws, *args: sizes.append(len(ws)) or forecast(ws, *args)
     report = pl.evaluate(model, data, k=20, sigma=1.0, seed=5)
-    assert sizes == [pl.EVAL_CHUNK, len(data["s"]) - pl.EVAL_CHUNK]
+    assert sizes == [min(step, n - i) for i in range(0, n, step)]
     assert len(report.rows) == 1
     assert report.to_csv() == ref.to_csv()
     assert (report.rows[0].ade, report.rows[0].fde) == (ref.rows[0].ade, ref.rows[0].fde)
