@@ -110,34 +110,24 @@ def load_tracks(path: str | Path) -> list[RawTrack]:
     return tracks
 
 
-def save_tracks(tracks: list[RawTrack], path: str | Path) -> None:
-    """Write tracks back to the dataset text format (frame-major order)."""
-    rows = []
-    for tr in tracks:
-        for frame, (x, y) in zip(tr.frames, tr.positions):
-            rows.append((int(frame), tr.ped_id, x, y))
-    rows.sort()
-    with open(path, "w") as fh:
-        for frame, ped, x, y in rows:
-            fh.write(f"{frame} {ped} {x:.9f} {y:.9f}\n")
-
-
-def save_windows(windows: list[SceneWindow], path: str | Path) -> None:
-    """Serialize windows as disjoint track blocks in the dataset format.
-
-    Window i occupies frames [i*1000, i*1000 + t_o + t_p) with per-window
-    pedestrian ids, so re-windowing the file recovers each block separately.
-    """
-    tracks = []
-    for i, w in enumerate(windows):
-        world = np.concatenate([w.world_obs(), w.world_fut()], axis=1)
-        t_total = world.shape[1]
-        frames = np.arange(t_total, dtype=np.int64) + i * 1000
-        for j in range(w.n_pedestrians):
-            tracks.append(
-                RawTrack(ped_id=i * 1000 + j, frames=frames, positions=world[j])
+def scene_windows(block: np.ndarray, ped_ids: list[int], t_obs: int, dataset: str) -> list[SceneWindow]:
+    """One window per target pedestrian of an (N, t_o + t_p, 2) world-frame
+    block, each normalized to its target's last observed position."""
+    windows = []
+    for target in range(len(block)):
+        origin = block[target, t_obs - 1].copy()
+        shifted = block - origin
+        windows.append(
+            SceneWindow(
+                ped_ids=list(ped_ids),
+                obs=shifted[:, :t_obs].copy(),
+                fut=shifted[:, t_obs:].copy(),
+                target_index=target,
+                origin=origin,
+                dataset=dataset,
             )
-    save_tracks(tracks, path)
+        )
+    return windows
 
 
 def window_scenes(
@@ -171,20 +161,7 @@ def window_scenes(
                 for i in present
             ]
         )
-        ped_ids = [tracks[i].ped_id for i in present]
-        for target in range(len(present)):
-            origin = block[target, t_obs - 1].copy()
-            shifted = block - origin
-            windows.append(
-                SceneWindow(
-                    ped_ids=list(ped_ids),
-                    obs=shifted[:, :t_obs].copy(),
-                    fut=shifted[:, t_obs:].copy(),
-                    target_index=target,
-                    origin=origin,
-                    dataset=dataset,
-                )
-            )
+        windows += scene_windows(block, [tracks[i].ped_id for i in present], t_obs, dataset)
     return windows
 
 
@@ -232,8 +209,6 @@ _SYNTH_FIELDS = {
     "n": ("count", int, lambda v: v >= 1, ">= 1"),
     "seed": ("seed", int, lambda v: v >= 0, ">= 0"),
     "noise": ("noise_std", float, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
-    "to": ("t_obs", int, lambda v: v >= 1, ">= 1"),
-    "tp": ("t_pred", int, lambda v: v >= 1, ">= 1"),
 }
 
 
@@ -320,18 +295,5 @@ def synth_scenes(spec: SynthSpec) -> list[SceneWindow]:
         kind = spec.kinds[i % len(spec.kinds)]
         clean = _scene_positions(kind, t_total, rng)
         noisy = clean + rng.normal(0.0, spec.noise_std, size=clean.shape)
-        n = noisy.shape[0]
-        for target in range(n):
-            origin = noisy[target, spec.t_obs - 1].copy()
-            shifted = noisy - origin
-            windows.append(
-                SceneWindow(
-                    ped_ids=list(range(n)),
-                    obs=shifted[:, : spec.t_obs].copy(),
-                    fut=shifted[:, spec.t_obs :].copy(),
-                    target_index=target,
-                    origin=origin,
-                    dataset=spec.name,
-                )
-            )
+        windows += scene_windows(noisy, list(range(len(noisy))), spec.t_obs, spec.name)
     return windows

@@ -69,8 +69,6 @@ class BidirectionalDecoder:
         t_pred: int,
         bidirectional: bool = True,
     ):
-        self.channels = channels
-        self.d_h = d_h
         self.t_pred = t_pred
         self.bidirectional = bidirectional
         self.goal_mlp = Mlp(rng, channels, d_h, 2)

@@ -119,14 +119,12 @@ class AffineCoupling:
     output layer makes the layer start as the identity.
     """
 
-    def __init__(self, rng: np.random.Generator, channels: int, cond_dim: int, hidden: int | None = None):
+    def __init__(self, rng: np.random.Generator, channels: int, cond_dim: int):
         if channels % 2 != 0:
             raise ConfigError(f"coupling needs an even channel count, got {channels}")
-        self.channels = channels
         self.half = channels // 2
-        hidden = hidden if hidden is not None else 2 * channels
-        self.fc0 = Linear(rng, self.half + cond_dim, hidden)
-        self.fc1 = Linear(rng, hidden, channels, zero_init=True)
+        self.fc0 = Linear(rng, self.half + cond_dim, 2 * channels)
+        self.fc1 = Linear(rng, 2 * channels, channels, zero_init=True)
 
     def _scale_shift(self, xa: Tensor, st: Tensor) -> tuple[Tensor, Tensor]:
         h = nc.relu(self.fc0(nc.concat([xa, st], -1)))
@@ -157,24 +155,6 @@ class FactorOut:
     def __init__(self, width_in: int, out_channels: int):
         self.keep = width_in - out_channels
 
-    def params(self) -> dict[str, Tensor]:
-        return {}
-
-
-class BaseDensity:
-    """Isotropic Gaussian base with a temperature scale."""
-
-    def __init__(self, dim: int, sigma: float = 1.0):
-        if sigma <= 0:
-            raise ConfigError("base density temperature must be positive")
-        self.dim = dim
-        self.sigma = sigma
-
-    def log_prob(self, z: Tensor) -> Tensor:
-        quad = nc.mul(nc.sum_lastdim(nc.mul(z, z)), -0.5 / (self.sigma**2))
-        const = -0.5 * self.dim * math.log(2.0 * math.pi * self.sigma**2)
-        return nc.add(quad, const)
-
 
 class FlowStack:
     """Ordered invertible steps with per-sample log-det accounting."""
@@ -189,12 +169,8 @@ class FlowStack:
         factor_out: bool = False,
         factor_out_every: int = 4,
         factor_out_channels: int = 64,
-        coupling_hidden: int | None = None,
     ):
         self.channels = channels
-        self.cond_dim = cond_dim
-        self.n_steps = n_steps
-        self.use_pattern_norm = use_pattern_norm
         self.ops: list = []
         self._part_widths: list[int] = []
         width = channels
@@ -204,7 +180,7 @@ class FlowStack:
             if use_pattern_norm:
                 self.ops.append(PatternNorm(width))
             self.ops.append(InvertibleLinear(rng, width))
-            self.ops.append(AffineCoupling(rng, width, cond_dim, hidden=coupling_hidden))
+            self.ops.append(AffineCoupling(rng, width, cond_dim))
             last = step == n_steps - 1
             if factor_out and not last and (step + 1) % factor_out_every == 0:
                 if width - factor_out_channels < 2:
@@ -215,17 +191,6 @@ class FlowStack:
                 self._part_widths.append(factor_out_channels)
                 width -= factor_out_channels
         self._part_widths.append(width)
-
-    @classmethod
-    def identity(cls, channels: int, cond_dim: int, n_steps: int = 1) -> "FlowStack":
-        """A stack whose every step is the identity map (testing aid)."""
-        stack = cls(np.random.default_rng(0), channels, cond_dim, n_steps=n_steps)
-        for op in stack.ops:
-            if isinstance(op, PatternNorm):
-                op.initialized = True  # s=1, b=0 already
-            elif isinstance(op, InvertibleLinear):
-                op.w.data[:] = np.eye(channels)
-        return stack
 
     @property
     def initialized(self) -> bool:
@@ -292,11 +257,12 @@ class FlowStack:
         return out
 
 
-def nll_loss(mb: Tensor, st: Tensor, stack: FlowStack, sigma: float = 1.0) -> Tensor:
-    """Mean negative log-likelihood of behavior vectors under the flow."""
+def nll_loss(mb: Tensor, st: Tensor, stack: FlowStack) -> Tensor:
+    """Mean negative log-likelihood of behavior vectors under the flow,
+    with a standard-normal base."""
     z, logdet = stack.forward(mb, st)
-    base = BaseDensity(stack.channels, sigma)
-    ll = nc.add(base.log_prob(z), logdet)
+    log_base = nc.add(nc.mul(nc.sum_lastdim(nc.mul(z, z)), -0.5), -0.5 * stack.channels * math.log(2.0 * math.pi))
+    ll = nc.add(log_base, logdet)
     if not np.all(np.isfinite(ll.data)):
         raise FlowNumericsError("non-finite log-likelihood", step=len(stack.ops) - 1)
     return nc.neg(nc.mean_all(ll))

@@ -25,13 +25,6 @@ from .numcore import NEG_INF, Tensor
 
 
 @dataclass
-class TemporalGraph:
-    """Causal step graph: node t may attend to nodes 1..t (1-indexed)."""
-
-    mask: np.ndarray  # (T, T), entries in {1, NEG_INF}
-
-
-@dataclass
 class SpatialGraph:
     """Pairwise field-of-view graphs over pedestrians at one time step;
     any leading axes stack independent scenes."""
@@ -40,17 +33,19 @@ class SpatialGraph:
     walk_dirs: np.ndarray  # (..., N, 2) displacement per step
 
 
-def build_temporal_adjacency(t: int) -> TemporalGraph:
+def build_temporal_adjacency(t: int) -> np.ndarray:
+    """Causal step graph as a (T, T) mask with entries in {1, NEG_INF}:
+    node t may attend to nodes 1..t (1-indexed)."""
     if t < 1:
         raise DataError("empty window: temporal graph needs at least one step")
     mask = np.full((t, t), NEG_INF)
     mask[np.tril_indices(t)] = 1.0
-    return TemporalGraph(mask=mask)
+    return mask
 
 
-def temporal_degrees(graph: TemporalGraph) -> np.ndarray:
-    """Influence duration of each step: how many steps attend to it."""
-    return (graph.mask == 1.0).sum(axis=0).astype(np.float64)
+def temporal_degrees(mask: np.ndarray) -> np.ndarray:
+    """Influence duration of each step of a temporal mask: how many steps attend to it."""
+    return (mask == 1.0).sum(axis=0).astype(np.float64)
 
 
 def build_spatial_adjacency(positions_prev: np.ndarray, positions_now: np.ndarray) -> SpatialGraph:
@@ -69,14 +64,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def steering_cosine(dir_i, dir_j, eps: float = 1e-12) -> np.ndarray:
+def steering_cosine(dir_i, dir_j) -> np.ndarray:
     """Cosine between (..., 2) walking directions, broadcast over leading
     axes; 0 where either pedestrian is still."""
     a = np.asarray(dir_i, dtype=np.float64)
     b = np.asarray(dir_j, dtype=np.float64)
     na = np.sqrt(_dot(a, a))
     nb = np.sqrt(_dot(b, b))
-    moving = (na > eps) & (nb > eps)
+    moving = (na > 1e-12) & (nb > 1e-12)
     cos = _dot(a, b) / np.where(moving, na * nb, 1.0)
     return np.where(moving, np.clip(cos, -1.0, 1.0), 0.0)
 
@@ -117,8 +112,8 @@ class TemporalGraphormer:
         self.pos_table = Tensor(rng.normal(0.0, 0.1, size=(t_max, d)), requires_grad=True)
         self.block = TransformerBlock(rng, d, n_heads)
 
-    def centrality_embedding(self, graph: TemporalGraph) -> Tensor:
-        deg = temporal_degrees(graph)[:, None]
+    def centrality_embedding(self, mask: np.ndarray) -> Tensor:
+        deg = temporal_degrees(mask)[:, None]
         return self.centrality(Tensor(deg))
 
     def __call__(self, traj: np.ndarray) -> Tensor:
@@ -127,13 +122,13 @@ class TemporalGraphormer:
         t = traj.shape[1]
         if t > self.t_max:
             raise ConfigError(f"trajectory length {t} exceeds positional table size {self.t_max}")
-        graph = build_temporal_adjacency(t)
+        mask = build_temporal_adjacency(t)
         h = self.node_mlp(Tensor(traj))
         if self.use_centrality:
-            h = nc.add(h, self.centrality_embedding(graph))
+            h = nc.add(h, self.centrality_embedding(mask))
         if self.use_positional:
             h = nc.add(h, nc.index(self.pos_table, slice(0, t)))
-        return self.block(h, graph.mask)
+        return self.block(h, mask)
 
     def params(self) -> dict[str, Tensor]:
         out = _prefix({"node_mlp": self.node_mlp, "centrality": self.centrality, "block": self.block})

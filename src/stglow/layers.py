@@ -14,9 +14,8 @@ from . import numcore as nc
 from .numcore import Tensor
 
 
-def _init_weight(rng: np.random.Generator, fan_in: int, fan_out: int, scale: float | None = None) -> np.ndarray:
-    std = scale if scale is not None else (1.0 / np.sqrt(fan_in))
-    return rng.normal(0.0, std, size=(fan_in, fan_out))
+def _init_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    return rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
 
 
 class Linear:
@@ -38,9 +37,9 @@ class Linear:
 class Mlp:
     """Two-layer perceptron with ReLU in between."""
 
-    def __init__(self, rng, d_in: int, d_hidden: int, d_out: int, zero_init_out: bool = False):
+    def __init__(self, rng, d_in: int, d_hidden: int, d_out: int):
         self.fc0 = Linear(rng, d_in, d_hidden)
-        self.fc1 = Linear(rng, d_hidden, d_out, zero_init=zero_init_out)
+        self.fc1 = Linear(rng, d_hidden, d_out)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc1(nc.relu(self.fc0(x)))
@@ -72,12 +71,15 @@ class GruCell:
     """
 
     def __init__(self, rng, d_in: int, d_hidden: int):
+        self.wx = Tensor(np.empty((d_in, 3 * d_hidden)), requires_grad=True)
+        self.bx = Tensor(np.zeros(3 * d_hidden), requires_grad=True)
+        self.wh = Tensor(np.empty((d_hidden, 3 * d_hidden)), requires_grad=True)
         # drawn gate by gate (input, then hidden weights), so the initial
         # weights are those of six separate per-gate projections
-        draws = [_init_weight(rng, d, d_hidden) for _ in range(3) for d in (d_in, d_hidden)]
-        self.wx = Tensor(np.concatenate(draws[0::2], axis=1), requires_grad=True)
-        self.bx = Tensor(np.zeros(3 * d_hidden), requires_grad=True)
-        self.wh = Tensor(np.concatenate(draws[1::2], axis=1), requires_grad=True)
+        for g in range(3):
+            gate = slice(g * d_hidden, (g + 1) * d_hidden)
+            self.wx.data[:, gate] = _init_weight(rng, d_in, d_hidden)
+            self.wh.data[:, gate] = _init_weight(rng, d_hidden, d_hidden)
 
     def __call__(self, h: Tensor, x: Tensor) -> Tensor:
         return nc.gru_cell(h, x, self.wx, self.bx, self.wh)
@@ -110,10 +112,11 @@ class MultiHeadSelfAttention:
             raise ConfigError(f"n_heads {n_heads} must divide model width {d_model}")
         self.n_heads = n_heads
         self.d_k = d_model // n_heads
+        self.wqkv = Tensor(np.empty((d_model, 3 * d_model)), requires_grad=True)
         # drawn head by head in the fused column order, so the initial
         # weights are those of 3 * n_heads separate (d, d_k) projections
-        draws = [_init_weight(rng, d_model, self.d_k) for _ in range(3 * n_heads)]
-        self.wqkv = Tensor(np.concatenate(draws, axis=1), requires_grad=True)
+        for i in range(3 * n_heads):
+            self.wqkv.data[:, i * self.d_k : (i + 1) * self.d_k] = _init_weight(rng, d_model, self.d_k)
         self.wo = Linear(rng, d_model, d_model, bias=False)
         self.capture: list[np.ndarray] | None = None
 
@@ -143,10 +146,10 @@ class TransformerBlock:
     input scale; there is no normalization layer to absorb drift otherwise.
     """
 
-    def __init__(self, rng, d_model: int, n_heads: int, ffn_mult: int = 2):
+    def __init__(self, rng, d_model: int, n_heads: int):
         self.attn = MultiHeadSelfAttention(rng, d_model, n_heads)
         self.attn.wo.w.data *= 0.25
-        self.ffn = Mlp(rng, d_model, ffn_mult * d_model, d_model)
+        self.ffn = Mlp(rng, d_model, 2 * d_model, d_model)
         self.ffn.fc1.w.data *= 0.25
 
     def __call__(self, x: Tensor, mask: np.ndarray | None) -> Tensor:

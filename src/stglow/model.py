@@ -52,12 +52,6 @@ class TrajectoryModel:
                 out[f"{prefix}.{k}"] = v
         return out
 
-    def mark_trainable(self) -> dict[str, Tensor]:
-        params = self.params()
-        for p in params.values():
-            p.requires_grad = True
-        return params
-
     def encode_windows(self, windows: list[SceneWindow], training: bool) -> tuple[Tensor | None, Tensor]:
         """Per-window target encodings as (B, C) batches, in window order.
 

@@ -111,9 +111,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -526,7 +523,7 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     if np.any(masked.all(axis=-1)):
         raise DegenerateMaskError("softmax slice with every entry masked")
     safe = np.where(masked, -np.inf, x)
-    m = np.max(np.where(masked, -np.inf, x), axis=-1, keepdims=True)
+    m = np.max(safe, axis=-1, keepdims=True)
     e = np.exp(safe - m)  # masked entries become exp(-inf) == 0 exactly
     out = e / e.sum(axis=-1, keepdims=True)
 

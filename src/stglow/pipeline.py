@@ -52,9 +52,7 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
 
 
 def build_model(cfg: Config) -> TrajectoryModel:
-    model = TrajectoryModel(cfg.model, rng_stream(cfg.seed, STREAM_INIT))
-    model.mark_trainable()
-    return model
+    return TrajectoryModel(cfg.model, rng_stream(cfg.seed, STREAM_INIT))
 
 
 def snapshot(model: TrajectoryModel, cfg: Config, opt: Adam | None, epoch: int) -> Checkpoint:
@@ -113,7 +111,7 @@ def load_training_windows(cfg: Config) -> list[SceneWindow]:
     return [w for ws in scenes.values() for w in ws]
 
 
-def load_eval_windows(data: str, t_obs: int, t_pred: int, stride: int = 1) -> dict[str, list[SceneWindow]]:
+def load_eval_windows(data: str, t_obs: int, t_pred: int) -> dict[str, list[SceneWindow]]:
     """Resolve a CLI --data argument: synth spec, dataset file, or directory."""
     if data.startswith("synth:"):
         spec = parse_synth_spec(data)
@@ -124,8 +122,8 @@ def load_eval_windows(data: str, t_obs: int, t_pred: int, stride: int = 1) -> di
         files = sorted(path.glob("*.txt"))
         if not files:
             raise ConfigError(f"no .txt dataset files in {path}")
-        return {f.stem: load_windows(f, t_obs, t_pred, stride) for f in files}
-    return {path.stem: load_windows(path, t_obs, t_pred, stride)}
+        return {f.stem: load_windows(f, t_obs, t_pred) for f in files}
+    return {path.stem: load_windows(path, t_obs, t_pred)}
 
 
 @dataclass
@@ -146,14 +144,11 @@ def train(cfg: Config, resume: str | Path | None = None) -> TrainResult:
     *passed* config from that epoch. Under "cosine" the annealing horizon is
     `cfg.train.epochs`, so a run with a smaller `epochs` follows a different
     lr curve: it is a different run, not a prefix of a longer one. To resume
-    an interrupted run bit for bit, pass the config it was started with.
+    an interrupted run bit for bit, pass the config it was started with. A
+    checkpoint already past `cfg.train.epochs` raises `ConfigError` before
+    anything is written.
     """
     validate(cfg)
-    out_dir = Path(cfg.train.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    last_path = out_dir / "last.ckpt"
-    best_path = out_dir / "best.ckpt"
-
     model = build_model(cfg)
     opt = Adam(
         model.params(),
@@ -169,6 +164,8 @@ def train(cfg: Config, resume: str | Path | None = None) -> TrainResult:
         if ckpt.opt_state:
             opt.load_state_arrays(ckpt.opt_state, ckpt.opt_step)
         start_epoch = ckpt.epoch
+        if start_epoch > cfg.train.epochs:
+            raise ConfigError(f"checkpoint is at epoch {start_epoch}, past train.epochs = {cfg.train.epochs}")
 
     windows = load_training_windows(cfg)
     if not windows:
@@ -191,6 +188,10 @@ def train(cfg: Config, resume: str | Path | None = None) -> TrainResult:
         with nc.no_grad():
             mb, st = model.encode_windows(init_windows, training=True)
         model.flow.initialize(mb.data, st.data)
+    out_dir = Path(cfg.train.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    last_path = out_dir / "last.ckpt"
+    best_path = out_dir / "best.ckpt"
     result = TrainResult(checkpoint=snapshot(model, cfg, opt, start_epoch), last_path=None, best_path=None)
     save_checkpoint(result.checkpoint, last_path)
     result.last_path = last_path
@@ -260,9 +261,6 @@ def train(cfg: Config, resume: str | Path | None = None) -> TrainResult:
             best_val = entry["val_ade"]
             save_checkpoint(ckpt, best_path)
             result.best_path = best_path
-    if result.checkpoint.epoch != cfg.train.epochs:
-        result.checkpoint = snapshot(model, cfg, opt, cfg.train.epochs)
-        save_checkpoint(result.checkpoint, last_path)
     return result
 
 
@@ -313,8 +311,8 @@ def evaluate(
 # ---------------------------------------------------------------------------
 
 
-def _random_flow(channels: int, cond: int, steps: int, rng: np.random.Generator, **kw) -> FlowStack:
-    stack = FlowStack(rng, channels, cond, n_steps=steps, **kw)
+def _random_flow(channels: int, cond: int, steps: int, rng: np.random.Generator) -> FlowStack:
+    stack = FlowStack(rng, channels, cond, n_steps=steps)
     for op in stack.ops:
         if isinstance(op, PatternNorm):
             op.s.data[:] = rng.uniform(0.5, 1.5, op.channels)
@@ -340,17 +338,22 @@ def _fd_jacobian(f, x0: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return jac
 
 
+def _round_trip_error(stack: FlowStack, x: np.ndarray, st: np.ndarray) -> float:
+    """Largest |reverse(forward(x)) - x| of one flow under conditioning `st`."""
+    cond = Tensor(st)
+    with nc.no_grad():
+        z, _ = stack.forward(Tensor(x), cond)
+        back = stack.reverse(z, cond)
+    return float(np.max(np.abs(back.data - x)))
+
+
 def _check_invertibility(detail: dict) -> bool:
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(4):
         stack = _random_flow(32, 32, 4, rng)
         x = rng.normal(size=(25, 32))
-        st = Tensor(rng.normal(size=(25, 32)))
-        with nc.no_grad():
-            z, _ = stack.forward(Tensor(x), st)
-            back = stack.reverse(z, st)
-        worst = max(worst, float(np.max(np.abs(back.data - x))))
+        worst = max(worst, _round_trip_error(stack, x, rng.normal(size=(25, 32))))
     detail["max_round_trip_error"] = worst
     return worst < 1e-9
 
@@ -508,13 +511,8 @@ def check(ckpt_path: str | Path | None = None, work_dir: str | Path | None = Non
 
 def _check_model_flow(model: TrajectoryModel, detail: dict) -> bool:
     rng = np.random.default_rng(505)
-    c = model.cfg.d
-    x = rng.normal(size=(16, c))
-    st = Tensor(rng.normal(size=(16, c)))
-    with nc.no_grad():
-        z, _ = model.flow.forward(Tensor(x), st)
-        back = model.flow.reverse(z, st)
-    err = float(np.max(np.abs(back.data - x)))
+    x = rng.normal(size=(16, model.cfg.d))
+    err = _round_trip_error(model.flow, x, rng.normal(size=(16, model.cfg.d)))
     detail["max_round_trip_error"] = err
     return err < 1e-9
 

@@ -4,6 +4,7 @@ import numpy as np
 
 from stglow import flow as fl
 from stglow import numcore as nc
+from stglow.data import SceneWindow
 
 
 def fd_gradient(f, x0: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -59,6 +60,35 @@ def random_stack(
             op.fc1.w.data[:] = rng.normal(0.0, scale / np.sqrt(hidden), op.fc1.w.data.shape)
             op.fc1.b.data[:] = rng.normal(0.0, 0.5 * scale, op.fc1.b.data.shape)
     return stack
+
+
+def identity_stack(channels: int, cond_dim: int, n_steps: int = 1) -> fl.FlowStack:
+    """A flow whose every step is the identity map."""
+    stack = fl.FlowStack(np.random.default_rng(0), channels, cond_dim, n_steps=n_steps)
+    for op in stack.ops:
+        if isinstance(op, fl.PatternNorm):
+            op.initialized = True  # s=1, b=0 already
+        elif isinstance(op, fl.InvertibleLinear):
+            op.w.data[:] = np.eye(channels)
+    return stack
+
+
+def write_windows(windows: list[SceneWindow], path) -> None:
+    """Write windows as disjoint track blocks in the dataset text format.
+
+    Window i occupies frames [i*1000, i*1000 + t_o + t_p) with per-window
+    pedestrian ids, so re-windowing the file recovers each block separately.
+    """
+    rows = []
+    for i, w in enumerate(windows):
+        world = np.concatenate([w.world_obs(), w.world_fut()], axis=1)
+        for j in range(w.n_pedestrians):
+            for t, (x, y) in enumerate(world[j]):
+                rows.append((i * 1000 + t, i * 1000 + j, x, y))
+    rows.sort()
+    with open(path, "w") as fh:
+        for frame, ped, x, y in rows:
+            fh.write(f"{frame} {ped} {x:.9f} {y:.9f}\n")
 
 
 def flow_map(stack: fl.FlowStack, st_row: np.ndarray):

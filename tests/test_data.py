@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import write_windows
 from stglow import data as dt
 from stglow.errors import ConfigError, DataError, ParseError
 
@@ -231,22 +232,24 @@ class TestSynthScenes:
             assert np.all(np.isfinite(w.obs)) and np.all(np.isfinite(w.fut))
 
     def test_spec_parser(self):
-        spec = dt.parse_synth_spec("synth:straight+turn:n=64:seed=5:noise=0.01:to=6:tp=10")
+        spec = dt.parse_synth_spec("synth:straight+turn:n=64:seed=5:noise=0.01")
         assert spec.kinds == ("straight", "turn")
         assert spec.count == 64
         assert spec.seed == 5
         assert spec.noise_std == 0.01
-        assert spec.t_obs == 6 and spec.t_pred == 10
 
     def test_spec_parser_rejects_garbage(self):
         with pytest.raises(ConfigError):
             dt.parse_synth_spec("synth:straight:bogus")
         with pytest.raises(ConfigError):
             dt.parse_synth_spec("file.txt")
-        for key in ("n", "seed", "noise", "to", "tp"):
+        for key in ("n", "seed", "noise"):
             with pytest.raises(ConfigError, match=f"synth-spec field '{key}'"):
                 dt.parse_synth_spec(f"synth:straight:{key}=abc")
-        for field in ("n=0", "n=-3", "seed=-1", "noise=-1", "noise=nan", "noise=inf", "to=0", "tp=0"):
+        for key in ("to", "tp"):  # window steps come from the model, not the spec
+            with pytest.raises(ConfigError, match=f"unknown synth-spec field '{key}'"):
+                dt.parse_synth_spec(f"synth:straight:{key}=6")
+        for field in ("n=0", "n=-3", "seed=-1", "noise=-1", "noise=nan", "noise=inf"):
             key = field.split("=")[0]
             with pytest.raises(ConfigError, match=f"synth-spec field '{key}': must be"):
                 dt.parse_synth_spec(f"synth:straight:{field}")
@@ -257,7 +260,7 @@ class TestRoundTrip:
         spec = dt.SynthSpec(kinds=("crossing_pair", "straight"), count=4, seed=7)
         windows = dt.synth_scenes(spec)
         path = tmp_path / "dump.txt"
-        dt.save_windows(windows, path)
+        write_windows(windows, path)
         recovered = dt.window_scenes(dt.load_tracks(path), t_obs=8, t_pred=12)
         # every saved window block reappears with positions intact
         originals = {np.round(w.world_obs()[w.target_index].sum(), 4): w for w in windows}

@@ -417,7 +417,7 @@ def full_rows_step(model, windows, k, sigma, seed, weights):
 
 
 def step_grads(model, run):
-    params = model.mark_trainable()
+    params = model.params()
     for p in params.values():
         p.grad = None
     value = run()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from helpers import fd_gradient, flow_map, numerical_jacobian, random_stack, rel_err
+from helpers import fd_gradient, flow_map, identity_stack, numerical_jacobian, random_stack, rel_err
 from stglow import flow as fl
 from stglow import numcore as nc
 from stglow.errors import ConfigError, ContractError, DegenerateChannelError
@@ -202,7 +202,7 @@ class TestAffineCoupling:
 
     def test_logdet_matches_jacobian_and_structure(self):
         rng = np.random.default_rng(3)
-        coup = fl.AffineCoupling(rng, 6, cond_dim=3, hidden=8)
+        coup = fl.AffineCoupling(rng, 6, cond_dim=3)
         coup.fc1.w.data[:] = rng.normal(0, 0.4, coup.fc1.w.data.shape)
         coup.fc1.b.data[:] = rng.normal(0, 0.4, coup.fc1.b.data.shape)
         st = rng.normal(size=3)
@@ -231,7 +231,7 @@ class TestAffineCoupling:
 
 class TestFlowStack:
     def test_identity_stack_is_passthrough(self):
-        stack = fl.FlowStack.identity(6, cond_dim=3, n_steps=2)
+        stack = identity_stack(6, cond_dim=3, n_steps=2)
         x = np.random.default_rng(0).normal(size=(4, 6))
         st = np.random.default_rng(1).normal(size=(4, 3))
         z, logdet = stack.forward(Tensor(x), Tensor(st))
@@ -350,14 +350,14 @@ class TestFlowStack:
 
 class TestNll:
     def test_origin_anchor(self):
-        stack = fl.FlowStack.identity(2, cond_dim=2)
+        stack = identity_stack(2, cond_dim=2)
         loss = fl.nll_loss(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))), stack)
         assert abs(float(loss.data) - math.log(2 * math.pi)) < 1e-10
 
     def test_monte_carlo_expectation(self):
         rng = np.random.default_rng(9)
         c = 2
-        stack = fl.FlowStack.identity(c, cond_dim=2)
+        stack = identity_stack(c, cond_dim=2)
         mb = rng.standard_normal((100_000, c))
         loss = fl.nll_loss(Tensor(mb), Tensor(np.zeros((100_000, 2))), stack)
         expect = 0.5 * c * (1 + math.log(2 * math.pi))
@@ -370,7 +370,7 @@ class TestNll:
         x = rng.normal(size=(50, c))
 
         def nll_for_scale(s):
-            stack = fl.FlowStack.identity(c, cond_dim=1)
+            stack = identity_stack(c, cond_dim=1)
             stack.ops[0].s.data[:] = s
             return float(fl.nll_loss(Tensor(x), Tensor(np.zeros((50, 1))), stack).data)
 
@@ -417,7 +417,8 @@ class TestDensityNormalization:
         pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
         with nc.no_grad():
             z, logdet = stack.forward(Tensor(pts), Tensor(np.tile(st_row, (pts.shape[0], 1))))
-        dens = np.exp(fl.BaseDensity(2).log_prob(Tensor(z.data)).data + logdet.data).reshape(201, 201)
+        log_base = -0.5 * (z.data * z.data).sum(axis=1) - math.log(2.0 * math.pi)  # N(0, I) in 2-D
+        dens = np.exp(log_base + logdet.data).reshape(201, 201)
         integral = np.trapezoid(np.trapezoid(dens, grid, axis=1), grid, axis=0)
         assert 0.99 <= integral <= 1.01
 
@@ -434,7 +435,7 @@ class TestSampling:
             assert np.all(grouped[b] == grouped[b, 0])
 
     def test_identity_stack_returns_draws(self):
-        stack = fl.FlowStack.identity(4, cond_dim=2)
+        stack = identity_stack(4, cond_dim=2)
         st = Tensor(np.zeros((2, 2)))
         mb, z = fl.sample_behaviors(st, stack, k=3, sigma=1.0, rngs=[np.random.default_rng(1)] * 2)
         assert np.array_equal(mb.data, z)
@@ -448,25 +449,25 @@ class TestSampling:
         assert a.data.tobytes() == b.data.tobytes()
 
     def test_one_generator_for_all_rows_draws_one_block(self):
-        stack = fl.FlowStack.identity(4, cond_dim=2)
+        stack = identity_stack(4, cond_dim=2)
         st = Tensor(np.zeros((3, 2)))
         _, z = fl.sample_behaviors(st, stack, k=5, sigma=0.7, rngs=[np.random.default_rng(15)] * 3)
         block = np.random.default_rng(15).standard_normal((3, 5, 4))
         assert np.array_equal(z, block.reshape(15, 4) * 0.7)
 
     def test_each_row_draws_from_its_own_generator(self):
-        stack = fl.FlowStack.identity(4, cond_dim=2)
+        stack = identity_stack(4, cond_dim=2)
         st = Tensor(np.zeros((3, 2)))
         _, z = fl.sample_behaviors(st, stack, k=5, sigma=1.0, rngs=[np.random.default_rng(s) for s in (7, 8, 9)])
         for b, s in enumerate((7, 8, 9)):
             assert np.array_equal(z[5 * b : 5 * b + 5], np.random.default_rng(s).standard_normal((5, 4)))
 
     def test_generator_count_must_match_rows(self):
-        stack = fl.FlowStack.identity(4, cond_dim=2)
+        stack = identity_stack(4, cond_dim=2)
         with pytest.raises(ContractError):
             fl.sample_behaviors(Tensor(np.zeros((3, 2))), stack, k=2, sigma=1.0, rngs=[np.random.default_rng(0)] * 2)
 
     def test_zero_samples_rejected(self):
-        stack = fl.FlowStack.identity(4, cond_dim=2)
+        stack = identity_stack(4, cond_dim=2)
         with pytest.raises(ContractError):
             fl.sample_behaviors(Tensor(np.zeros((1, 2))), stack, k=0, sigma=1.0, rngs=[np.random.default_rng(0)])

@@ -30,16 +30,16 @@ def captured_weights(encoder, *args, **kw):
 
 class TestTemporalAdjacency:
     def test_t3_matches_hand_matrix(self):
-        g = gr.build_temporal_adjacency(3)
+        mask = gr.build_temporal_adjacency(3)
         expect = np.array([[1, NEG_INF, NEG_INF], [1, 1, NEG_INF], [1, 1, 1]])
-        assert np.array_equal(g.mask, expect)
+        assert np.array_equal(mask, expect)
 
     def test_t1(self):
-        assert np.array_equal(gr.build_temporal_adjacency(1).mask, [[1.0]])
+        assert np.array_equal(gr.build_temporal_adjacency(1), [[1.0]])
 
     def test_t8_has_36_ones(self):
-        g = gr.build_temporal_adjacency(8)
-        assert (g.mask == 1.0).sum() == 36
+        mask = gr.build_temporal_adjacency(8)
+        assert (mask == 1.0).sum() == 36
 
     def test_t0_rejected(self):
         with pytest.raises(DataError, match="empty window"):
@@ -48,8 +48,7 @@ class TestTemporalAdjacency:
 
 class TestCentrality:
     def test_degree_is_column_count(self):
-        g = gr.build_temporal_adjacency(8)
-        deg = gr.temporal_degrees(g)
+        deg = gr.temporal_degrees(gr.build_temporal_adjacency(8))
         # independent column-count oracle
         oracle = np.array([sum(1 for i in range(8) if i >= t) for t in range(8)], dtype=float)
         assert np.array_equal(deg, oracle)
@@ -61,8 +60,7 @@ class TestCentrality:
 
     def test_embedding_row_is_linear_of_degree(self):
         tg = make_tg()
-        g = gr.build_temporal_adjacency(8)
-        emb = tg.centrality_embedding(g).data
+        emb = tg.centrality_embedding(gr.build_temporal_adjacency(8)).data
         lone = tg.centrality(nc.Tensor([[6.0]])).data
         assert np.allclose(emb[2], lone[0], atol=0)
 

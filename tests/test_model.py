@@ -142,6 +142,17 @@ def test_evaluate_equals_a_per_window_loop():
     assert (report.rows[0].ade, report.rows[0].fde) == (ref.rows[0].ade, ref.rows[0].fde)
 
 
+@pytest.mark.parametrize("switches_on", [True, False], ids=["use_all", "use_none"])
+def test_every_parameter_is_trainable_when_built(switches_on):
+    cfg = toy_config(seed=4)
+    for name in vars(cfg.model):
+        if name.startswith("use_"):
+            setattr(cfg.model, name, switches_on)
+    params = pl.build_model(cfg).params()
+    assert params
+    assert [k for k, p in params.items() if not p.requires_grad] == []
+
+
 def test_empty_input_is_a_contract_error():
     model = make_model(None)
     with pytest.raises(ContractError):

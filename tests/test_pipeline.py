@@ -444,6 +444,15 @@ class TestTraining:
         assert len(tapes) >= 2 and len(live_at_save) >= 3
         assert live_at_save == [0] * len(live_at_save)
 
+    def test_resume_past_epochs_rejected_before_writing(self, tmp_path):
+        pl.train(tiny_config(tmp_path, epochs=3))
+        last = tmp_path / "last.ckpt"
+        before = last.read_bytes()
+        with pytest.raises(ConfigError, match="past train.epochs"):
+            pl.train(tiny_config(tmp_path, epochs=1), resume=last)
+        assert last.read_bytes() == before
+        assert load_checkpoint(last).epoch == 3
+
     def test_resume_rejects_mismatched_architecture(self, tmp_path):
         pl.train(tiny_config(tmp_path / "a", epochs=1))
         other = tiny_config(tmp_path / "b", d=24, d_h=24)
@@ -690,6 +699,8 @@ class TestCli:
             "eval_non_utf8_data",
             "eval_non_numeric_synth_field",
             "eval_synth_out_of_range",
+            "eval_synth_window_steps",
+            "train_resume_past_epochs",
             "eval_version_1_checkpoint",
             "eval_version_2_checkpoint",
         ],
@@ -702,6 +713,8 @@ class TestCli:
         bad_cfg.write_text("model.d = 3x\n")
         good_ckpt = tmp_path / "good.ckpt"
         save_checkpoint(pl.snapshot(pl.build_model(cfg), cfg, None, 0), good_ckpt)
+        later_ckpt = tmp_path / "later.ckpt"  # past the good config's 0 epochs
+        save_checkpoint(pl.snapshot(pl.build_model(cfg), cfg, None, 3), later_ckpt)
         bad_ckpt = tmp_path / "bad.ckpt"
         write_with_header(bad_ckpt, b"{}")
         missing = str(tmp_path / "missing")
@@ -722,13 +735,22 @@ class TestCli:
             "eval_non_utf8_data": ["eval", "--ckpt", str(good_ckpt), "--data", str(non_utf8)],
             "eval_non_numeric_synth_field": ["eval", "--ckpt", str(good_ckpt), "--data", "synth:straight:n=abc"],
             "eval_synth_out_of_range": ["eval", "--ckpt", str(good_ckpt), "--data", "synth:straight:noise=-1"],
+            "eval_synth_window_steps": ["eval", "--ckpt", str(good_ckpt), "--data", "synth:straight:to=6"],
+            "train_resume_past_epochs": ["train", "--config", str(good_cfg), "--resume", str(later_ckpt)],
             "eval_version_1_checkpoint": ["eval", "--ckpt", str(tmp_path / "v1.ckpt"), "--data", synth],
             "eval_version_2_checkpoint": ["eval", "--ckpt", str(tmp_path / "v2.ckpt"), "--data", synth],
         }[case]
         if case == "train_non_integer_seed":
             monkeypatch.setenv("STGLOW_SEED", "12a")
         assert self.run_cli(*argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        # the model here is uninitialised, so a forecast would fail too: check the cause
+        cause = {
+            "eval_synth_window_steps": "unknown synth-spec field 'to'",
+            "train_resume_past_epochs": "past train.epochs",
+        }
+        assert cause.get(case, "") in err
 
     def test_entry_point_runs(self, monkeypatch):
         # the child imports the same stglow as this process, installed or not
