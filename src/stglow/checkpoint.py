@@ -28,7 +28,7 @@ from .config import Config, flatten, from_flat
 from .errors import CheckpointError, ConfigError
 
 MAGIC = b"STGF"
-VERSION = 3  # 2: fused attention projections (`attn.wqkv`); 3: fused GRU weights (`wx`, `bx`, `wh`)
+VERSION = 4  # 2: fused attention `wqkv`; 3: fused GRU `wx`, `bx`, `wh`; 4: no encoder component switches
 HEADER_TYPES = {
     "config": dict,
     "epoch": int,

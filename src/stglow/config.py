@@ -28,17 +28,12 @@ class ModelConfig:
     d_h: int = 256  # decoder hidden width
     t_obs: int = 8
     t_pred: int = 12
-    # ablation switches. The temporal causal mask has none: each temporal
-    # encoder is one block read only at its last step, which sees every step.
-    use_temporal_graphormer: bool = True  # False swaps in the GRU encoder
-    use_spatial: bool = True
-    use_pattern_norm: bool = True
-    bidirectional: bool = True
-    use_centrality: bool = True
-    use_positional: bool = True
-    use_rel_pos: bool = True
-    use_steering: bool = True
-    use_spatial_mask: bool = True
+    # ablation switches, each removing a whole component. The encoder's parts
+    # (centrality and positional encodings, relative-position and steering
+    # features, causal and FOV masks) have none: they are always on.
+    use_spatial: bool = True  # False drops the spatial graphormer
+    use_pattern_norm: bool = True  # False drops each flow step's PatternNorm
+    bidirectional: bool = True  # False drops the backward and fused decoder
 
 
 @dataclass

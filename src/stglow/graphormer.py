@@ -20,7 +20,7 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import ConfigError, DataError, ShapeError
-from .layers import GruCell, Linear, Mlp, ReluLinear, TransformerBlock, _prefix
+from .layers import Linear, Mlp, ReluLinear, TransformerBlock, _prefix
 from .numcore import NEG_INF, Tensor
 
 
@@ -93,19 +93,8 @@ class TemporalGraphormer:
     mask; the earlier steps' embeddings do.
     """
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        d: int,
-        n_heads: int,
-        t_max: int,
-        use_centrality: bool = True,
-        use_positional: bool = True,
-    ):
-        self.d = d
+    def __init__(self, rng: np.random.Generator, d: int, n_heads: int, t_max: int):
         self.t_max = t_max
-        self.use_centrality = use_centrality
-        self.use_positional = use_positional
         self.node_mlp = Mlp(rng, 2, d, d)
         self.centrality = Linear(rng, 1, d)
         self.centrality.w.data *= 0.1  # raw degrees reach t_max; keep embeddings O(1)
@@ -123,42 +112,14 @@ class TemporalGraphormer:
         if t > self.t_max:
             raise ConfigError(f"trajectory length {t} exceeds positional table size {self.t_max}")
         mask = build_temporal_adjacency(t)
-        h = self.node_mlp(Tensor(traj))
-        if self.use_centrality:
-            h = nc.add(h, self.centrality_embedding(mask))
-        if self.use_positional:
-            h = nc.add(h, nc.index(self.pos_table, slice(0, t)))
+        h = nc.add(self.node_mlp(Tensor(traj)), self.centrality_embedding(mask))
+        h = nc.add(h, nc.index(self.pos_table, slice(0, t)))
         return self.block(h, mask)
 
     def params(self) -> dict[str, Tensor]:
         out = _prefix({"node_mlp": self.node_mlp, "centrality": self.centrality, "block": self.block})
         out["pos_table"] = self.pos_table
         return out
-
-
-class GruTrajEncoder:
-    """Recurrent fallback for the temporal encoder (ablation switch)."""
-
-    def __init__(self, rng: np.random.Generator, d: int):
-        self.d = d
-        self.in_proj = Linear(rng, 2, d)
-        self.cell = GruCell(rng, d, d)
-
-    def __call__(self, traj: np.ndarray) -> Tensor:
-        """(P, T, 2) trajectories -> (P, T, d) hidden states."""
-        traj = _checked_trajectories(traj)
-        p, t = traj.shape[:2]
-        if t < 1:
-            raise DataError("empty window")
-        h = Tensor(np.zeros((p, self.d)))
-        steps = []
-        for s in range(t):
-            h = self.cell(h, self.in_proj(Tensor(traj[:, s])))
-            steps.append(h)
-        return nc.reshape(nc.concat(steps, -1), (p, t, self.d))
-
-    def params(self) -> dict[str, Tensor]:
-        return _prefix({"in_proj": self.in_proj, "cell": self.cell})
 
 
 class SpatialGraphormer:
@@ -170,18 +131,7 @@ class SpatialGraphormer:
     have no natural order.
     """
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        d: int,
-        n_heads: int,
-        use_rel_pos: bool = True,
-        use_steering: bool = True,
-        use_mask: bool = True,
-    ):
-        self.use_rel_pos = use_rel_pos
-        self.use_steering = use_steering
-        self.use_mask = use_mask
+    def __init__(self, rng: np.random.Generator, d: int, n_heads: int):
         self.rel_mlp = ReluLinear(rng, 2, d)
         self.steer_mlp = ReluLinear(rng, 1, d)
         self.block = TransformerBlock(rng, d, n_heads)
@@ -200,14 +150,11 @@ class SpatialGraphormer:
         graph = build_spatial_adjacency(positions_prev, positions_now)
         scenes = np.arange(positions_now.shape[0])
         targets = np.asarray(targets)
-        v = th_rows
-        if self.use_rel_pos:
-            rel_to_target = positions_now - positions_now[scenes, targets][:, None]
-            v = nc.add(v, self.rel_mlp(Tensor(rel_to_target)))
-        if self.use_steering:
-            steer = steering_cosine(graph.walk_dirs[scenes, targets][:, None], graph.walk_dirs)
-            v = nc.add(v, self.steer_mlp(Tensor(steer[..., None])))
-        return self.block(v, graph.mask if self.use_mask else None)
+        rel_to_target = positions_now - positions_now[scenes, targets][:, None]
+        steer = steering_cosine(graph.walk_dirs[scenes, targets][:, None], graph.walk_dirs)
+        v = nc.add(th_rows, self.rel_mlp(Tensor(rel_to_target)))
+        v = nc.add(v, self.steer_mlp(Tensor(steer[..., None])))
+        return self.block(v, graph.mask)
 
     def params(self) -> dict[str, Tensor]:
         return _prefix({"rel_mlp": self.rel_mlp, "steer_mlp": self.steer_mlp, "block": self.block})
@@ -222,44 +169,12 @@ class SceneEncoder:
     its last step only.
     """
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        d: int,
-        n_heads: int,
-        t_obs: int,
-        t_pred: int,
-        use_temporal_graphormer: bool = True,
-        use_spatial: bool = True,
-        use_centrality: bool = True,
-        use_positional: bool = True,
-        use_rel_pos: bool = True,
-        use_steering: bool = True,
-        use_spatial_mask: bool = True,
-    ):
-        self.use_spatial = use_spatial
+    def __init__(self, rng: np.random.Generator, d: int, n_heads: int, t_obs: int, t_pred: int, use_spatial: bool = True):
         t_max = t_obs + t_pred
-
-        def make_tg():
-            if use_temporal_graphormer:
-                return TemporalGraphormer(
-                    rng,
-                    d,
-                    n_heads,
-                    t_max,
-                    use_centrality=use_centrality,
-                    use_positional=use_positional,
-                )
-            return GruTrajEncoder(rng, d)
-
-        self.tg_full = make_tg()
-        self.tg_hist = make_tg()
-        self.tg_target = make_tg()
-        self.sg = (
-            SpatialGraphormer(rng, d, n_heads, use_rel_pos=use_rel_pos, use_steering=use_steering, use_mask=use_spatial_mask)
-            if use_spatial
-            else None
-        )
+        self.tg_full = TemporalGraphormer(rng, d, n_heads, t_max)
+        self.tg_hist = TemporalGraphormer(rng, d, n_heads, t_max)
+        self.tg_target = TemporalGraphormer(rng, d, n_heads, t_max)
+        self.sg = SpatialGraphormer(rng, d, n_heads) if use_spatial else None
 
     def encode(
         self,
@@ -280,7 +195,7 @@ class SceneEncoder:
         targets = np.asarray(targets)
         last = (slice(None), -1)  # each trajectory's last step
         st = nc.index(self.tg_target(obs[scenes, targets]), last)
-        if self.use_spatial:
+        if self.sg is not None:
             th = nc.index(self.tg_hist(obs.reshape(q * n, t_o, 2)), last)
             prev = obs[:, :, t_o - 2] if t_o >= 2 else obs[:, :, t_o - 1]
             sh = self.sg(prev, obs[:, :, t_o - 1], nc.reshape(th, (q, n, -1)), targets)

@@ -18,18 +18,7 @@ class TrajectoryModel:
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.encoder = SceneEncoder(
-            rng,
-            d=cfg.d,
-            n_heads=cfg.n_heads,
-            t_obs=cfg.t_obs,
-            t_pred=cfg.t_pred,
-            use_temporal_graphormer=cfg.use_temporal_graphormer,
-            use_spatial=cfg.use_spatial,
-            use_centrality=cfg.use_centrality,
-            use_positional=cfg.use_positional,
-            use_rel_pos=cfg.use_rel_pos,
-            use_steering=cfg.use_steering,
-            use_spatial_mask=cfg.use_spatial_mask,
+            rng, d=cfg.d, n_heads=cfg.n_heads, t_obs=cfg.t_obs, t_pred=cfg.t_pred, use_spatial=cfg.use_spatial
         )
         self.flow = FlowStack(
             rng,

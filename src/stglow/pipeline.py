@@ -30,7 +30,7 @@ from .data import (
 from .decoder import LossWeights
 from .errors import CheckpointError, ConfigError, ContractError, SceneNotFoundError, SingularMatrixError
 from .flow import AffineCoupling, FlowStack, InvertibleLinear, PatternNorm
-from .graphormer import TemporalGraphormer, build_spatial_adjacency
+from .graphormer import build_spatial_adjacency
 from .layers import MultiHeadSelfAttention
 from .metrics import EvalReport, best_of_k
 from .model import TrajectoryModel
@@ -178,8 +178,7 @@ def train(cfg: Config, resume: str | Path | None = None) -> TrainResult:
         raise ConfigError("validation split left no training windows")
 
     weights = LossWeights(*cfg.train.loss_weights)
-    will_train = cfg.train.epochs > start_epoch
-    if will_train and not model.flow.initialized:
+    if not model.flow.initialized:
         # data-dependent normalization init, once, on the first training batch
         # (widened to a stable sample size; tiny batches give useless scales)
         init_count = min(len(train_pool), max(cfg.train.batch, 128))
@@ -425,11 +424,10 @@ def _check_masks(model: TrajectoryModel, detail: dict) -> bool:
     tg, sg = model.encoder.tg_hist, model.encoder.sg
     for _ in range(10):
         traj = rng.normal(size=(t_o, 2)).cumsum(axis=0)
-        if isinstance(tg, TemporalGraphormer):
-            for head in _attention(tg.block.attn, lambda: tg(traj[None])):
-                if np.any(head[np.triu_indices(t_o, k=1)] != 0.0):
-                    detail["failure"] = "temporal mask leak"
-                    return False
+        for head in _attention(tg.block.attn, lambda: tg(traj[None])):
+            if np.any(head[np.triu_indices(t_o, k=1)] != 0.0):
+                detail["failure"] = "temporal mask leak"
+                return False
         if sg is not None:
             n = 4
             prev = rng.normal(size=(n, 2))

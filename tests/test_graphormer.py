@@ -9,12 +9,12 @@ from stglow.errors import DataError, ShapeError
 from stglow.numcore import NEG_INF
 
 
-def make_tg(seed=0, d=16, heads=2, t_max=20, **kw):
-    return gr.TemporalGraphormer(np.random.default_rng(seed), d, heads, t_max, **kw)
+def make_tg(seed=0, d=16, heads=2, t_max=20):
+    return gr.TemporalGraphormer(np.random.default_rng(seed), d, heads, t_max)
 
 
-def make_sg(seed=0, d=16, heads=2, **kw):
-    return gr.SpatialGraphormer(np.random.default_rng(seed), d, heads, **kw)
+def make_sg(seed=0, d=16, heads=2):
+    return gr.SpatialGraphormer(np.random.default_rng(seed), d, heads)
 
 
 def captured_weights(encoder, *args, **kw):
@@ -103,31 +103,12 @@ class TestTemporalGraphormer:
         with pytest.raises(ShapeError, match=r"\(P, T, 2\)"):
             make_tg()(np.zeros((4, 2)))
 
-    def test_gru_fallback_runs_and_is_causal(self):
-        enc = gr.GruTrajEncoder(np.random.default_rng(6), d=16)
-        traj = np.random.default_rng(7).normal(size=(2, 5, 2))
-        base = enc(traj).data
-        assert base.shape == (2, 5, 16)
-        perturbed = traj.copy()
-        perturbed[:, 3:] += 1.0
-        assert np.array_equal(enc(perturbed).data[:, :3], base[:, :3])
-
-    @pytest.mark.parametrize("kw", [{}, {"use_positional": False}, {"use_centrality": False, "use_positional": False}])
-    def test_batched_rows_equal_single_calls(self, kw):
-        tg = make_tg(seed=22, **kw)
+    def test_batched_rows_equal_single_calls(self):
+        tg = make_tg(seed=22)
         traj = np.random.default_rng(23).normal(size=(5, 8, 2)).cumsum(axis=1)
         batched = tg(traj).data
         for p in range(5):
             assert np.array_equal(batched[p], tg(traj[p : p + 1]).data[0])
-
-    def test_gru_batched_rows_equal_single_calls(self):
-        # (P, 2) inputs go through a matrix product where a single row goes
-        # through a vector one, so the rows agree to rounding, not bitwise
-        enc = gr.GruTrajEncoder(np.random.default_rng(24), d=16)
-        traj = np.random.default_rng(25).normal(size=(4, 6, 2))
-        batched = enc(traj).data
-        for p in range(4):
-            assert np.allclose(batched[p], enc(traj[p : p + 1]).data[0], rtol=0, atol=1e-12)
 
 
 class TestSpatialAdjacency:
@@ -212,11 +193,8 @@ class TestSpatialGraphormer:
         for head_w in weights:
             assert head_w[0, 1] == 0.0
 
-    @pytest.mark.parametrize(
-        "kw", [{}, {"use_mask": False}, {"use_rel_pos": False}, {"use_steering": False}]
-    )
-    def test_batched_rows_equal_single_calls(self, kw):
-        sg = make_sg(seed=26, **kw)
+    def test_batched_rows_equal_single_calls(self):
+        sg = make_sg(seed=26)
         rng = np.random.default_rng(27)
         q, n = 4, 5
         prev = rng.normal(size=(q, n, 2)) * 3.0
@@ -307,13 +285,6 @@ class TestSceneEncoder:
         for i in targets:
             th_tgt = enc.tg_target(obs[i, i : i + 1]).data[0, -1]
             assert np.array_equal(st.data[i], th_tgt)
-
-    def test_gru_fallback_encoder(self):
-        enc = self.make_encoder(use_temporal_graphormer=False)
-        obs, full, targets = self.retargeted(seed=21)
-        _, st = enc.encode(obs, targets, full)
-        assert st.data.shape == (4, 16)
-        assert np.all(np.isfinite(st.data))
 
     def test_one_call_per_encoder(self, monkeypatch):
         enc = self.make_encoder()

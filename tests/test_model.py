@@ -1,9 +1,11 @@
-"""The batched encoder path of `TrajectoryModel`, under every encoder switch.
+"""The batched encoder path of `TrajectoryModel`, under every ablation switch.
 
 Windows are encoded in stacks of equal scene size, and a crowd forecast
 re-targets all N pedestrians in one pass. These tests hold that path to
 what encoding and forecasting one window at a time gives.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,22 +18,12 @@ from stglow.data import SYNTH_KINDS, SceneWindow, SynthSpec, synth_scenes
 from stglow.errors import ContractError
 from stglow.model import TrajectoryModel
 
-SWITCHES = [
-    None,
-    "use_spatial",
-    "use_temporal_graphormer",
-    "use_spatial_mask",
-    "use_rel_pos",
-    "use_steering",
-    "bidirectional",
-]
+SWITCHES = [None, "use_spatial", "use_pattern_norm", "bidirectional"]
 
 
 def make_model(switch):
-    cfg = toy_config(seed=4).model
-    cfg.d, cfg.d_h, cfg.n_heads = 16, 16, 2
-    if switch is not None:
-        setattr(cfg, switch, False)
+    off = {switch: False} if switch is not None else {}
+    cfg = dataclasses.replace(toy_config(seed=4).model, d=16, d_h=16, n_heads=2, **off)
     model = TrajectoryModel(cfg, np.random.default_rng(41))
     windows = mixed_windows()
     with nc.no_grad():
@@ -55,25 +47,16 @@ def crowd_window(n=5, seed=43):
     return SceneWindow(list(range(n)), world[:, :8] - origin, world[:, 8:] - origin, 2, origin)
 
 
-def exact_unless_gru(switch):
-    """Bitwise for the graphormers; the GRU fallback multiplies a lone row as
-    a vector, so its stacked rows agree to rounding only."""
-    if switch == "use_temporal_graphormer":
-        return lambda a, b: np.allclose(a, b, rtol=0, atol=1e-12)
-    return np.array_equal
-
-
 @pytest.mark.parametrize("switch", SWITCHES, ids=[s or "default" for s in SWITCHES])
 def test_stacked_encoding_matches_one_window_at_a_time(switch):
     model = make_model(switch)
     windows = mixed_windows()
-    same = exact_unless_gru(switch)
     with nc.no_grad():
         mb, st = model.encode_windows(windows, training=True)
         for i, w in enumerate(windows):
             mb_i, st_i = model.encode_windows([w], training=True)
-            assert same(mb.data[i], mb_i.data[0]), i
-            assert same(st.data[i], st_i.data[0]), i
+            assert np.array_equal(mb.data[i], mb_i.data[0]), i
+            assert np.array_equal(st.data[i], st_i.data[0]), i
 
 
 @pytest.mark.parametrize("switch", SWITCHES, ids=[s or "default" for s in SWITCHES])
@@ -88,7 +71,7 @@ def test_crowd_forecast_equals_retargeted_predicts(switch):
         )
         assert together.shape == (5, k, 12, 2)
         if k == 20:  # the best-of-20 protocol
-            assert exact_unless_gru(switch)(together, one_by_one)
+            assert np.array_equal(together, one_by_one)
         else:  # BLAS may multiply a 3-row block with another kernel than a 15-row one
             assert np.allclose(together, one_by_one, rtol=0, atol=1e-12)
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 import itertools
 import json
@@ -41,8 +42,7 @@ def tiny_config(out_dir, seed=3, epochs=2, **kw):
     cfg.train.k_train = 4
     cfg.data.synth_count = 12
     cfg.train.out_dir = str(out_dir)
-    for k, v in kw.items():
-        setattr(cfg.model, k, v)
+    cfg.model = dataclasses.replace(cfg.model, **kw)  # an unknown field raises
     return validate(cfg)
 
 
@@ -163,6 +163,48 @@ class TestConfig:
         assert cfg.eval.k == 20
         assert cfg.model.t_obs == 8 and cfg.model.t_pred == 12
 
+    def test_config_surface(self):
+        """Every setting, pinned: adding or removing one is a diff here."""
+        assert sorted(flatten(Config())) == [
+            "data.format",
+            "data.holdout",
+            "data.paths",
+            "data.synth_count",
+            "data.synth_kinds",
+            "data.synth_noise",
+            "data.synth_seed",
+            "data.window_stride",
+            "eval.k",
+            "eval.sigma",
+            "model.bidirectional",
+            "model.d",
+            "model.d_h",
+            "model.factor_out",
+            "model.factor_out_channels",
+            "model.factor_out_every",
+            "model.n_flow_steps",
+            "model.n_heads",
+            "model.t_obs",
+            "model.t_pred",
+            "model.use_pattern_norm",
+            "model.use_spatial",
+            "seed",
+            "train.batch",
+            "train.betas",
+            "train.checkpoint_every",
+            "train.epochs",
+            "train.grad_clip",
+            "train.k_train",
+            "train.keep_epoch_checkpoints",
+            "train.loss_weights",
+            "train.lr",
+            "train.lr_min_factor",
+            "train.lr_schedule",
+            "train.out_dir",
+            "train.val_fraction",
+            "train.weight_decay",
+        ]
+
 
 class TestCheckpoint:
     def test_bit_exact_round_trip(self, tmp_path):
@@ -250,16 +292,17 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "version, name",
         # version 1 held per-head attention projections, version 2 per-gate
-        # GRU projections; their names are gone
-        [(1, "attn.h0.wq.w"), (2, "decoder.fwd_gru.wxz.w")],
-        ids=["v1", "v2"],
+        # GRU projections; their names are gone. Version 3 header configs held
+        # six encoder switches that are no longer config fields.
+        [(1, "attn.h0.wq.w"), (2, "decoder.fwd_gru.wxz.w"), (3, "encoder.tg_full.pos_table")],
+        ids=["v1", "v2", "v3"],
     )
     def test_old_version_file_rejected(self, tmp_path, version, name):
         path = tmp_path / f"v{version}.ckpt"
         header = json.dumps({**valid_header(), "param_names": [name]}).encode()
         payload = struct.pack("<II", version, len(header)) + header + record_bytes(name.encode(), (1,), bytes(8))
         path.write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
-        assert VERSION == 3
+        assert VERSION == 4
         with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
             load_checkpoint(path)
 
@@ -362,13 +405,23 @@ class TestCheckpoint:
 
 class TestTraining:
     def test_zero_epochs_checkpoint_equals_initialization(self, tmp_path):
+        """A 0-epoch run writes the fresh build with its PatternNorms
+        initialised, so the checkpoint can forecast."""
         cfg = tiny_config(tmp_path, epochs=0)
         result = pl.train(cfg)
         fresh = pl.build_model(cfg)
         fresh_params = {k: p.data for k, p in fresh.params().items()}
-        assert result.checkpoint.epoch == 0
-        for name, arr in result.checkpoint.params.items():
-            assert arr.tobytes() == fresh_params[name].tobytes()
+        ckpt = load_checkpoint(result.last_path)
+        assert ckpt.epoch == 0 and ckpt.opt_step == 0
+        assert ckpt.pn_initialized
+        pn = [name for name in ckpt.params if ".pn." in name]
+        assert pn and any(ckpt.params[n].tobytes() != fresh_params[n].tobytes() for n in pn)
+        for name, arr in ckpt.params.items():
+            if name not in pn:
+                assert arr.tobytes() == fresh_params[name].tobytes(), name
+        ws = synth_scenes(SynthSpec(kinds=("straight",), count=2, seed=1, noise_std=0.01))
+        report = pl.evaluate(pl.restore_model(ckpt), {"s": ws}, k=2, sigma=1.0, seed=0)
+        assert np.isfinite(report.rows[0].ade)
 
     def test_loss_trends_down_on_synthetic_data(self, tmp_path):
         cfg = tiny_config(tmp_path, epochs=8, seed=1)
@@ -541,14 +594,17 @@ class TestCheckCommand:
 
 
     @pytest.mark.parametrize(
-        "flags, failure",
-        [({}, "temporal mask leak"), ({"use_temporal_graphormer": False}, "spatial mask leak")],
+        "leaked_ndims, failure",
+        # the temporal mask is (T, T); the spatial graphormer's are (Q, N, N)
+        [((2, 3), "temporal mask leak"), ((3,), "spatial mask leak")],
+        ids=["temporal mask leak", "spatial mask leak"],
     )
-    def test_mask_leak_in_forward_pass_fails(self, tmp_path, monkeypatch, flags, failure):
-        cfg = tiny_config(tmp_path, **flags)
+    def test_mask_leak_in_forward_pass_fails(self, tmp_path, monkeypatch, leaked_ndims, failure):
+        cfg = tiny_config(tmp_path)
         path = tmp_path / "m.ckpt"
         save_checkpoint(pl.snapshot(pl.build_model(cfg), cfg, None, 0), path)
-        monkeypatch.setattr(nc, "apply_mask", lambda scores, mask: scores)
+        real = nc.apply_mask
+        monkeypatch.setattr(nc, "apply_mask", lambda s, m: s if m.ndim in leaked_ndims else real(s, m))
         report, ok = pl.check(path, work_dir=tmp_path)
         assert not ok
         by_name = {c["name"]: c for c in report["checks"]}
@@ -606,7 +662,7 @@ class TestSamplePlot:
 class TestAblationConfigs:
     @pytest.mark.parametrize(
         "flag",
-        ["use_spatial", "use_temporal_graphormer", "use_pattern_norm", "bidirectional"],
+        ["use_spatial", "use_pattern_norm", "bidirectional"],
     )
     def test_each_switch_trains_and_evaluates(self, tmp_path, flag):
         cfg = tiny_config(tmp_path / flag, epochs=1, **{flag: False})
@@ -616,15 +672,6 @@ class TestAblationConfigs:
         ws = synth_scenes(SynthSpec(kinds=("straight",), count=2, seed=1, noise_std=0.01))
         report = pl.evaluate(model, {"s": ws}, k=2, sigma=1.0, seed=0)
         assert np.isfinite(report.rows[0].ade)
-
-    @pytest.mark.parametrize(
-        "flag",
-        ["use_centrality", "use_positional", "use_rel_pos", "use_steering", "use_spatial_mask"],
-    )
-    def test_encoder_component_switches_run(self, tmp_path, flag):
-        cfg = tiny_config(tmp_path / flag, epochs=1, **{flag: False})
-        result = pl.train(cfg)
-        assert not result.aborted
 
 
 class TestCli:
@@ -703,6 +750,8 @@ class TestCli:
             "train_resume_past_epochs",
             "eval_version_1_checkpoint",
             "eval_version_2_checkpoint",
+            "eval_version_3_checkpoint",
+            "train_removed_switch",
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, case):
@@ -711,17 +760,18 @@ class TestCli:
         save_config(cfg, good_cfg)
         bad_cfg = tmp_path / "bad.cfg"
         bad_cfg.write_text("model.d = 3x\n")
-        good_ckpt = tmp_path / "good.ckpt"
-        save_checkpoint(pl.snapshot(pl.build_model(cfg), cfg, None, 0), good_ckpt)
+        removed_cfg = tmp_path / "removed.cfg"
+        removed_cfg.write_text("model.use_centrality = False\n")
+        good_ckpt = pl.train(cfg).last_path  # 0 epochs, PatternNorms initialised: it can forecast
         later_ckpt = tmp_path / "later.ckpt"  # past the good config's 0 epochs
-        save_checkpoint(pl.snapshot(pl.build_model(cfg), cfg, None, 3), later_ckpt)
+        save_checkpoint(dataclasses.replace(load_checkpoint(good_ckpt), epoch=3), later_ckpt)
         bad_ckpt = tmp_path / "bad.ckpt"
         write_with_header(bad_ckpt, b"{}")
         missing = str(tmp_path / "missing")
         non_utf8 = tmp_path / "utf16.txt"
         non_utf8.write_bytes(b"\xff\xfe1\x000\x00 \x001\x00")
         synth = "synth:straight:n=2:seed=9:noise=0.01"
-        for version in (1, 2):
+        for version in (1, 2, 3):
             payload = bytearray(good_ckpt.read_bytes()[4:-4])
             payload[:4] = struct.pack("<I", version)
             (tmp_path / f"v{version}.ckpt").write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
@@ -739,18 +789,33 @@ class TestCli:
             "train_resume_past_epochs": ["train", "--config", str(good_cfg), "--resume", str(later_ckpt)],
             "eval_version_1_checkpoint": ["eval", "--ckpt", str(tmp_path / "v1.ckpt"), "--data", synth],
             "eval_version_2_checkpoint": ["eval", "--ckpt", str(tmp_path / "v2.ckpt"), "--data", synth],
+            "eval_version_3_checkpoint": ["eval", "--ckpt", str(tmp_path / "v3.ckpt"), "--data", synth],
+            "train_removed_switch": ["train", "--config", str(removed_cfg)],
         }[case]
         if case == "train_non_integer_seed":
             monkeypatch.setenv("STGLOW_SEED", "12a")
         assert self.run_cli(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        # the model here is uninitialised, so a forecast would fail too: check the cause
+        # each case names its cause; a late failure, say at the first forecast, does not pass
         cause = {
+            "train_missing_config": "missing: cannot read config",
+            "train_mistyped_config": "bad.cfg:1: model.d: expected int, got '3x'",
+            "train_non_integer_seed": "STGLOW_SEED must be an integer, got '12a'",
+            "eval_missing_checkpoint": "missing: cannot read checkpoint",
+            "eval_malformed_header": "bad.ckpt: incomplete header",
+            "eval_missing_data": "missing.txt: cannot open dataset file",
+            "eval_non_utf8_data": "utf16.txt: not a UTF-8 text file",
+            "eval_non_numeric_synth_field": "synth-spec field 'n': expected int, got 'abc'",
+            "eval_synth_out_of_range": "synth-spec field 'noise': must be finite and >= 0",
             "eval_synth_window_steps": "unknown synth-spec field 'to'",
-            "train_resume_past_epochs": "past train.epochs",
-        }
-        assert cause.get(case, "") in err
+            "train_resume_past_epochs": "checkpoint is at epoch 3, past train.epochs = 0",
+            "eval_version_1_checkpoint": "v1.ckpt: unsupported checkpoint version 1",
+            "eval_version_2_checkpoint": "v2.ckpt: unsupported checkpoint version 2",
+            "eval_version_3_checkpoint": "v3.ckpt: unsupported checkpoint version 3",
+            "train_removed_switch": "removed.cfg:1: unknown config field 'model.use_centrality'",
+        }[case]
+        assert cause in err
 
     def test_entry_point_runs(self, monkeypatch):
         # the child imports the same stglow as this process, installed or not
