@@ -1,11 +1,11 @@
 """Versioned binary checkpoints with bit-exact parameter round-trips.
 
 Layout: magic `STGF`, little-endian u32 version, u32 header length, a JSON
-header (config snapshot, epoch, optimizer step, normalization-init flag,
-RNG bookkeeping, record names), the named float64 payload records, and a
-trailing CRC32 over everything after the magic. A record is a u16 name
-length, the UTF-8 name, a u8 ndim, one u32 per dim and the little-endian
-float64 values in C order.
+header (`config`, flattened; `epoch`, the next one to train; `opt_step`;
+`param_names` and `opt_names`, in file order), the named float64 records,
+and a trailing CRC32 over everything after the magic. A record is a u16
+name length, the UTF-8 name, a u8 ndim, one u32 per dim and the
+little-endian float64 values in C order.
 
 `save_checkpoint` and `load_checkpoint` stream this layout: they write or
 read one record at a time and update the CRC as they go, so neither holds
@@ -28,13 +28,11 @@ from .config import Config, flatten, from_flat
 from .errors import CheckpointError, ConfigError
 
 MAGIC = b"STGF"
-VERSION = 4  # 2: fused attention `wqkv`; 3: fused GRU `wx`, `bx`, `wh`; 4: no encoder component switches
+VERSION = 5  # 2: fused attention `wqkv`; 3: fused GRU `wx`, `bx`, `wh`; 4: no encoder component switches; 5: five header keys
 HEADER_TYPES = {
     "config": dict,
     "epoch": int,
     "opt_step": int,
-    "pn_initialized": bool,
-    "rng_state": dict,
     "param_names": list,
     "opt_names": list,
 }
@@ -47,8 +45,6 @@ class Checkpoint:
     opt_state: dict[str, np.ndarray] = field(default_factory=dict)
     opt_step: int = 0
     epoch: int = 0
-    pn_initialized: bool = False
-    rng_state: dict = field(default_factory=dict)
 
 
 MAX_NDIM = 32  # numpy's own limit was 32 dims before 2.0
@@ -134,8 +130,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "config": flatten(ckpt.config),
         "epoch": ckpt.epoch,
         "opt_step": ckpt.opt_step,
-        "pn_initialized": ckpt.pn_initialized,
-        "rng_state": ckpt.rng_state,
         "param_names": sorted(ckpt.params),
         "opt_names": sorted(ckpt.opt_state),
     }
@@ -229,6 +223,4 @@ def _parse(r: _Reader) -> Checkpoint:
         opt_state=records["opt_names"],
         opt_step=header["opt_step"],
         epoch=header["epoch"],
-        pn_initialized=header["pn_initialized"],
-        rng_state=header["rng_state"],
     )

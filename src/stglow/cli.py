@@ -47,13 +47,19 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _forecast_args(args, ckpt) -> tuple[int, float]:
+    """--k and --sigma, each defaulting to the checkpoint's `eval` section."""
+    ev = ckpt.config.eval
+    return (ev.k if args.k is None else args.k), (ev.sigma if args.sigma is None else args.sigma)
+
+
 def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     model = restore_model(ckpt)
     seed = _seed_override(ckpt.config.seed)
     windows = load_eval_windows(args.data, ckpt.config.model.t_obs, ckpt.config.model.t_pred)
-    sigma = args.sigma if args.sigma is not None else ckpt.config.eval.sigma
-    report = evaluate(model, windows, k=args.k, sigma=sigma, seed=seed)
+    k, sigma = _forecast_args(args, ckpt)
+    report = evaluate(model, windows, k=k, sigma=sigma, seed=seed)
     csv = report.to_csv()
     if args.out:
         Path(args.out).write_text(csv)
@@ -74,9 +80,8 @@ def _cmd_sample(args) -> int:
         from .pipeline import load_training_windows
 
         windows = load_training_windows(ckpt.config)
-    csv_path, svg_path = sample_and_plot(
-        model, windows, args.scene, args.k, args.sigma, args.out, seed=seed
-    )
+    k, sigma = _forecast_args(args, ckpt)
+    csv_path, svg_path = sample_and_plot(model, windows, args.scene, k, sigma, args.out, seed=seed)
     print(f"wrote {csv_path}")
     print(f"wrote {svg_path}")
     return 0
@@ -100,16 +105,16 @@ def main(argv: list[str] | None = None) -> int:
     p_eval = sub.add_parser("eval", help="best-of-K evaluation of a checkpoint")
     p_eval.add_argument("--ckpt", required=True)
     p_eval.add_argument("--data", required=True, help="dataset file/dir or synth:<spec>")
-    p_eval.add_argument("--k", type=int, default=20)
-    p_eval.add_argument("--sigma", type=float, default=None)
+    p_eval.add_argument("--k", type=int, default=None, help="samples per window; defaults to the checkpoint's eval.k")
+    p_eval.add_argument("--sigma", type=float, default=None, help="defaults to the checkpoint's eval.sigma")
     p_eval.add_argument("--out", default=None, help="write the metrics CSV here instead of stdout")
     p_eval.set_defaults(fn=_cmd_eval)
 
     p_sample = sub.add_parser("sample", help="sample futures for one scene and plot them")
     p_sample.add_argument("--ckpt", required=True)
     p_sample.add_argument("--scene", type=int, required=True, help="scene index in the data")
-    p_sample.add_argument("--k", type=int, default=20)
-    p_sample.add_argument("--sigma", type=float, default=1.0)
+    p_sample.add_argument("--k", type=int, default=None, help="defaults to the checkpoint's eval.k")
+    p_sample.add_argument("--sigma", type=float, default=None, help="defaults to the checkpoint's eval.sigma")
     p_sample.add_argument("--out", required=True, help="output directory")
     p_sample.add_argument("--data", default=None, help="dataset file/dir or synth:<spec>; defaults to the checkpoint's data")
     p_sample.set_defaults(fn=_cmd_sample)

@@ -29,22 +29,20 @@ LOG_SCALE_BOUND = 5.0  # coupling log-scales are clamped to +-this
 
 
 class PatternNorm:
-    """Per-channel affine map with data-dependent initialization.
+    """Per-channel affine map y = s * x + b, built as the identity (s=1, b=0).
 
-    The first batch fixes scale and bias so that outputs have zero mean and
-    unit variance per channel jointly over the sample axis; afterwards both
-    train as ordinary parameters.
+    `init_from_data` sets scale and bias from a batch so that outputs have
+    zero mean and unit variance per channel jointly over the sample axis;
+    training does this once, before its first step (Glow's actnorm). Both
+    are ordinary parameters before and after.
     """
 
     def __init__(self, channels: int):
         self.channels = channels
         self.s = Tensor(np.ones(channels), requires_grad=True)
         self.b = Tensor(np.zeros(channels), requires_grad=True)
-        self.initialized = False
 
     def init_from_data(self, batch: np.ndarray) -> None:
-        if self.initialized:
-            raise ContractError("pattern norm already initialized")
         if batch.ndim != 2 or batch.shape[0] < 2:
             raise ContractError("pattern norm init needs a (B>=2, C) batch")
         std = batch.std(axis=0)
@@ -53,18 +51,13 @@ class PatternNorm:
             raise DegenerateChannelError(f"channel {bad} has std {std[bad]:.3g} < 1e-8")
         self.s.data[:] = 1.0 / std
         self.b.data[:] = -batch.mean(axis=0) / std
-        self.initialized = True
 
     def forward(self, x: Tensor, _st: Tensor | None = None) -> tuple[Tensor, Tensor]:
-        if not self.initialized:
-            raise ContractError("pattern norm used before data-dependent init")
         y = nc.add(nc.mul(x, self.s), self.b)
         logdet = nc.sum_all(nc.log(nc.abs_(self.s)))
         return y, logdet
 
     def reverse(self, y: Tensor, _st: Tensor | None = None) -> Tensor:
-        if not self.initialized:
-            raise ContractError("pattern norm used before data-dependent init")
         return nc.div(nc.sub(y, self.b), self.s)
 
     def params(self) -> dict[str, Tensor]:
@@ -192,12 +185,10 @@ class FlowStack:
                 width -= factor_out_channels
         self._part_widths.append(width)
 
-    @property
-    def initialized(self) -> bool:
-        return all(op.initialized for op in self.ops if isinstance(op, PatternNorm))
-
     def initialize(self, mb: np.ndarray, st: np.ndarray) -> None:
-        """Data-dependent init of every pattern norm, in flow order."""
+        """Set every pattern norm from data, in flow order: each whitens what
+        the steps before it make of `mb` under conditioning `st`. Any earlier
+        values are overwritten."""
         with nc.no_grad():
             x = Tensor(np.asarray(mb, dtype=np.float64))
             stt = Tensor(np.asarray(st, dtype=np.float64))
@@ -205,7 +196,7 @@ class FlowStack:
                 if isinstance(op, FactorOut):
                     x = nc.index(x, np.s_[..., : op.keep])
                     continue
-                if isinstance(op, PatternNorm) and not op.initialized:
+                if isinstance(op, PatternNorm):
                     op.init_from_data(x.data)
                 x, _ = op.forward(x, stt)
 

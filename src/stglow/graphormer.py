@@ -14,23 +14,12 @@ social-context vector (from observed history).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import numcore as nc
 from .errors import ConfigError, DataError, ShapeError
 from .layers import Linear, Mlp, ReluLinear, TransformerBlock, _prefix
 from .numcore import NEG_INF, Tensor
-
-
-@dataclass
-class SpatialGraph:
-    """Pairwise field-of-view graphs over pedestrians at one time step;
-    any leading axes stack independent scenes."""
-
-    mask: np.ndarray  # (..., N, N), entries in {1, NEG_INF}
-    walk_dirs: np.ndarray  # (..., N, 2) displacement per step
 
 
 def build_temporal_adjacency(t: int) -> np.ndarray:
@@ -48,15 +37,16 @@ def temporal_degrees(mask: np.ndarray) -> np.ndarray:
     return (mask == 1.0).sum(axis=0).astype(np.float64)
 
 
-def build_spatial_adjacency(positions_prev: np.ndarray, positions_now: np.ndarray) -> SpatialGraph:
-    """FOV graph of (..., N, 2) positions: i sees j if j lies ahead of i on both axes."""
+def build_spatial_adjacency(positions_prev: np.ndarray, positions_now: np.ndarray) -> np.ndarray:
+    """FOV graph of (..., N, 2) positions as a (..., N, N) mask with entries
+    in {1, NEG_INF}: i sees j if j lies ahead of i on both axes. Leading
+    axes stack independent scenes."""
     positions_prev = np.asarray(positions_prev, dtype=np.float64)
     positions_now = np.asarray(positions_now, dtype=np.float64)
     dirs = positions_now - positions_prev
     rel = positions_now[..., None, :, :] - positions_now[..., :, None, :]  # rel[i, j] = x_j - x_i
     visible = (rel[..., 0] * dirs[..., :, None, 0] >= 0.0) & (rel[..., 1] * dirs[..., :, None, 1] >= 0.0)
-    mask = np.where(visible, 1.0, NEG_INF)
-    return SpatialGraph(mask=mask, walk_dirs=dirs)
+    return np.where(visible, 1.0, NEG_INF)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -147,14 +137,14 @@ class SpatialGraphormer:
         temporal embeddings of Q scenes -> (Q, N, d); scene q's node features
         are relative to its pedestrian `targets[q]`."""
         positions_now = np.asarray(positions_now, dtype=np.float64)
-        graph = build_spatial_adjacency(positions_prev, positions_now)
+        dirs = positions_now - np.asarray(positions_prev, dtype=np.float64)  # walking directions
         scenes = np.arange(positions_now.shape[0])
         targets = np.asarray(targets)
         rel_to_target = positions_now - positions_now[scenes, targets][:, None]
-        steer = steering_cosine(graph.walk_dirs[scenes, targets][:, None], graph.walk_dirs)
+        steer = steering_cosine(dirs[scenes, targets][:, None], dirs)
         v = nc.add(th_rows, self.rel_mlp(Tensor(rel_to_target)))
         v = nc.add(v, self.steer_mlp(Tensor(steer[..., None])))
-        return self.block(v, graph.mask)
+        return self.block(v, build_spatial_adjacency(positions_prev, positions_now))
 
     def params(self) -> dict[str, Tensor]:
         return _prefix({"rel_mlp": self.rel_mlp, "steer_mlp": self.steer_mlp, "block": self.block})

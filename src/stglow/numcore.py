@@ -12,7 +12,6 @@ equal to the sentinel as masked and maps them to exactly 0.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -400,8 +399,9 @@ def gru_cell(h: Tensor, x: Tensor, wx: Tensor, bx: Tensor, wh: Tensor) -> Tensor
     (wxz, wxr, wxn), (bxz, bxr, bxn), (whz, whr, whn) = (
         (p.data[..., :k], p.data[..., k : 2 * k], p.data[..., 2 * k :]) for p in (wx, bx, wh)
     )
-    z = 1.0 / (1.0 + np.exp(-((xd @ wxz + bxz) + hd @ whz)))
-    r = 1.0 / (1.0 + np.exp(-((xd @ wxr + bxr) + hd @ whr)))
+    with np.errstate(over="ignore"):  # exp -> inf gives the gate's exact limit, 0
+        z = 1.0 / (1.0 + np.exp(-((xd @ wxz + bxz) + hd @ whz)))
+        r = 1.0 / (1.0 + np.exp(-((xd @ wxr + bxr) + hd @ whr)))
     n = np.tanh((xd @ wxn + bxn) + (r * hd) @ whn)
     out = (1.0 - z) * n + z * hd
 
@@ -457,20 +457,16 @@ def index(a: Tensor, key) -> Tensor:
     return _register(a.data[key], (a,), vjp)
 
 
-def _checked_logabsdet(a: np.ndarray) -> float:
-    """log|det a| via LAPACK; raises if `a` is numerically singular."""
-    sign, val = np.linalg.slogdet(a)
-    if sign == 0.0 or val < math.log(1e-12):
-        raise SingularMatrixError(f"matrix is numerically singular (log|det| = {val:.3g})")
-    return float(val)
-
-
 def logabsdet(w: Tensor) -> Tensor:
-    """log|det W| as a taped scalar; raises if W is numerically singular.
+    """log|det W| as a taped scalar; raises if det W is exactly zero.
 
     W^-T, the gradient, is only formed when the backward pass asks for it.
+    How close W is to singular is judged by `inverse`, which a training
+    step's reverse pass calls before the backward pass.
     """
-    val = _checked_logabsdet(w.data)
+    sign, val = np.linalg.slogdet(w.data)
+    if sign == 0.0:
+        raise SingularMatrixError("matrix is singular (det = 0)")
 
     def vjp(g):
         return (float(g) * np.linalg.inv(w.data).T,)
@@ -479,9 +475,16 @@ def logabsdet(w: Tensor) -> Tensor:
 
 
 def inverse(w: Tensor) -> Tensor:
-    """Taped matrix inverse via LAPACK; raises if W is numerically singular."""
-    _checked_logabsdet(w.data)
-    inv = np.linalg.inv(w.data)
+    """Taped matrix inverse via LAPACK; raises if W is singular, i.e. if
+    LAPACK fails or the 1-norm condition number ||W|| ||W^-1|| is not finite
+    or exceeds 1e12. The test is scale-free: c·W passes whenever W does."""
+    try:
+        inv = np.linalg.inv(w.data)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("matrix is singular") from None
+    cond = float(np.linalg.norm(w.data, 1)) * float(np.linalg.norm(inv, 1))
+    if not cond <= 1e12:  # also catches a NaN
+        raise SingularMatrixError(f"matrix is numerically singular (condition number {cond:.3g})")
 
     def vjp(g):
         return (-inv.T @ g @ inv.T,)

@@ -62,13 +62,11 @@ def snapshot(model: TrajectoryModel, cfg: Config, opt: Adam | None, epoch: int) 
         opt_state={k: v.copy() for k, v in opt.state_arrays().items()} if opt else {},
         opt_step=opt.t if opt else 0,
         epoch=epoch,
-        pn_initialized=model.flow.initialized,
-        rng_state={"scheme": "seed-derived-streams", "seed": cfg.seed, "next_epoch": epoch},
     )
 
 
 def load_params(model: TrajectoryModel, ckpt: Checkpoint) -> None:
-    """Copy a checkpoint's parameters and PatternNorm-initialised flag into `model`."""
+    """Copy a checkpoint's parameters into `model`."""
     params = model.params()
     missing = set(params) ^ set(ckpt.params)
     if missing:
@@ -77,10 +75,6 @@ def load_params(model: TrajectoryModel, ckpt: Checkpoint) -> None:
         if params[name].data.shape != arr.shape:
             raise ConfigError(f"shape mismatch for {name}: {params[name].data.shape} vs {arr.shape}")
         params[name].data[:] = arr
-    if ckpt.pn_initialized:
-        for op in model.flow.ops:
-            if isinstance(op, PatternNorm):
-                op.initialized = True
 
 
 def restore_model(ckpt: Checkpoint) -> TrajectoryModel:
@@ -139,8 +133,9 @@ class TrainResult:
 def train(cfg: Config, resume: str | Path | None = None) -> TrainResult:
     """Optimize the full model; checkpoints land in cfg.train.out_dir.
 
-    `resume` restores params, Adam state, the PatternNorm-initialised flag
-    and the epoch from a checkpoint, then continues the lr schedule of the
+    A run from scratch sets the flow's PatternNorms from its first windows.
+    `resume` instead restores params, Adam state and the epoch from a
+    checkpoint, never re-initialises, and continues the lr schedule of the
     *passed* config from that epoch. Under "cosine" the annealing horizon is
     `cfg.train.epochs`, so a run with a smaller `epochs` follows a different
     lr curve: it is a different run, not a prefix of a longer one. To resume
@@ -178,11 +173,11 @@ def train(cfg: Config, resume: str | Path | None = None) -> TrainResult:
         raise ConfigError("validation split left no training windows")
 
     weights = LossWeights(*cfg.train.loss_weights)
-    if not model.flow.initialized:
-        # data-dependent normalization init, once, on the first training batch
+    if resume is None:
+        # data-dependent normalization init on the first training batch
         # (widened to a stable sample size; tiny batches give useless scales)
         init_count = min(len(train_pool), max(cfg.train.batch, 128))
-        init_order = rng_stream(cfg.seed, STREAM_SHUFFLE, start_epoch).permutation(len(train_pool))
+        init_order = rng_stream(cfg.seed, STREAM_SHUFFLE, 0).permutation(len(train_pool))
         init_windows = [train_pool[i] for i in init_order[:init_count]]
         with nc.no_grad():
             mb, st = model.encode_windows(init_windows, training=True)
@@ -316,7 +311,6 @@ def _random_flow(channels: int, cond: int, steps: int, rng: np.random.Generator)
         if isinstance(op, PatternNorm):
             op.s.data[:] = rng.uniform(0.5, 1.5, op.channels)
             op.b.data[:] = rng.normal(0.0, 0.5, op.channels)
-            op.initialized = True
         elif isinstance(op, InvertibleLinear):
             op.w.data += 0.3 * rng.normal(size=op.w.data.shape) / np.sqrt(op.channels)
         elif isinstance(op, AffineCoupling):
@@ -432,10 +426,10 @@ def _check_masks(model: TrajectoryModel, detail: dict) -> bool:
             n = 4
             prev = rng.normal(size=(n, 2))
             now = prev + rng.normal(size=(n, 2)) * 0.5
-            graph = build_spatial_adjacency(prev, now)
+            mask = build_spatial_adjacency(prev, now)
             th = Tensor(rng.normal(size=(1, n, model.cfg.d)))
             for head in _attention(sg.block.attn, lambda: sg(prev[None], now[None], th, [0])):
-                if np.any(head[graph.mask == nc.NEG_INF] != 0.0):
+                if np.any(head[mask == nc.NEG_INF] != 0.0):
                     detail["failure"] = "spatial mask leak"
                     return False
     return True
@@ -479,7 +473,6 @@ def check(ckpt_path: str | Path | None = None, work_dir: str | Path | None = Non
     else:
         cfg = toy_config()
         model = build_model(cfg)
-    if not model.flow.initialized:
         rng = np.random.default_rng(1)
         model.flow.initialize(rng.normal(size=(64, cfg.model.d)), rng.normal(size=(64, cfg.model.d)))
 

@@ -52,7 +52,6 @@ def random_stack(
         if isinstance(op, fl.PatternNorm):
             op.s.data[:] = rng.uniform(0.5, 1.5, op.channels) * rng.choice([-1.0, 1.0], op.channels)
             op.b.data[:] = rng.normal(0.0, 0.5, op.channels)
-            op.initialized = True
         elif isinstance(op, fl.InvertibleLinear):
             op.w.data += scale * rng.normal(size=op.w.data.shape) / np.sqrt(op.channels)
         elif isinstance(op, fl.AffineCoupling):
@@ -63,12 +62,10 @@ def random_stack(
 
 
 def identity_stack(channels: int, cond_dim: int, n_steps: int = 1) -> fl.FlowStack:
-    """A flow whose every step is the identity map."""
+    """A flow whose every step is the identity map (PatternNorms start as one)."""
     stack = fl.FlowStack(np.random.default_rng(0), channels, cond_dim, n_steps=n_steps)
     for op in stack.ops:
-        if isinstance(op, fl.PatternNorm):
-            op.initialized = True  # s=1, b=0 already
-        elif isinstance(op, fl.InvertibleLinear):
+        if isinstance(op, fl.InvertibleLinear):
             op.w.data[:] = np.eye(channels)
     return stack
 

@@ -40,28 +40,27 @@ class TestPatternNorm:
         with pytest.raises(ContractError):
             fl.PatternNorm(3).init_from_data(np.zeros((1, 3)))
 
-    def test_double_init_rejected(self):
+    def test_second_init_resets_from_the_new_batch(self):
+        rng = np.random.default_rng(3)
         pn = fl.PatternNorm(2)
-        pn.init_from_data(np.random.default_rng(3).normal(size=(8, 2)))
-        with pytest.raises(ContractError):
-            pn.init_from_data(np.zeros((8, 2)))
-
-    def test_uninitialized_forward_rejected(self):
-        with pytest.raises(ContractError):
-            fl.PatternNorm(2).forward(Tensor(np.zeros((4, 2))))
+        pn.init_from_data(rng.normal(size=(8, 2)))
+        batch = rng.normal(5.0, 0.5, size=(8, 2))
+        pn.init_from_data(batch)
+        assert np.array_equal(pn.s.data, 1.0 / batch.std(axis=0))
+        assert np.array_equal(pn.b.data, -batch.mean(axis=0) / batch.std(axis=0))
 
     def test_identity_params(self):
+        """A norm that no data has set is the identity, both ways."""
         pn = fl.PatternNorm(3)
-        pn.initialized = True
         x = np.random.default_rng(4).normal(size=(6, 3))
         y, logdet = pn.forward(Tensor(x))
         assert np.array_equal(y.data, x)
         assert float(logdet.data) == 0.0
+        assert np.array_equal(pn.reverse(Tensor(x)).data, x)
 
     def test_uniform_scale_logdet(self):
         pn = fl.PatternNorm(3)
         pn.s.data[:] = 2.0
-        pn.initialized = True
         _, logdet = pn.forward(Tensor(np.zeros((2, 3))))
         assert float(logdet.data) == pytest.approx(3 * math.log(2), abs=1e-12)
 
@@ -70,7 +69,6 @@ class TestPatternNorm:
         pn = fl.PatternNorm(4)
         pn.s.data[:] = rng.uniform(0.5, 2.0, 4) * rng.choice([-1.0, 1.0], 4)
         pn.b.data[:] = rng.normal(size=4)
-        pn.initialized = True
 
         def f(x):
             with nc.no_grad():
@@ -117,6 +115,17 @@ class TestInvertibleLinear:
         lin.w.data[:] = 0.0
         with pytest.raises(nc.SingularMatrixError):
             lin.forward(Tensor(np.zeros((1, 3))))
+
+    def test_scaled_rotation_round_trips(self):
+        rng = np.random.default_rng(4)
+        stack = random_stack(64, 8, 4, rng, scale=0.0)
+        for op in stack.ops:
+            if isinstance(op, fl.InvertibleLinear):
+                op.w.data *= 0.4  # condition number 1, |det| = 0.4^64
+        x, st = rng.normal(size=(6, 64)), Tensor(rng.normal(size=(6, 8)))
+        z, logdet = stack.forward(Tensor(x), st)
+        assert np.all(np.isfinite(logdet.data))
+        assert np.max(np.abs(stack.reverse(z, st).data - x)) < 1e-9
 
     def test_round_trip(self):
         rng = np.random.default_rng(2)
@@ -338,14 +347,16 @@ class TestFlowStack:
         stack = fl.FlowStack(rng, 6, 3, n_steps=3)
         mb = rng.normal(3.0, 2.5, size=(128, 6))
         st = rng.normal(size=(128, 3))
-        assert not stack.initialized
         stack.initialize(mb, st)
-        assert stack.initialized
-        # the first pattern norm whitens the raw input
-        first_pn = stack.ops[0]
-        out, _ = first_pn.forward(Tensor(mb))
-        assert np.max(np.abs(out.data.mean(axis=0))) < 1e-9
-        assert np.max(np.abs(out.data.std(axis=0) - 1.0)) < 1e-6
+        # each pattern norm whitens what the steps before it make of the input
+        x = Tensor(mb)
+        for op in stack.ops:
+            if isinstance(op, fl.PatternNorm):
+                x, _ = op.forward(x)
+                assert np.max(np.abs(x.data.mean(axis=0))) < 1e-9
+                assert np.max(np.abs(x.data.std(axis=0) - 1.0)) < 1e-6
+            else:
+                x, _ = op.forward(x, Tensor(st))
 
 
 class TestNll:

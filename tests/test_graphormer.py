@@ -115,25 +115,25 @@ class TestSpatialAdjacency:
     def test_fov_sign_conditions(self):
         prev = np.array([[0.0, 0.0], [2.0, 0.0], [-2.0, 0.0]])
         now = np.array([[1.0, 0.0], [3.0, 0.0], [-1.0, 0.0]])
-        g = gr.build_spatial_adjacency(prev, now)
+        mask = gr.build_spatial_adjacency(prev, now)
         # ped 0 walks +x; ped 1 ahead (+2 relative), ped 2 behind (-2 relative)
-        assert g.mask[0, 1] == 1.0
-        assert g.mask[0, 2] == NEG_INF
+        assert mask[0, 1] == 1.0
+        assert mask[0, 2] == NEG_INF
 
     def test_stationary_target_sees_everyone(self):
         prev = np.array([[0.0, 0.0], [5.0, 5.0]])
         now = np.array([[0.0, 0.0], [4.0, 4.0]])
-        g = gr.build_spatial_adjacency(prev, now)
-        assert np.all(g.mask[0] == 1.0)
+        mask = gr.build_spatial_adjacency(prev, now)
+        assert np.all(mask[0] == 1.0)
 
     def test_single_pedestrian(self):
-        g = gr.build_spatial_adjacency(np.zeros((1, 2)), np.ones((1, 2)))
-        assert np.array_equal(g.mask, [[1.0]])
+        mask = gr.build_spatial_adjacency(np.zeros((1, 2)), np.ones((1, 2)))
+        assert np.array_equal(mask, [[1.0]])
 
     def test_diagonal_always_visible(self):
         rng = np.random.default_rng(8)
-        g = gr.build_spatial_adjacency(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)))
-        assert np.all(np.diag(g.mask) == 1.0)
+        mask = gr.build_spatial_adjacency(rng.normal(size=(5, 2)), rng.normal(size=(5, 2)))
+        assert np.all(np.diag(mask) == 1.0)
 
 
 class TestSteeringCosine:
@@ -185,8 +185,8 @@ class TestSpatialGraphormer:
         # ped 0 walks +x, ped 1 strictly behind it and ped 2 ahead
         prev = np.array([[0.0, 0.0], [-3.0, 0.1], [3.0, -0.1]])
         now = prev + np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-        g = gr.build_spatial_adjacency(prev, now)
-        assert g.mask[0, 1] == NEG_INF
+        mask = gr.build_spatial_adjacency(prev, now)
+        assert mask[0, 1] == NEG_INF
         th = nc.Tensor(np.random.default_rng(14).normal(size=(1, 3, 16)))
         weights = captured_weights(sg, prev[None], now[None], th, [0])
         assert len(weights) == 2
@@ -213,7 +213,7 @@ class TestSpatialGraphormer:
         prev = rng.normal(size=(3, 4, 2))
         now = prev + rng.normal(size=(3, 4, 2))
         weights = captured_weights(sg, prev, now, nc.Tensor(rng.normal(size=(3, 4, 16))), [0, 1, 3])
-        masks = gr.build_spatial_adjacency(prev, now).mask
+        masks = gr.build_spatial_adjacency(prev, now)
         assert len(weights) == 3 * 2
         for i, head_w in enumerate(weights):
             blocked = masks[i // 2] == NEG_INF

@@ -372,6 +372,20 @@ class TestLinearAlgebra:
         with pytest.raises(nc.SingularMatrixError):
             nc.logabsdet(nc.Tensor(np.zeros((3, 3))))
 
+    @pytest.mark.parametrize("n, c", [(64, 0.6), (256, 0.89), (256, 0.4)])
+    def test_scaled_rotation_is_not_singular(self, n, c):
+        # condition number 1, whatever the scale: |det| = c^n may be tiny
+        q, _ = np.linalg.qr(np.random.default_rng(n).normal(size=(n, n)))
+        w = nc.Tensor(c * q)
+        assert np.allclose(nc.inverse(w).data, q.T / c, atol=1e-12)
+        assert float(nc.logabsdet(w).data) == pytest.approx(n * math.log(c), abs=1e-9)
+
+    def test_ill_conditioned_unit_determinant_rejected(self):
+        w = nc.Tensor(np.diag([1e-7, 1e7, 1.0, 1.0]))  # det 1, condition number 1e14
+        assert float(nc.logabsdet(w).data) == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(nc.SingularMatrixError, match="condition number"):
+            nc.inverse(w)
+
 
 class TestAdam:
     def test_first_step_bias_corrected(self):

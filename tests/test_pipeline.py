@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 import weakref
 import zlib
 from pathlib import Path
@@ -26,6 +27,7 @@ from stglow.checkpoint import MAGIC, VERSION, Checkpoint, load_checkpoint, save_
 from stglow.config import Config, flatten, from_flat, load_config, save_config, toy_config, validate
 from stglow.data import SynthSpec, synth_scenes
 from stglow.errors import CheckpointError, ConfigError, SceneNotFoundError
+from stglow.flow import FlowStack, PatternNorm
 from stglow.metrics import EvalReport
 from stglow.model import TrajectoryModel
 
@@ -63,8 +65,6 @@ def valid_header() -> dict:
         "config": flatten(toy_config()),
         "epoch": 0,
         "opt_step": 0,
-        "pn_initialized": False,
-        "rng_state": {},
         "param_names": [],
         "opt_names": [],
     }
@@ -242,15 +242,13 @@ class TestCheckpoint:
         rng = np.random.default_rng(0)
         params = {"b": rng.normal(size=(3, 2)).T, "a.w": np.array(1.5), "c": rng.normal(size=4).astype(">f8")}
         opt_state = {"m.b": np.zeros((0, 3))}
-        ckpt = Checkpoint(toy_config(), params, opt_state, opt_step=4, epoch=2, pn_initialized=True, rng_state={"s": 1})
+        ckpt = Checkpoint(toy_config(), params, opt_state, opt_step=4, epoch=2)
         path = tmp_path / "m.ckpt"
         save_checkpoint(ckpt, path)
         header = {
             "config": flatten(ckpt.config),
             "epoch": 2,
             "opt_step": 4,
-            "pn_initialized": True,
-            "rng_state": {"s": 1},
             "param_names": ["a.w", "b", "c"],
             "opt_names": ["m.b"],
         }
@@ -259,6 +257,14 @@ class TestCheckpoint:
         for name, arr in [("a.w", params["a.w"]), ("b", params["b"]), ("c", params["c"]), ("m.b", opt_state["m.b"])]:
             payload += record_bytes(name.encode(), arr.shape, arr.astype("<f8").tobytes(order="C"))
         assert path.read_bytes() == MAGIC + payload + struct.pack("<I", zlib.crc32(payload))
+
+    def test_header_surface(self, tmp_path):
+        """Every header key, pinned: adding or removing one is a diff here."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(Checkpoint(toy_config(), {}), path)
+        raw = path.read_bytes()
+        (length,) = struct.unpack("<I", raw[8:12])
+        assert sorted(json.loads(raw[12 : 12 + length])) == ["config", "epoch", "opt_names", "opt_step", "param_names"]
 
     def test_save_allocates_a_fraction_of_the_file(self, tmp_path):
         ckpt = Checkpoint(toy_config(), {f"p{i}": np.full((256, 512), float(i)) for i in range(8)})
@@ -293,16 +299,17 @@ class TestCheckpoint:
         "version, name",
         # version 1 held per-head attention projections, version 2 per-gate
         # GRU projections; their names are gone. Version 3 header configs held
-        # six encoder switches that are no longer config fields.
-        [(1, "attn.h0.wq.w"), (2, "decoder.fwd_gru.wxz.w"), (3, "encoder.tg_full.pos_table")],
-        ids=["v1", "v2", "v3"],
+        # six encoder switches that are no longer config fields. Version 4
+        # headers held a PatternNorm-initialised flag and an RNG note.
+        [(1, "attn.h0.wq.w"), (2, "decoder.fwd_gru.wxz.w"), (3, "encoder.tg_full.pos_table"), (4, "flow.op00.pn.s")],
+        ids=["v1", "v2", "v3", "v4"],
     )
     def test_old_version_file_rejected(self, tmp_path, version, name):
         path = tmp_path / f"v{version}.ckpt"
         header = json.dumps({**valid_header(), "param_names": [name]}).encode()
         payload = struct.pack("<II", version, len(header)) + header + record_bytes(name.encode(), (1,), bytes(8))
         path.write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
-        assert VERSION == 4
+        assert VERSION == 5
         with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
             load_checkpoint(path)
 
@@ -405,15 +412,14 @@ class TestCheckpoint:
 
 class TestTraining:
     def test_zero_epochs_checkpoint_equals_initialization(self, tmp_path):
-        """A 0-epoch run writes the fresh build with its PatternNorms
-        initialised, so the checkpoint can forecast."""
+        """A 0-epoch run writes the fresh build with its PatternNorms set
+        from data."""
         cfg = tiny_config(tmp_path, epochs=0)
         result = pl.train(cfg)
         fresh = pl.build_model(cfg)
         fresh_params = {k: p.data for k, p in fresh.params().items()}
         ckpt = load_checkpoint(result.last_path)
         assert ckpt.epoch == 0 and ckpt.opt_step == 0
-        assert ckpt.pn_initialized
         pn = [name for name in ckpt.params if ".pn." in name]
         assert pn and any(ckpt.params[n].tobytes() != fresh_params[n].tobytes() for n in pn)
         for name, arr in ckpt.params.items():
@@ -460,7 +466,6 @@ class TestTraining:
         assert result.aborted
         assert result.checkpoint.epoch == 1
         restored = pl.restore_model(load_checkpoint(result.last_path))
-        assert restored.flow.initialized
         params = restored.params()
         assert set(params) == set(result.checkpoint.params)
         for name, arr in result.checkpoint.params.items():
@@ -475,6 +480,54 @@ class TestTraining:
         monkeypatch.setattr(TrajectoryModel, "batch_loss", nan_on_call(2))
         assert main(["train", "--config", str(tmp_path / "run.cfg")]) == 1
         assert load_checkpoint(tmp_path / "cli" / "last.ckpt").epoch == 1
+
+    def test_only_a_run_from_scratch_initialises(self, tmp_path, monkeypatch):
+        calls = []
+        initialize = FlowStack.initialize
+        monkeypatch.setattr(FlowStack, "initialize", lambda self, mb, st: calls.append(len(mb)) or initialize(self, mb, st))
+        pl.train(tiny_config(tmp_path, epochs=1))
+        assert calls == [len(pl.load_training_windows(tiny_config(tmp_path)))]
+        pl.train(tiny_config(tmp_path, epochs=2), resume=tmp_path / "last.ckpt")
+        assert len(calls) == 1
+
+    def test_singular_mixing_matrix_steps_are_skipped(self, tmp_path):
+        cfg = tiny_config(tmp_path / "a", epochs=1)
+        ckpt = pl.train(cfg).checkpoint
+        ckpt.params["flow.op01.lin.w"][:] = 0.0
+        save_checkpoint(ckpt, tmp_path / "zeroed.ckpt")
+        n = len(pl.load_training_windows(cfg))
+        result = pl.train(tiny_config(tmp_path / "b", epochs=2), resume=tmp_path / "zeroed.ckpt")
+        assert not result.aborted
+        assert result.skipped_steps == len([lo for lo in range(0, n, cfg.train.batch) if n - lo >= 2]) > 0
+        assert result.checkpoint.epoch == 2 and result.checkpoint.opt_step == ckpt.opt_step
+        for name, arr in ckpt.params.items():
+            assert result.checkpoint.params[name].tobytes() == arr.tobytes(), name
+
+    def test_scaled_mixing_matrices_still_train(self, tmp_path):
+        # 0.4 times a rotation has condition number 1 but |det| = 0.4^32 < 1e-12
+        cfg = toy_config(0)
+        cfg.train.epochs = 0
+        cfg.train.out_dir = str(tmp_path / "a")
+        ckpt = pl.train(cfg).checkpoint
+        for name in ckpt.params:
+            if name.endswith(".lin.w"):
+                ckpt.params[name] *= 0.4
+        save_checkpoint(ckpt, tmp_path / "scaled.ckpt")
+        cfg.train.epochs = 1
+        cfg.train.out_dir = str(tmp_path / "b")
+        result = pl.train(cfg, resume=tmp_path / "scaled.ckpt")
+        assert result.skipped_steps == 0
+        assert np.isfinite(result.history[0]["l_total"])
+
+    def test_toy_preset_epoch_raises_no_warning(self, tmp_path):
+        # the first toy epoch's sampled tails overflow the GRU gates' exp
+        cfg = toy_config(0)
+        cfg.train.epochs = 1
+        cfg.train.out_dir = str(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = pl.train(cfg)
+        assert np.isfinite(result.history[0]["l_total"])
 
     def test_step_tape_freed_before_epoch_checkpoint(self, tmp_path, monkeypatch):
         tapes: list[weakref.ref] = []
@@ -543,6 +596,13 @@ class TestEvaluate:
         bad = synth_scenes(SynthSpec(kinds=("straight",), count=2, seed=0, t_obs=6, t_pred=9))
         with pytest.raises(ConfigError):
             pl.evaluate(model, {"bad": bad}, k=2)
+
+    def test_never_initialised_model_forecasts_with_identity_norms(self, tmp_path):
+        model = pl.build_model(tiny_config(tmp_path))
+        norms = [op for op in model.flow.ops if isinstance(op, PatternNorm)]
+        assert norms and all(np.all(op.s.data == 1.0) and np.all(op.b.data == 0.0) for op in norms)
+        report = pl.evaluate(model, {"s": self.windows(2)}, k=2, sigma=1.0, seed=0)
+        assert np.isfinite(report.rows[0].ade)
 
     def test_perfect_predictor_scores_zero(self, trained):
         model, cfg = trained
@@ -725,6 +785,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert '"ok": true' in out
 
+    def test_forecast_flags_default_to_the_checkpoint_eval_section(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path / "run", epochs=0)
+        cfg.eval.k = 3
+        ckpt = str(pl.train(cfg).last_path)
+        assert self.run_cli("eval", "--ckpt", ckpt, "--data", "synth:straight:n=2:seed=9") == 0
+        rows = capsys.readouterr().out.strip().splitlines()
+        assert rows[0].split(",")[1] == "K" and {r.split(",")[1] for r in rows[1:]} == {"3"}
+        assert self.run_cli("sample", "--ckpt", ckpt, "--scene", "0", "--out", str(tmp_path / "plots")) == 0
+        paths = pl.parse_sample_csv((tmp_path / "plots" / "scene0_trajectories.csv").read_text())
+        assert {k for _, k in paths} == {0, 1, 2}
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path / "runa", epochs=0, seed=1)
         cfg_path = tmp_path / "a.cfg"
@@ -751,6 +822,7 @@ class TestCli:
             "eval_version_1_checkpoint",
             "eval_version_2_checkpoint",
             "eval_version_3_checkpoint",
+            "eval_version_4_checkpoint",
             "train_removed_switch",
         ],
     )
@@ -762,7 +834,7 @@ class TestCli:
         bad_cfg.write_text("model.d = 3x\n")
         removed_cfg = tmp_path / "removed.cfg"
         removed_cfg.write_text("model.use_centrality = False\n")
-        good_ckpt = pl.train(cfg).last_path  # 0 epochs, PatternNorms initialised: it can forecast
+        good_ckpt = pl.train(cfg).last_path  # 0 epochs, PatternNorms set from data
         later_ckpt = tmp_path / "later.ckpt"  # past the good config's 0 epochs
         save_checkpoint(dataclasses.replace(load_checkpoint(good_ckpt), epoch=3), later_ckpt)
         bad_ckpt = tmp_path / "bad.ckpt"
@@ -771,7 +843,7 @@ class TestCli:
         non_utf8 = tmp_path / "utf16.txt"
         non_utf8.write_bytes(b"\xff\xfe1\x000\x00 \x001\x00")
         synth = "synth:straight:n=2:seed=9:noise=0.01"
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             payload = bytearray(good_ckpt.read_bytes()[4:-4])
             payload[:4] = struct.pack("<I", version)
             (tmp_path / f"v{version}.ckpt").write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
@@ -790,6 +862,7 @@ class TestCli:
             "eval_version_1_checkpoint": ["eval", "--ckpt", str(tmp_path / "v1.ckpt"), "--data", synth],
             "eval_version_2_checkpoint": ["eval", "--ckpt", str(tmp_path / "v2.ckpt"), "--data", synth],
             "eval_version_3_checkpoint": ["eval", "--ckpt", str(tmp_path / "v3.ckpt"), "--data", synth],
+            "eval_version_4_checkpoint": ["eval", "--ckpt", str(tmp_path / "v4.ckpt"), "--data", synth],
             "train_removed_switch": ["train", "--config", str(removed_cfg)],
         }[case]
         if case == "train_non_integer_seed":
@@ -813,6 +886,7 @@ class TestCli:
             "eval_version_1_checkpoint": "v1.ckpt: unsupported checkpoint version 1",
             "eval_version_2_checkpoint": "v2.ckpt: unsupported checkpoint version 2",
             "eval_version_3_checkpoint": "v3.ckpt: unsupported checkpoint version 3",
+            "eval_version_4_checkpoint": "v4.ckpt: unsupported checkpoint version 4",
             "train_removed_switch": "removed.cfg:1: unknown config field 'model.use_centrality'",
         }[case]
         assert cause in err
