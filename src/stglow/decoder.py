@@ -87,8 +87,9 @@ class BidirectionalDecoder:
         """Decode every row of (M, C) behavior vectors in parallel.
 
         With `prediction_only` the heads that only training reads are not
-        built (left None); the recurrences and the `prediction` head are
-        computed exactly as for training.
+        built (left None), nor the bidirectional decoder's last forward
+        step, which only `y_f` reads; the `prediction` head is computed
+        exactly as for training.
         """
         t_p, m = self.t_pred, mb.shape[0]
         want_f = not (prediction_only and self.bidirectional)  # y_f is a forward-only decoder's forecast
@@ -96,7 +97,8 @@ class BidirectionalDecoder:
         f_h = self.fwd_init(mb)
         f_i: list[Tensor] = [self.fwd_in(f_h)]  # f_i[t] is the input feature at step t
         y_f: list[Tensor] = []
-        for t in range(1, t_p + 1):
+        # without y_f, step t_p's features feed nothing: the fused head reads f_i[1..t_p-1]
+        for t in range(1, (t_p if want_f else t_p - 1) + 1):
             f_h = self.fwd_gru(f_h, f_i[t - 1])
             f_i.append(self.fwd_in(f_h))
             if want_f:

@@ -78,9 +78,11 @@ def _checked_trajectories(traj) -> np.ndarray:
 class TemporalGraphormer:
     """Trajectory encoder with causal masked attention, over (P, T, 2) stacks.
 
-    The causal mask is always applied. `SceneEncoder` reads only the last
-    step, whose mask row is all ones, so its encodings do not depend on the
-    mask; the earlier steps' embeddings do.
+    The causal mask is always applied. Every step's embedding is computed
+    by default; with `rows`, a (P,) int array, only step `rows[p]` of
+    trajectory p is, from keys and values over all steps. `SceneEncoder`
+    asks for the last step, whose mask row is all ones, so its encodings do
+    not depend on the mask; the earlier steps' embeddings do.
     """
 
     def __init__(self, rng: np.random.Generator, d: int, n_heads: int, t_max: int):
@@ -95,8 +97,9 @@ class TemporalGraphormer:
         deg = temporal_degrees(mask)[:, None]
         return self.centrality(Tensor(deg))
 
-    def __call__(self, traj: np.ndarray) -> Tensor:
-        """(P, T, 2) trajectories -> (P, T, d) per-step embeddings."""
+    def __call__(self, traj: np.ndarray, rows: np.ndarray | None = None) -> Tensor:
+        """(P, T, 2) trajectories -> (P, T, d) per-step embeddings, or
+        (P, d) embeddings of steps `rows`."""
         traj = _checked_trajectories(traj)
         t = traj.shape[1]
         if t > self.t_max:
@@ -104,7 +107,7 @@ class TemporalGraphormer:
         mask = build_temporal_adjacency(t)
         h = nc.add(self.node_mlp(Tensor(traj)), self.centrality_embedding(mask))
         h = nc.add(h, nc.index(self.pos_table, slice(0, t)))
-        return self.block(h, mask)
+        return self.block(h, mask, rows)
 
     def params(self) -> dict[str, Tensor]:
         out = _prefix({"node_mlp": self.node_mlp, "centrality": self.centrality, "block": self.block})
@@ -132,10 +135,12 @@ class SpatialGraphormer:
         positions_now: np.ndarray,
         th_rows: Tensor,
         targets,
+        rows: np.ndarray | None = None,
     ) -> Tensor:
         """(Q, N, 2) positions at the last two observed steps and (Q, N, d)
-        temporal embeddings of Q scenes -> (Q, N, d); scene q's node features
-        are relative to its pedestrian `targets[q]`."""
+        temporal embeddings of Q scenes -> (Q, N, d), or with `rows` the
+        (Q, d) embeddings of pedestrians `rows`; scene q's node features are
+        relative to its pedestrian `targets[q]`."""
         positions_now = np.asarray(positions_now, dtype=np.float64)
         dirs = positions_now - np.asarray(positions_prev, dtype=np.float64)  # walking directions
         scenes = np.arange(positions_now.shape[0])
@@ -144,7 +149,7 @@ class SpatialGraphormer:
         steer = steering_cosine(dirs[scenes, targets][:, None], dirs)
         v = nc.add(th_rows, self.rel_mlp(Tensor(rel_to_target)))
         v = nc.add(v, self.steer_mlp(Tensor(steer[..., None])))
-        return self.block(v, build_spatial_adjacency(positions_prev, positions_now))
+        return self.block(v, build_spatial_adjacency(positions_prev, positions_now), rows)
 
     def params(self) -> dict[str, Tensor]:
         return _prefix({"rel_mlp": self.rel_mlp, "steer_mlp": self.steer_mlp, "block": self.block})
@@ -155,8 +160,8 @@ class SceneEncoder:
 
     Three separate temporal encoders are kept: one for the full trajectory
     (motion behavior), one shared over all pedestrians' histories (feeds the
-    spatial encoder), and one for the target's own history. Each is read at
-    its last step only.
+    spatial encoder), and one for the target's own history. Each computes
+    its last step only, and the spatial encoder each scene's target only.
     """
 
     def __init__(self, rng: np.random.Generator, d: int, n_heads: int, t_obs: int, t_pred: int, use_spatial: bool = True):
@@ -183,17 +188,15 @@ class SceneEncoder:
         q, n, t_o = obs.shape[:3]
         scenes = np.arange(q)
         targets = np.asarray(targets)
-        last = (slice(None), -1)  # each trajectory's last step
-        st = nc.index(self.tg_target(obs[scenes, targets]), last)
+        st = self.tg_target(obs[scenes, targets], rows=np.full(q, t_o - 1))
         if self.sg is not None:
-            th = nc.index(self.tg_hist(obs.reshape(q * n, t_o, 2)), last)
+            th = self.tg_hist(obs.reshape(q * n, t_o, 2), rows=np.full(q * n, t_o - 1))
             prev = obs[:, :, t_o - 2] if t_o >= 2 else obs[:, :, t_o - 1]
-            sh = self.sg(prev, obs[:, :, t_o - 1], nc.reshape(th, (q, n, -1)), targets)
-            st = nc.add(st, nc.index(sh, (scenes, targets)))
+            st = nc.add(st, self.sg(prev, obs[:, :, t_o - 1], nc.reshape(th, (q, n, -1)), targets, rows=targets))
         mb = None
         if full is not None:
             full = np.asarray(full, dtype=np.float64)
-            mb = nc.index(self.tg_full(full[scenes, targets]), last)
+            mb = self.tg_full(full[scenes, targets], rows=np.full(q, full.shape[2] - 1))
         return mb, st
 
     def params(self) -> dict[str, Tensor]:

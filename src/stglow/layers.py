@@ -100,9 +100,18 @@ class MultiHeadSelfAttention:
     The mask is (T, T), shared by all P graphs, or (P, T, T), one per
     graph, with entries in {1, NEG_INF}; masked score entries are replaced
     by the sentinel before the softmax so their post-softmax weight is
-    exactly zero. While `capture` is a list, each call appends the
-    post-softmax (T, T) weight matrix of every head of every graph to it,
-    graph by graph.
+    exactly zero.
+
+    By default every node queries, and the output is (P, T, d). With
+    `rows`, a (P,) int array, only node `rows[p]` of graph p queries: keys
+    and values still come from every node, through the same `wqkv`
+    product, the mask is cut to the query rows, and the output is the
+    (P, 1, d) stack of the rows an all-rows call would give (up to
+    rounding).
+
+    While `capture` is a list, each call appends the post-softmax weights
+    of every head of every graph to it, graph by graph: a (T, T) matrix,
+    or with `rows` the (1, T) query row.
     """
 
     def __init__(self, rng, d_model: int, n_heads: int):
@@ -120,19 +129,26 @@ class MultiHeadSelfAttention:
         self.wo = Linear(rng, d_model, d_model, bias=False)
         self.capture: list[np.ndarray] | None = None
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None) -> Tensor:
+    def __call__(self, x: Tensor, mask: np.ndarray | None, rows: np.ndarray | None = None) -> Tensor:
         p, t, d = x.shape
         qkv = nc.reshape(nc.linear(x, self.wqkv), (p, t, 3, self.n_heads, self.d_k))
         qkv = nc.permute(qkv, (2, 0, 3, 1, 4))  # (3, P, H, T, d_k)
-        q, k, v = (nc.index(qkv, i) for i in range(3))
+        k, v = nc.index(qkv, 1), nc.index(qkv, 2)
+        if rows is None:
+            q, t_q = nc.index(qkv, 0), t
+        else:
+            graphs = np.arange(p)
+            q, t_q = nc.index(qkv, (0, graphs, slice(None), rows, None)), 1  # (P, H, 1, d_k)
+            if mask is not None:  # (P, 1, T): each graph's query row
+                mask = (mask[rows] if mask.ndim == 2 else mask[graphs, rows])[:, None]
         scores = nc.mul(nc.bmm(q, nc.transpose(k)), 1.0 / np.sqrt(self.d_k))
         if mask is not None:
             scores = nc.apply_mask(scores, mask)
         weights = nc.softmax_lastdim(scores)
         if self.capture is not None:
-            self.capture.extend(weights.data.reshape(-1, t, t))
-        heads = nc.permute(nc.bmm(weights, v), (0, 2, 1, 3))  # (P, T, H, d_k)
-        return self.wo(nc.reshape(heads, (p, t, d)))
+            self.capture.extend(weights.data.reshape(-1, t_q, t))
+        heads = nc.permute(nc.bmm(weights, v), (0, 2, 1, 3))  # (P, T_q, H, d_k)
+        return self.wo(nc.reshape(heads, (p, t_q, d)))
 
     def params(self) -> dict[str, Tensor]:
         return {"wqkv": self.wqkv, **{f"wo.{k}": v for k, v in self.wo.params().items()}}
@@ -144,6 +160,10 @@ class TransformerBlock:
 
     Residual branches start small (0.25x init) so the stream stays near its
     input scale; there is no normalization layer to absorb drift otherwise.
+    With `rows`, a (P,) int array, only node `rows[p]` of graph p is
+    computed past the attention's keys and values, and the result is (P, d).
+    Those rows run as a (P, 1, d) stack, so each is multiplied as a single
+    row whatever P is, and a graph's bits do not depend on its batch.
     """
 
     def __init__(self, rng, d_model: int, n_heads: int):
@@ -152,9 +172,13 @@ class TransformerBlock:
         self.ffn = Mlp(rng, d_model, 2 * d_model, d_model)
         self.ffn.fc1.w.data *= 0.25
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None) -> Tensor:
-        x = nc.add(x, self.attn(x, mask))
-        return nc.add(x, self.ffn(x))
+    def __call__(self, x: Tensor, mask: np.ndarray | None, rows: np.ndarray | None = None) -> Tensor:
+        attended = self.attn(x, mask, rows)
+        if rows is not None:
+            x = nc.index(x, (np.arange(x.shape[0])[:, None], rows[:, None]))  # (P, 1, d)
+        x = nc.add(x, attended)
+        x = nc.add(x, self.ffn(x))
+        return x if rows is None else nc.reshape(x, (x.shape[0], x.shape[2]))
 
     def params(self) -> dict[str, Tensor]:
         return _prefix({"attn": self.attn, "ffn": self.ffn})

@@ -225,12 +225,12 @@ def neg(a) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+    """max(a, 0); a NaN stays NaN, so non-finite checks downstream see it."""
 
     def vjp(g):
-        return (g * mask,)
+        return (g * (a.data > 0),)
 
-    return _register(np.where(mask, a.data, 0.0), (a,), vjp)
+    return _register(np.maximum(a.data, 0.0), (a,), vjp)
 
 
 def tanh(a: Tensor) -> Tensor:

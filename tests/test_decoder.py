@@ -65,6 +65,20 @@ class TestDecode:
         assert out.y_b is None and out.y_both is None
         assert out.y_f.shape == (1, 12, 2)
 
+    @pytest.mark.parametrize(
+        "bidirectional,prediction_only,steps",
+        [(True, True, 11), (True, False, 12), (False, True, 12), (False, False, 12)],
+    )
+    def test_prediction_only_skips_the_dead_forward_step(self, monkeypatch, bidirectional, prediction_only, steps):
+        d = make_decoder(seed=10, bidirectional=bidirectional)
+        mb = Tensor(np.random.default_rng(11).normal(size=(3, 6)))
+        training = d.decode_batch(mb)
+        real, calls = d.fwd_gru, []
+        monkeypatch.setattr(d, "fwd_gru", lambda h, x: calls.append(1) or real(h, x))
+        out = d.decode_batch(mb, prediction_only=prediction_only)
+        assert len(calls) == steps
+        assert out.prediction.data.tobytes() == training.prediction.data.tobytes()
+
     def test_batch_matches_single(self):
         d = make_decoder(seed=8, t_pred=5)
         rng = np.random.default_rng(9)

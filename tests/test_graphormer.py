@@ -258,18 +258,19 @@ class TestSceneEncoder:
         obs, full, targets = self.retargeted(seed=18)
         mb, _ = enc.encode(obs, targets, full)
         for i in targets:
-            direct = enc.tg_full(full[i, i : i + 1]).data[0, -1]
+            direct = enc.tg_full(full[i, i : i + 1], rows=np.array([6])).data[0]
             assert np.array_equal(mb.data[i], direct)
 
     def test_st_is_sum_of_temporal_and_spatial_parts(self):
         enc = self.make_encoder()
         obs, full, targets = self.retargeted(seed=19)
         _, st = enc.encode(obs, targets, full)
+        last = np.array([3])
         for i in targets:
-            th_tgt = enc.tg_target(obs[i, i : i + 1]).data[0, -1]
-            th = enc.tg_hist(obs[i]).data[:, -1]
-            sh = enc.sg(obs[i : i + 1, :, -2], obs[i : i + 1, :, -1], nc.Tensor(th[None]), [i]).data[0]
-            assert np.array_equal(st.data[i], th_tgt + sh[i])
+            th_tgt = enc.tg_target(obs[i, i : i + 1], rows=last).data[0]
+            th = enc.tg_hist(obs[i], rows=np.repeat(last, 4)).data
+            sh = enc.sg(obs[i : i + 1, :, -2], obs[i : i + 1, :, -1], nc.Tensor(th[None]), [i], rows=np.array([i]))
+            assert np.array_equal(st.data[i], th_tgt + sh.data[0])
 
     def test_forecast_encoding_has_no_motion_behavior(self):
         enc = self.make_encoder()
@@ -283,7 +284,7 @@ class TestSceneEncoder:
         obs, full, targets = self.retargeted(seed=20)
         _, st = enc.encode(obs, targets, full)
         for i in targets:
-            th_tgt = enc.tg_target(obs[i, i : i + 1]).data[0, -1]
+            th_tgt = enc.tg_target(obs[i, i : i + 1], rows=np.array([3])).data[0]
             assert np.array_equal(st.data[i], th_tgt)
 
     def test_one_call_per_encoder(self, monkeypatch):
@@ -292,6 +293,105 @@ class TestSceneEncoder:
         calls = []
         for name in ("tg_full", "tg_hist", "tg_target", "sg"):
             real = getattr(enc, name)
-            monkeypatch.setattr(enc, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+            monkeypatch.setattr(enc, name, lambda *a, real=real, name=name, **kw: calls.append(name) or real(*a, **kw))
         enc.encode(obs, targets, full)
         assert sorted(calls) == ["sg", "tg_full", "tg_hist", "tg_target"]
+
+    def test_fov_mask_on_the_target_row_shapes_st(self):
+        enc = self.make_encoder(seed=31)
+        # ped 0, the target, walks +x; ped 1 is strictly behind it, ped 2 ahead
+        heading = np.array([1.0, 0.0]) * np.arange(4)[:, None]
+        obs = np.stack([heading, heading + [-3.0, 0.1], heading + [3.0, -0.1]])
+        obs = (obs - obs[0, -1])[None]
+        assert gr.build_spatial_adjacency(obs[0, :, -2], obs[0, :, -1])[0, 1] == NEG_INF
+        _, base = enc.encode(obs, [0])
+        last = np.full(3, 3)
+        for ped, masked in ((1, True), (2, False)):
+            moved = obs.copy()
+            moved[0, ped, :2] += [0.4, -0.7]  # earlier steps only: the FOV mask and positions stay
+            assert not np.array_equal(enc.tg_hist(moved[0], rows=last).data[ped], enc.tg_hist(obs[0], rows=last).data[ped])
+            _, st = enc.encode(moved, [0])
+            assert np.array_equal(st.data, base.data) == masked, ped
+        th = nc.Tensor(np.random.default_rng(32).normal(size=(1, 3, 16)))
+        weights = captured_weights(enc.sg, obs[:, :, -2], obs[:, :, -1], th, [0], rows=np.array([0]))
+        assert len(weights) == 2  # one (1, N) query row per head
+        for head_w in weights:
+            assert head_w.shape == (1, 3)
+            assert head_w[0, 1] == 0.0 and head_w[0, 2] > 0.0
+
+
+def rel_max(a, b) -> float:
+    """Largest deviation of `a` from `b`, relative to the largest entry of `b`."""
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestQueryRows:
+    """Query rows against all rows: `rows=r` gives row r[p] of graph p of the
+    all-rows output, and the same gradients, up to rounding."""
+
+    def temporal_case(self):
+        tg = make_tg(seed=40)
+        rng = np.random.default_rng(41)
+        traj = rng.normal(size=(5, 8, 2)).cumsum(axis=1)
+        rows = np.array([7, 0, 3, 7, 5])  # masked steps lie after every row but the last
+
+        def call(rows=None):
+            return tg(traj, rows=rows)
+
+        return tg, call, rows, {}
+
+    def spatial_case(self):
+        sg = make_sg(seed=42)
+        rng = np.random.default_rng(43)
+        for relu_layer in (sg.rel_mlp, sg.steer_mlp):  # off the kink: the target's own offset is 0
+            relu_layer.fc.b.data[:] = rng.normal(0.0, 0.3, 16)
+        q, n = 4, 5
+        prev = rng.normal(size=(q, n, 2)) * 3.0
+        now = prev + rng.normal(size=(q, n, 2)) * 0.4
+        targets = np.array([0, 2, 4, 2])
+        mask = gr.build_spatial_adjacency(prev, now)
+        assert (mask[np.arange(q), targets] == NEG_INF).any()  # some target rows mask a neighbour
+        th = nc.Tensor(rng.normal(size=(q, n, 16)), requires_grad=True)
+
+        def call(rows=None):
+            return sg(prev, now, th, targets, rows=rows)
+
+        return sg, call, targets, {"th": th}
+
+    @pytest.mark.parametrize("case", ["temporal_case", "spatial_case"])
+    def test_forward_matches_all_rows(self, case):
+        _, call, rows, _ = getattr(self, case)()
+        every = call().data[np.arange(len(rows)), rows]
+        got = call(rows).data
+        assert got.shape == every.shape
+        assert rel_max(got, every) <= 1e-13
+
+    @pytest.mark.parametrize("case", ["temporal_case", "spatial_case"])
+    def test_gradients_match_all_rows_and_finite_differences(self, case):
+        encoder, call, rows, inputs = getattr(self, case)()
+        leaves = {**encoder.params(), **inputs}
+        weights = np.random.default_rng(44).normal(size=(len(rows), 16))
+
+        def taped(forward):
+            for leaf in leaves.values():
+                leaf.grad = None
+            with nc.record() as tape:
+                loss = nc.sum_all(nc.mul(nc.tanh(forward()), weights))
+            nc.backward(loss, tape)
+            return {name: leaf.grad.copy() for name, leaf in leaves.items()}
+
+        picked = taped(lambda: call(rows))
+        every = taped(lambda: nc.index(call(), (np.arange(len(rows)), rows)))
+        for name, g in every.items():
+            assert rel_max(picked[name], g) <= 1e-13, name
+        for name, leaf in leaves.items():
+            base = leaf.data.copy()
+            for i in range(0, base.size, 11):  # a spread subset of the entries
+                fd = 0.0
+                for sign in (1.0, -1.0):
+                    leaf.data[...] = base
+                    leaf.data.flat[i] += sign * 1e-6
+                    with nc.no_grad():
+                        fd += sign * float(np.sum(np.tanh(call(rows).data) * weights)) / 2e-6
+                leaf.data[...] = base
+                assert abs(picked[name].flat[i] - fd) <= 1e-6 * max(1.0, abs(fd)), (name, i)

@@ -75,6 +75,25 @@ class TestSoftmax:
         assert abs(out.data.sum() - 1.0) < 1e-12
 
 
+class TestRelu:
+    def test_bits_equal_mask_and_select(self):
+        a = np.random.default_rng(12).normal(size=(64, 33))
+        a.flat[::7] = 0.0
+        a.flat[3::11] = -0.0
+        a[0, :4] = [np.inf, -np.inf, 5e-324, -5e-324]
+        out = nc.relu(nc.Tensor(a)).data
+        assert out.tobytes() == np.where(a > 0, a, 0.0).tobytes()  # -0.0 maps to +0.0
+
+    def test_nan_in_gives_nan_out(self):
+        x = nc.Tensor([np.nan, -1.0, 2.0], requires_grad=True)
+        with nc.record() as tape:
+            out = nc.relu(x)
+            loss = nc.sum_all(nc.mul(out, [0.0, 1.0, 1.0]))
+        assert np.isnan(out.data[0]) and out.data[1] == 0.0 and out.data[2] == 2.0
+        nc.backward(loss, tape)
+        assert np.array_equal(x.grad, [0.0, 0.0, 1.0])
+
+
 class TestBackward:
     def test_square(self):
         x = nc.Tensor(3.0, requires_grad=True)
