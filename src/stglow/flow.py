@@ -57,7 +57,7 @@ class PatternNorm:
         logdet = nc.sum_all(nc.log(nc.abs_(self.s)))
         return y, logdet
 
-    def reverse(self, y: Tensor, _st: Tensor | None = None) -> Tensor:
+    def reverse(self, y: Tensor, _st: Tensor | None = None, _rows: np.ndarray | None = None) -> Tensor:
         return nc.div(nc.sub(y, self.b), self.s)
 
     def params(self) -> dict[str, Tensor]:
@@ -92,7 +92,7 @@ class InvertibleLinear:
         y = nc.matmul(x, nc.transpose(self.w))
         return y, nc.logabsdet(self.w)
 
-    def reverse(self, y: Tensor, _st: Tensor | None = None) -> Tensor:
+    def reverse(self, y: Tensor, _st: Tensor | None = None, _rows: np.ndarray | None = None) -> Tensor:
         if nc.active_tape() is not None:
             return nc.matmul(y, nc.transpose(nc.inverse(self.w)))
         if self._inv_of is None or not np.array_equal(self._inv_of, self.w.data):
@@ -110,6 +110,11 @@ class AffineCoupling:
     The first half passes through unchanged and, concatenated with the
     social-context vector, drives a small network whose zero-initialized
     output layer makes the layer start as the identity.
+
+    With `rows`, row i of the input is conditioned on row `rows[i]` of
+    `st`: `fc0`'s conditioning rows and its bias project each row of `st`
+    once, and the projection is gathered by `rows` and added to the
+    product of the first half with `fc0`'s other rows.
     """
 
     def __init__(self, rng: np.random.Generator, channels: int, cond_dim: int):
@@ -119,8 +124,14 @@ class AffineCoupling:
         self.fc0 = Linear(rng, self.half + cond_dim, 2 * channels)
         self.fc1 = Linear(rng, 2 * channels, channels, zero_init=True)
 
-    def _scale_shift(self, xa: Tensor, st: Tensor) -> tuple[Tensor, Tensor]:
-        h = nc.relu(self.fc0(nc.concat([xa, st], -1)))
+    def _scale_shift(self, xa: Tensor, st: Tensor, rows: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+        if rows is None:
+            h = self.fc0(nc.concat([xa, st], -1))
+        else:
+            w, half = self.fc0.w, self.half
+            cond = nc.linear(st, nc.index(w, np.s_[half:]), self.fc0.b)
+            h = nc.add(nc.linear(xa, nc.index(w, np.s_[:half])), nc.index(cond, rows))
+        h = nc.relu(h)
         out = self.fc1(h)
         log_s = nc.clamp(nc.index(out, np.s_[..., : self.half]), -LOG_SCALE_BOUND, LOG_SCALE_BOUND)
         t = nc.index(out, np.s_[..., self.half :])
@@ -132,9 +143,9 @@ class AffineCoupling:
         yb = nc.add(nc.mul(nc.exp(log_s), xb), t)
         return nc.concat([xa, yb], -1), nc.sum_lastdim(log_s)
 
-    def reverse(self, y: Tensor, st: Tensor) -> Tensor:
+    def reverse(self, y: Tensor, st: Tensor, rows: np.ndarray | None = None) -> Tensor:
         ya, yb = nc.index(y, np.s_[..., : self.half]), nc.index(y, np.s_[..., self.half :])
-        log_s, t = self._scale_shift(ya, st)
+        log_s, t = self._scale_shift(ya, st, rows)
         xb = nc.div(nc.sub(yb, t), nc.exp(log_s))
         return nc.concat([ya, xb], -1)
 
@@ -219,8 +230,13 @@ class FlowStack:
         z = parts[0] if len(parts) == 1 else nc.concat(parts, -1)
         return z, logdet
 
-    def reverse(self, z: Tensor, st: Tensor) -> Tensor:
-        """Exact inverse of `forward` for the same conditioning."""
+    def reverse(self, z: Tensor, st: Tensor, rows: np.ndarray | None = None) -> Tensor:
+        """Exact inverse of `forward` for the same conditioning.
+
+        With `rows`, row i of `z` is conditioned on row `rows[i]` of `st`,
+        as if `st` were `nc.index(st, rows)`, but each coupling projects a
+        row of `st` once however many rows of `z` it conditions.
+        """
         offsets = np.cumsum([0] + self._part_widths)
         chunks = [nc.index(z, np.s_[..., int(offsets[i]) : int(offsets[i + 1])]) for i in range(len(self._part_widths))]
         x = chunks.pop()
@@ -229,7 +245,7 @@ class FlowStack:
             if isinstance(op, FactorOut):
                 x = nc.concat([x, chunks.pop()], -1)
                 continue
-            x = op.reverse(x, st)
+            x = op.reverse(x, st, rows)
             if not np.all(np.isfinite(x.data)):
                 raise FlowNumericsError("non-finite activation in reverse pass", step=idx)
         return x
@@ -283,4 +299,4 @@ def sample_behaviors(
         z = np.zeros((b * k, stack.channels))
     else:
         z = np.concatenate([rng.standard_normal((k, stack.channels)) for rng in rngs]) * sigma
-    return stack.reverse(Tensor(z), nc.index(st, np.arange(b * k) // k)), z
+    return stack.reverse(Tensor(z), st, np.arange(b * k) // k), z

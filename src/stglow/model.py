@@ -13,6 +13,8 @@ from .flow import FlowStack, nll_loss, sample_behaviors
 from .graphormer import SceneEncoder
 from .numcore import Tensor
 
+FORECAST_ROWS = 1024  # sample rows (windows x K) per flow and decoder pass of `forecast`
+
 
 class TrajectoryModel:
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
@@ -102,7 +104,7 @@ class TrajectoryModel:
             full = trajectory_loss_batched(decoded, gt_future, weights, winners)
         b = len(windows)
         rows, pos = np.unique(np.concatenate(winners), return_inverse=True)
-        winning = self.decoder.decode_batch(self.flow.reverse(Tensor(z[rows]), nc.index(st, rows // k_train)))
+        winning = self.decoder.decode_batch(self.flow.reverse(Tensor(z[rows]), st, rows // k_train))
         per_window = trajectory_loss_batched(winning, gt_future, weights, (pos[:b], pos[b:]))
         loss = nc.add(l_p, nc.sum_all(per_window))
         stats = {
@@ -132,14 +134,25 @@ class TrajectoryModel:
     def forecast(self, windows: list[SceneWindow], k: int, sigma: float, rngs: list[np.random.Generator]) -> np.ndarray:
         """(W, K, t_p, 2) world-frame futures of windows of any scene sizes.
 
-        One encoder, flow and decoder pass. Window i's K base draws come
-        from `rngs[i]`, taken in window order, so the futures are those of
-        forecasting the windows one at a time (bit for bit at K = 20; BLAS
-        may round a product of a few rows differently from one of more).
+        The windows are forecast in passes of consecutive windows, each at
+        most `FORECAST_ROWS` sample rows (windows x K) but at least one
+        window, so temporaries stay bounded however many windows or samples
+        are asked for. A pass is one encoder, flow and decoder pass. Window
+        i's K base draws come from `rngs[i]`, taken in window order, so the
+        futures are those of forecasting the windows one at a time (bit for
+        bit at K = 20; BLAS may round a product of a few rows differently
+        from one of more).
         """
+        if not windows or k < 1:
+            raise ContractError(f"need at least one window and one sample, got {len(windows)} windows and k = {k}")
+        per_pass = max(1, FORECAST_ROWS // k)
+        out = np.empty((len(windows), k, self.cfg.t_pred, 2))
         with nc.no_grad():
-            _, st = self.encode_windows(windows, training=False)
-            behaviors, _ = sample_behaviors(st, self.flow, k, sigma, rngs)
-            pred = self.decoder.decode_batch(behaviors, prediction_only=True).prediction
-        origins = np.stack([w.origin for w in windows])
-        return pred.data.reshape((len(windows), k) + pred.shape[1:]) + origins[:, None, None, :]
+            for lo in range(0, len(windows), per_pass):
+                part = windows[lo : lo + per_pass]
+                _, st = self.encode_windows(part, training=False)
+                behaviors, _ = sample_behaviors(st, self.flow, k, sigma, rngs[lo : lo + per_pass])
+                pred = self.decoder.decode_batch(behaviors, prediction_only=True).prediction
+                out[lo : lo + per_pass] = pred.data.reshape(len(part), k, -1, 2)
+        out += np.stack([w.origin for w in windows])[:, None, None, :]
+        return out

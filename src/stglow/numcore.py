@@ -391,19 +391,37 @@ def gru_cell(h: Tensor, x: Tensor, wx: Tensor, bx: Tensor, wh: Tensor) -> Tensor
         n = tanh(x wx_n + bx_n + (r ⊙ h) wh_n)     h' = (1 − z) ⊙ n + z ⊙ h
 
     Each gate is computed from its own column slices, as the unfused ops
-    do, so h' is bit-identical to theirs and no temporary is wider than h.
-    The backward pass keeps only z, r and n.
+    do, and in place in their order of operations, so h' is bit-identical
+    to theirs and no temporary is wider than h. The backward pass keeps
+    only z, r and n.
     """
     hd, xd = h.data, x.data
     k = hd.shape[-1]
     (wxz, wxr, wxn), (bxz, bxr, bxn), (whz, whr, whn) = (
         (p.data[..., :k], p.data[..., k : 2 * k], p.data[..., 2 * k :]) for p in (wx, bx, wh)
     )
-    with np.errstate(over="ignore"):  # exp -> inf gives the gate's exact limit, 0
-        z = 1.0 / (1.0 + np.exp(-((xd @ wxz + bxz) + hd @ whz)))
-        r = 1.0 / (1.0 + np.exp(-((xd @ wxr + bxr) + hd @ whr)))
-    n = np.tanh((xd @ wxn + bxn) + (r * hd) @ whn)
-    out = (1.0 - z) * n + z * hd
+
+    def pre_activation(w_x, b_x, h_in, w_h):  # (x w_x + b_x) + h_in w_h
+        a = xd @ w_x
+        a += b_x
+        a += h_in @ w_h
+        return a
+
+    def sigmoid_(a):
+        np.negative(a, out=a)
+        with np.errstate(over="ignore"):  # exp -> inf gives the gate's exact limit, 0
+            np.exp(a, out=a)
+        a += 1.0
+        return np.divide(1.0, a, out=a)
+
+    z = sigmoid_(pre_activation(wxz, bxz, hd, whz))
+    r = sigmoid_(pre_activation(wxr, bxr, hd, whr))
+    rh = r * hd
+    n = pre_activation(wxn, bxn, rh, whn)
+    np.tanh(n, out=n)
+    out = np.subtract(1.0, z)
+    out *= n
+    out += np.multiply(z, hd, out=rh)  # r ⊙ h is spent
 
     def vjp(g):
         a_n = g * (1.0 - z) * (1.0 - n * n)

@@ -44,7 +44,6 @@ STREAM_SPLIT = 1
 STREAM_SHUFFLE = 2
 STREAM_SAMPLE = 3
 STREAM_EVAL = 4
-EVAL_CHUNK = 2  # windows per `forecast` in `evaluate`: few, for small temporaries (~0.9 MB each at K = 20) and steady times
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:
@@ -233,8 +232,11 @@ def train(cfg: Config, resume: str | Path | None = None) -> TrainResult:
         averages = {k: (v / n_batches if n_batches else float("nan")) for k, v in sums.items()}
         entry = {"epoch": epoch, **averages}
         if val_windows:
-            report = evaluate(model, {"val": val_windows}, k=cfg.eval.k, sigma=cfg.eval.sigma, seed=cfg.seed)
-            entry["val_ade"] = report.rows[0].ade
+            try:
+                report = evaluate(model, {"val": val_windows}, k=cfg.eval.k, sigma=cfg.eval.sigma, seed=cfg.seed)
+                entry["val_ade"] = report.rows[0].ade
+            except SingularMatrixError:
+                log.warning("epoch %d: skipped validation (singular mixing matrix)", epoch)
         result.history.append(entry)
         log.info(
             "epoch %d: l_p=%.4f l_traj=%.4f l_total=%.4f%s",
@@ -251,7 +253,7 @@ def train(cfg: Config, resume: str | Path | None = None) -> TrainResult:
             result.checkpoint = ckpt
             if cfg.train.keep_epoch_checkpoints:
                 save_checkpoint(ckpt, out_dir / f"epoch_{completed:03d}.ckpt")
-        if val_windows and entry["val_ade"] < best_val:
+        if entry.get("val_ade", math.inf) < best_val:
             best_val = entry["val_ade"]
             save_checkpoint(ckpt, best_path)
             result.best_path = best_path
@@ -280,12 +282,15 @@ def evaluate(
     sigma: float = 1.0,
     seed: int = 0,
 ) -> EvalReport:
-    """Best-of-K displacement metrics per dataset, forecast EVAL_CHUNK windows at a time.
+    """Best-of-K displacement metrics per dataset, from one `forecast` and
+    one `best_of_k` call per dataset.
 
-    Window w_idx of the d_idx-th dataset by name draws from its own
-    `rng_stream(seed, STREAM_EVAL, d_idx, w_idx)`, so its futures are those
-    of predicting it alone (BLAS may round a product of a few rows
-    differently from one of more). An empty dataset adds no row.
+    `forecast` bounds its own passes by `model.FORECAST_ROWS`, so the
+    temporaries do not grow with the dataset. Window w_idx of the d_idx-th
+    dataset by name draws from its own `rng_stream(seed, STREAM_EVAL,
+    d_idx, w_idx)`, so its futures are those of predicting it alone (BLAS
+    may round a product of a few rows differently from one of more). An
+    empty dataset adds no row.
     """
     report = EvalReport()
     for d_idx, name in enumerate(sorted(windows_by_dataset)):
@@ -293,8 +298,7 @@ def evaluate(
         if not windows:
             continue
         rngs = [rng_stream(seed, STREAM_EVAL, d_idx, w_idx) for w_idx in range(len(windows))]
-        at = range(0, len(windows), EVAL_CHUNK)
-        preds = np.concatenate([model.forecast(windows[i : i + EVAL_CHUNK], k, sigma, rngs[i : i + EVAL_CHUNK]) for i in at])
+        preds = model.forecast(windows, k, sigma, rngs)
         ades, fdes = best_of_k(preds, np.stack([w.world_fut()[w.target_index] for w in windows]))
         report.add(name, k, ades, fdes)
     return report

@@ -511,29 +511,34 @@ class TestWinnerGradients:
 
 class TestTapedRows(BatchLossRun):
     """Regression guard: a training step tapes the decoder and the flow
-    reverse on at most 2B rows, however many samples it draws."""
+    reverse on at most 2B rows, however many samples it draws, and the
+    flow reverse is conditioned on the B rows of `st`, never repeated."""
 
     def test_taped_decoder_and_flow_reverse_see_at_most_two_rows_per_pedestrian(self, monkeypatch):
         model, windows = self.setup_model()
-        seen = {"decode": [], "reverse": []}
+        seen = {"decode": [], "reverse": [], "conditioning": []}
         decode, reverse = dec.BidirectionalDecoder.decode_batch, fl.FlowStack.reverse
 
         def recording_decode(decoder, mb, **kw):
             seen["decode"].append((mb.shape[0], nc.active_tape() is not None))
             return decode(decoder, mb, **kw)
 
-        def recording_reverse(stack, z, st_):
+        def recording_reverse(stack, z, st_, rows=None):
             seen["reverse"].append((z.shape[0], nc.active_tape() is not None))
-            return reverse(stack, z, st_)
+            seen["conditioning"].append((st_.shape[0], nc.active_tape() is not None))
+            assert rows is not None and len(rows) == z.shape[0]
+            return reverse(stack, z, st_, rows)
 
         monkeypatch.setattr(dec.BidirectionalDecoder, "decode_batch", recording_decode)
         monkeypatch.setattr(fl.FlowStack, "reverse", recording_reverse)
         b, k = 5, 20
         pl._loss_and_grads(model, windows[:b], k, np.random.default_rng(12), dec.LossWeights())
-        for stage, calls in seen.items():
+        for stage in ("decode", "reverse"):
+            calls = seen[stage]
             taped = [rows for rows, on_tape in calls if on_tape]
             assert taped and max(taped) <= 2 * b, (stage, calls)
             assert [rows for rows, on_tape in calls if not on_tape] == [b * k], (stage, calls)
+        assert seen["conditioning"] == [(b, False), (b, True)]
 
     def test_ties_tape_one_row_per_pedestrian(self, monkeypatch):
         # with sigma = 0 all K samples tie, and each pedestrian's first sample wins both minima

@@ -359,6 +359,63 @@ class TestFlowStack:
                 x, _ = op.forward(x, Tensor(st))
 
 
+class TestConditioningRows:
+    """`reverse(z, st, rows)` conditions row i of z on row `rows[i]` of st,
+    and each coupling projects a row of st once, however often it repeats."""
+
+    def test_equals_reverse_on_gathered_conditioning(self):
+        rng = np.random.default_rng(12)
+        stack = random_stack(8, 6, 3, rng, factor_out=True, factor_out_every=1, factor_out_channels=2)
+        st = Tensor(rng.normal(size=(4, 6)))
+        rows = np.array([0, 0, 0, 3, 1, 1, 3, 2, 0, 2, 2, 2])
+        z = Tensor(rng.normal(size=(len(rows), 8)))
+        with nc.no_grad():
+            once = stack.reverse(z, st, rows)
+            gathered = stack.reverse(z, nc.index(st, rows))
+        # not bitwise in general: the projected z half and st half are
+        # summed apart, where the gathered call makes one product of both
+        assert np.allclose(once.data, gathered.data, rtol=1e-12, atol=1e-12)
+
+    def test_sample_rows_are_those_of_a_repeated_conditioning(self):
+        rng = np.random.default_rng(15)
+        stack = random_stack(6, 4, 2, rng)
+        st = Tensor(rng.normal(size=(3, 4)))
+        behaviors, z = fl.sample_behaviors(st, stack, 5, 1.0, [np.random.default_rng(16)] * 3)
+        with nc.no_grad():
+            gathered = stack.reverse(Tensor(z), nc.index(st, np.repeat(np.arange(3), 5)))
+        assert np.allclose(behaviors.data, gathered.data, rtol=1e-12, atol=1e-12)
+
+    def test_gradients_through_repeated_rows_match_finite_differences(self):
+        rng = np.random.default_rng(13)
+        stack = random_stack(4, 3, 2, rng, scale=0.4)
+        rows = np.array([1, 0, 1, 1, 0, 1])  # both rows of st condition several rows of z
+        st0, z = rng.normal(size=(2, 3)), Tensor(rng.normal(size=(6, 4)))
+        weights = rng.normal(size=(6, 4))
+        w = next(op for op in stack.ops if isinstance(op, fl.AffineCoupling)).fc0.w
+        st = Tensor(st0, requires_grad=True)
+        with nc.record() as tape:
+            loss = nc.sum_all(nc.mul(stack.reverse(z, st, rows), weights))
+        nc.backward(loss, tape)
+
+        def value(st_data):
+            with nc.no_grad():
+                return float(np.sum(weights * stack.reverse(z, Tensor(st_data), rows).data))
+
+        def value_at_w(w_flat):
+            saved = w.data.copy()
+            w.data[:] = w_flat.reshape(w.data.shape)
+            try:
+                return value(st0)
+            finally:
+                w.data[:] = saved
+
+        fd_st = fd_gradient(lambda x: value(x.reshape(st0.shape)), st0.ravel().copy()).reshape(st0.shape)
+        fd_w = fd_gradient(value_at_w, w.data.ravel().copy()).reshape(w.data.shape)
+        assert rel_err(st.grad, fd_st, floor=1e-6) < 1e-6
+        assert rel_err(w.grad, fd_w, floor=1e-6) < 1e-6
+        assert np.any(w.grad[:2] != 0.0) and np.any(w.grad[2:] != 0.0)  # both halves of fc0 are reached
+
+
 class TestNll:
     def test_origin_anchor(self):
         stack = identity_stack(2, cond_dim=2)

@@ -6,6 +6,7 @@ what encoding and forecasting one window at a time gives.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from stglow import pipeline as pl
 from stglow.config import toy_config
 from stglow.data import SYNTH_KINDS, SceneWindow, SynthSpec, synth_scenes
 from stglow.errors import ContractError
-from stglow.model import TrajectoryModel
+from stglow.model import FORECAST_ROWS, TrajectoryModel
 
 SWITCHES = [None, "use_spatial", "use_pattern_norm", "bidirectional"]
 
@@ -101,28 +102,75 @@ def test_forecast_does_not_depend_on_grouping():
         assert np.array_equal(backwards, together[::-1])
 
 
-def test_evaluate_equals_a_per_window_loop():
-    """Also past one chunk: no forecast holds more than EVAL_CHUNK windows."""
+def test_evaluate_equals_a_per_window_loop(monkeypatch):
+    """One forecast per dataset, decoded in passes of at most FORECAST_ROWS rows."""
     model = make_model(None)
-    data = {"empty": [], "s": (shuffled_windows(48) * (pl.EVAL_CHUNK // 12 + 2))[:-1]}
-    n, step = len(data["s"]), pl.EVAL_CHUNK
-    assert n > step and n % step  # several chunks, the last one short
-    ref = mt.EvalReport()
-    for d_idx, name in enumerate(sorted(data)):
-        scores = []
-        for w_idx, w in enumerate(data[name]):
-            preds = model.predict(w, 20, 1.0, pl.rng_stream(5, pl.STREAM_EVAL, d_idx, w_idx))
-            scores.append(mt.best_of_k(preds, w.world_fut()[w.target_index]))
-        if scores:
-            ref.add(name, 20, [a for a, _ in scores], [f for _, f in scores])
-    sizes = []
-    forecast = model.forecast
-    model.forecast = lambda ws, *args: sizes.append(len(ws)) or forecast(ws, *args)
-    report = pl.evaluate(model, data, k=20, sigma=1.0, seed=5)
-    assert sizes == [min(step, n - i) for i in range(0, n, step)]
-    assert len(report.rows) == 1
-    assert report.to_csv() == ref.to_csv()
-    assert (report.rows[0].ade, report.rows[0].fde) == (ref.rows[0].ade, ref.rows[0].fde)
+    forecasts, passes = [], []
+    forecast, decode = model.forecast, model.decoder.decode_batch
+    for k in (20, 50):
+        per_pass = FORECAST_ROWS // k
+        data = {"empty": [], "s": (shuffled_windows(48) * (2 * per_pass // 12 + 2))[: 2 * per_pass + 7]}
+        n = len(data["s"])
+        ref = mt.EvalReport()
+        for d_idx, name in enumerate(sorted(data)):
+            scores = []
+            for w_idx, w in enumerate(data[name]):
+                preds = model.predict(w, k, 1.0, pl.rng_stream(5, pl.STREAM_EVAL, d_idx, w_idx))
+                scores.append(mt.best_of_k(preds, w.world_fut()[w.target_index]))
+            if scores:
+                ref.add(name, k, [a for a, _ in scores], [f for _, f in scores])
+        forecasts.clear()
+        passes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(model, "forecast", lambda ws, *args: forecasts.append(len(ws)) or forecast(ws, *args))
+            m.setattr(model.decoder, "decode_batch", lambda mb, **kw: passes.append(mb.shape[0]) or decode(mb, **kw))
+            report = pl.evaluate(model, data, k=k, sigma=1.0, seed=5)
+        assert forecasts == [n]
+        assert passes == [per_pass * k, per_pass * k, 7 * k]  # full passes, the last one short
+        assert max(passes) <= FORECAST_ROWS
+        assert len(report.rows) == 1
+        if k == 20:  # the best-of-20 protocol
+            assert report.to_csv() == ref.to_csv()
+            assert (report.rows[0].ade, report.rows[0].fde) == (ref.rows[0].ade, ref.rows[0].fde)
+        else:  # BLAS may multiply a 50-row block with another kernel than a 1000-row one
+            assert report.rows[0].ade == pytest.approx(ref.rows[0].ade, rel=1e-12, abs=0)
+            assert report.rows[0].fde == pytest.approx(ref.rows[0].fde, rel=1e-12, abs=0)
+
+
+def test_a_crowd_of_32_is_one_pass_and_a_large_k_one_window_a_pass(monkeypatch):
+    model = make_model(None)
+    passes = []
+    decode = model.decoder.decode_batch
+    monkeypatch.setattr(model.decoder, "decode_batch", lambda mb, **kw: passes.append(mb.shape[0]) or decode(mb, **kw))
+    model.predict_all_pedestrians(crowd_window(n=32), 20, 1.0, np.random.default_rng(49))
+    assert passes == [640]
+    passes.clear()
+    k = FORECAST_ROWS // 2 + 1
+    preds = model.predict_all_pedestrians(crowd_window(n=3), k, 1.0, np.random.default_rng(49))
+    assert passes == [k, k, k] and preds.shape == (3, k, 12, 2)
+
+
+def test_evaluate_peak_memory_does_not_grow_past_one_budget():
+    """Temporaries are bounded by the row budget, not the dataset: the
+    tracemalloc peak of 4x the budget's windows is within 15% of 2x's."""
+    cfg = toy_config(seed=4)
+    model = pl.build_model(cfg)
+    windows = shuffled_windows(50)
+    with nc.no_grad():
+        mb, st = model.encode_windows(windows, training=True)
+    model.flow.initialize(mb.data, st.data)
+    pl.evaluate(model, {"s": windows}, k=20)  # fills the W^-T cache
+    per_pass = FORECAST_ROWS // 20
+    peaks = []
+    for n in (2 * per_pass, 4 * per_pass):
+        data = {"s": (windows * (n // len(windows) + 1))[:n]}
+        tracemalloc.start()
+        try:
+            pl.evaluate(model, data, k=20)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.15 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("switches_on", [True, False], ids=["use_all", "use_none"])
@@ -142,6 +190,9 @@ def test_empty_input_is_a_contract_error():
         model.encode_windows([], training=False)
     with pytest.raises(ContractError):
         model.forecast([], 20, 1.0, [])
+    for k in (0, -1):
+        with pytest.raises(ContractError):
+            model.forecast(mixed_windows()[:1], k, 1.0, [np.random.default_rng(0)])
 
 
 def test_stacked_training_gradients_match_one_window_at_a_time():

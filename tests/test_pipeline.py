@@ -503,6 +503,23 @@ class TestTraining:
         for name, arr in ckpt.params.items():
             assert result.checkpoint.params[name].tobytes() == arr.tobytes(), name
 
+    def test_singular_mixing_matrix_skips_validation_and_keeps_checkpointing(self, tmp_path, caplog):
+        cfg = tiny_config(tmp_path / "a", epochs=1)
+        cfg.train.val_fraction = 0.25
+        ckpt = pl.train(cfg).checkpoint
+        assert (tmp_path / "a" / "best.ckpt").exists()
+        ckpt.params["flow.op01.lin.w"][:] = 0.0
+        save_checkpoint(ckpt, tmp_path / "zeroed.ckpt")
+        cfg.train.epochs = 2
+        cfg.train.out_dir = str(tmp_path / "b")
+        with caplog.at_level(logging.WARNING, logger="stglow"):
+            result = pl.train(cfg, resume=tmp_path / "zeroed.ckpt")
+        assert result.skipped_steps > 0 and not result.aborted
+        assert [sorted(e) for e in result.history] == [["epoch", "l_p", "l_total", "l_traj"]]
+        assert "epoch 1: skipped validation (singular mixing matrix)" in caplog.messages
+        assert load_checkpoint(tmp_path / "b" / "last.ckpt").epoch == 2
+        assert result.best_path is None and not (tmp_path / "b" / "best.ckpt").exists()
+
     def test_scaled_mixing_matrices_still_train(self, tmp_path):
         # 0.4 times a rotation has condition number 1 but |det| = 0.4^32 < 1e-12
         cfg = toy_config(0)
