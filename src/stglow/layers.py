@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numcore as nc
+from .errors import ConfigError
 from .numcore import Tensor
 
 
@@ -95,29 +96,21 @@ class MultiHeadSelfAttention:
     independently. One bias-free (d, 3d) projection `wqkv` gives every
     head's queries, keys and values; its columns hold the H query heads,
     then the H key heads, then the H value heads, d_k = d / H columns each.
-    All heads then attend as one (P, H, T, T) batch.
-
-    The mask is (T, T), shared by all P graphs, or (P, T, T), one per
-    graph, with entries in {1, NEG_INF}; masked score entries are replaced
-    by the sentinel before the softmax so their post-softmax weight is
-    exactly zero.
+    A call is the projection, its (P, T, 3, H, d_k) reshape, one
+    `nc.attention` node over every head of every graph, and `wo`. The mask
+    is (T, T), shared by all P graphs, or (P, T, T), one per graph.
 
     By default every node queries, and the output is (P, T, d). With
-    `rows`, a (P,) int array, only node `rows[p]` of graph p queries: keys
-    and values still come from every node, through the same `wqkv`
-    product, the mask is cut to the query rows, and the output is the
-    (P, 1, d) stack of the rows an all-rows call would give (up to
-    rounding).
+    `rows`, a (P,) int array, only node `rows[p]` of graph p queries, keys
+    and values still coming from every node, and the output is the (P, 1, d)
+    stack of the rows an all-rows call would give (up to rounding).
 
-    While `capture` is a list, each call appends the post-softmax weights
-    of every head of every graph to it, graph by graph: a (T, T) matrix,
-    or with `rows` the (1, T) query row.
+    While `capture` is a list, each call appends every head's post-softmax
+    weights to it, graph by graph: (T, T) maps, or with `rows` (1, T) rows.
     """
 
     def __init__(self, rng, d_model: int, n_heads: int):
         if d_model % n_heads != 0:
-            from .errors import ConfigError
-
             raise ConfigError(f"n_heads {n_heads} must divide model width {d_model}")
         self.n_heads = n_heads
         self.d_k = d_model // n_heads
@@ -132,23 +125,8 @@ class MultiHeadSelfAttention:
     def __call__(self, x: Tensor, mask: np.ndarray | None, rows: np.ndarray | None = None) -> Tensor:
         p, t, d = x.shape
         qkv = nc.reshape(nc.linear(x, self.wqkv), (p, t, 3, self.n_heads, self.d_k))
-        qkv = nc.permute(qkv, (2, 0, 3, 1, 4))  # (3, P, H, T, d_k)
-        k, v = nc.index(qkv, 1), nc.index(qkv, 2)
-        if rows is None:
-            q, t_q = nc.index(qkv, 0), t
-        else:
-            graphs = np.arange(p)
-            q, t_q = nc.index(qkv, (0, graphs, slice(None), rows, None)), 1  # (P, H, 1, d_k)
-            if mask is not None:  # (P, 1, T): each graph's query row
-                mask = (mask[rows] if mask.ndim == 2 else mask[graphs, rows])[:, None]
-        scores = nc.mul(nc.bmm(q, nc.transpose(k)), 1.0 / np.sqrt(self.d_k))
-        if mask is not None:
-            scores = nc.apply_mask(scores, mask)
-        weights = nc.softmax_lastdim(scores)
-        if self.capture is not None:
-            self.capture.extend(weights.data.reshape(-1, t_q, t))
-        heads = nc.permute(nc.bmm(weights, v), (0, 2, 1, 3))  # (P, T_q, H, d_k)
-        return self.wo(nc.reshape(heads, (p, t_q, d)))
+        heads = nc.attention(qkv, mask, rows, self.capture)  # (P, T_q, H, d_k)
+        return self.wo(nc.reshape(heads, (p, heads.shape[1], d)))
 
     def params(self) -> dict[str, Tensor]:
         return {"wqkv": self.wqkv, **{f"wo.{k}": v for k, v in self.wo.params().items()}}

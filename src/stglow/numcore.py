@@ -5,9 +5,10 @@ are numpy float64 arrays; gradients are recorded on an explicit `Tape` that
 is rebuilt for every training step (define-by-run). Ops executed while no
 tape is active behave like plain numpy and record nothing.
 
-Masked attention uses `NEG_INF`, a finite most-negative-float sentinel, so
-that tensors never carry actual infinities; `softmax_lastdim` treats entries
-equal to the sentinel as masked and maps them to exactly 0.
+Attention masks use `NEG_INF`, a finite most-negative-float sentinel, so
+that tensors never carry actual infinities; `softmax_lastdim` and
+`attention` treat entries equal to the sentinel as masked and give them a
+weight of exactly 0.
 """
 
 from __future__ import annotations
@@ -370,18 +371,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _register(out, inputs, vjp)
 
 
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul over equal leading axes: (..., m, k) @ (..., k, n)."""
-    if a.ndim < 3 or a.data.shape[:-2] != b.data.shape[:-2] or a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeError(f"bmm shapes incompatible: {a.data.shape} x {b.data.shape}")
-    out = a.data @ b.data
-
-    def vjp(g):
-        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
-
-    return _register(out, (a, b), vjp)
-
-
 def gru_cell(h: Tensor, x: Tensor, wx: Tensor, bx: Tensor, wh: Tensor) -> Tensor:
     """One GRU step as one tape node. `wx` (d_in, 3h), `bx` (3h) and `wh`
     (h, 3h) hold the columns of the update (z), reset (r) and candidate (n)
@@ -445,16 +434,6 @@ def transpose(a: Tensor) -> Tensor:
     return _register(np.ascontiguousarray(np.swapaxes(a.data, -1, -2)), (a,), vjp)
 
 
-def permute(a: Tensor, axes: tuple[int, ...]) -> Tensor:
-    """`a` with its axes reordered as `np.transpose(a, axes)`, C-contiguous."""
-    inverse = tuple(np.argsort(axes))
-
-    def vjp(g):
-        return (np.transpose(g, inverse),)
-
-    return _register(np.ascontiguousarray(np.transpose(a.data, axes)), (a,), vjp)
-
-
 def index(a: Tensor, key) -> Tensor:
     """`a[key]` for any numpy index: a view for basic indexing, as `reshape`
     returns one, else a copy. The gradient of a basic key is assigned into
@@ -511,30 +490,8 @@ def inverse(w: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# masked softmax and norms
+# masked softmax, attention and norms
 # ---------------------------------------------------------------------------
-
-
-def apply_mask(scores: Tensor, mask: np.ndarray) -> Tensor:
-    """Replace score entries wherever `mask == NEG_INF`; keep the rest.
-
-    `mask` is (T, T), shared by every leading axis of `scores`, or (B, T, T),
-    one per item of (B, H, T, T) scores and shared by their H heads.
-    """
-    if mask.ndim == 3 and scores.ndim == 4:
-        mask = mask[:, None]
-    try:
-        fits = np.broadcast_shapes(scores.data.shape, mask.shape) == scores.data.shape
-    except ValueError:
-        fits = False
-    if not fits:
-        raise ShapeError(f"mask shape {mask.shape} != scores shape {scores.data.shape}")
-    keep = mask != NEG_INF
-
-    def vjp(g):
-        return (g * keep,)
-
-    return _register(np.where(keep, scores.data, NEG_INF), (scores,), vjp)
 
 
 def softmax_lastdim(a: Tensor) -> Tensor:
@@ -553,6 +510,69 @@ def softmax_lastdim(a: Tensor) -> Tensor:
         return (out * (g - dot),)
 
     return _register(out, (a,), vjp)
+
+
+def attention(qkv: Tensor, mask: np.ndarray | None, rows: np.ndarray | None = None, capture: list | None = None) -> Tensor:
+    """Masked multi-head scaled dot-product attention of P graphs as one tape
+    node over `qkv`, (P, T, 3, H, d_k): a fused projection reshaped so that
+    [p, t, 0 | 1 | 2] are node t's queries, keys and values. Every node
+    queries, giving (P, T, H, d_k), or with `rows`, a (P,) int array, node
+    `rows[p]` of graph p alone, giving (P, 1, H, d_k). Query rows are
+    gathered and values read in place; keys are copied a head at a time to
+    the (P, d_k, T) layout the score products have always read, as BLAS
+    picks its kernel by layout and a strided view would move the last bits.
+
+    `mask`, (T, T) or one (T, T) per graph with entries in {1, NEG_INF}, is
+    cut to the query rows: masked keys get weight 0 exactly, and a query
+    row with every key masked raises `DegenerateMaskError`. A `capture`
+    list gets the weights graph by graph, head by head, as (T_q, T) maps.
+    The backward pass writes one gradient of qkv's shape.
+    """
+    if qkv.ndim != 5 or qkv.shape[2] != 3:
+        raise ShapeError(f"attention needs (P, T, 3, H, d_k) queries, keys and values, got {qkv.shape}")
+    a = qkv.data
+    p, t, _, h, d_k = a.shape
+    at = np.s_[:, :] if rows is None else np.s_[np.arange(p), rows, None]  # the (P, T_q) query nodes
+    q = a[:, :, 0][at].transpose(0, 2, 1, 3)  # (P, H, T_q, d_k)
+    v = a[:, :, 2].transpose(0, 2, 1, 3)  # (P, H, T, d_k)
+
+    def keys(head):  # (P, d_k, T)
+        return np.ascontiguousarray(a[:, :, 1, head].transpose(0, 2, 1))
+
+    t_q, scale = q.shape[2], 1.0 / np.sqrt(d_k)
+    w = np.empty((p, h, t_q, t))
+    for i in range(h):
+        np.matmul(q[:, i], keys(i), out=w[:, i])
+    w *= scale
+    if mask is not None:
+        if mask.shape not in ((t, t), (p, t, t)):
+            raise ShapeError(f"mask shape {mask.shape} is neither ({t}, {t}) nor ({p}, {t}, {t})")
+        blocked = np.broadcast_to(mask == NEG_INF, (p, t, t))[at]
+        if np.any(blocked.all(axis=-1)):
+            raise DegenerateMaskError("attention query row with every key masked")
+        np.copyto(w, -np.inf, where=blocked[:, None])  # for every head; exp(-inf) == 0
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    if capture is not None:
+        capture.extend(w.reshape(-1, t_q, t))
+    out = np.empty((p, t_q, h, d_k))
+    np.matmul(w, v, out=out.transpose(0, 2, 1, 3))
+
+    def vjp(g):
+        g = g.transpose(0, 2, 1, 3)  # (P, H, T_q, d_k)
+        grad = np.zeros_like(a)
+        np.matmul(np.swapaxes(w, -1, -2), g, out=grad[:, :, 2].transpose(0, 2, 1, 3))
+        g_s = g @ np.swapaxes(v, -1, -2)  # through the softmax to the scores
+        g_s -= (g_s * w).sum(axis=-1, keepdims=True)
+        g_s *= w
+        g_s *= scale
+        grad[:, :, 1] = (np.swapaxes(q, -1, -2) @ g_s).transpose(0, 3, 1, 2)
+        for i in range(h):
+            grad[:, :, 0][at + (i,)] = g_s[:, i] @ np.swapaxes(keys(i), -1, -2)  # (P, T_q, d_k)
+        return (grad,)
+
+    return _register(out, (qkv,), vjp)
 
 
 def euclid_rows(a: Tensor) -> Tensor:
@@ -583,22 +603,28 @@ def adam_step(
     eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> None:
-    """One in-place Adam update with decoupled weight decay; t is 1-based."""
+    """One in-place Adam update with decoupled weight decay; t is 1-based.
+    The textbook expressions' operations run in their order, so the bits are
+    theirs, but in two work arrays: the step, from m̂ on, and one scratch."""
     if param.shape != grad.shape or param.shape != m.shape or param.shape != v.shape:
         raise ShapeError(
             f"adam_step shape mismatch: param {param.shape}, grad {grad.shape}, "
             f"m {m.shape}, v {v.shape}"
         )
     b1, b2 = betas
+    scratch, step = np.empty_like(param), np.empty_like(param)
     m *= b1
-    m += (1.0 - b1) * grad
+    m += np.multiply(grad, 1.0 - b1, out=scratch)
     v *= b2
-    v += (1.0 - b2) * grad * grad
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
-    param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    v += np.multiply(np.multiply(grad, 1.0 - b2, out=scratch), grad, out=scratch)
+    np.divide(m, 1.0 - b1**t, out=step)  # m̂, then lr·m̂ / (√v̂ + eps)
+    step *= lr
+    np.sqrt(np.divide(v, 1.0 - b2**t, out=scratch), out=scratch)
+    scratch += eps
+    step /= scratch
+    param -= step
     if weight_decay != 0.0:
-        param -= lr * weight_decay * param
+        param -= np.multiply(param, lr * weight_decay, out=scratch)
 
 
 class Adam:

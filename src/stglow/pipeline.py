@@ -378,25 +378,21 @@ def _check_logdet_oracle(detail: dict) -> bool:
 
 def _check_gradients(detail: dict) -> bool:
     rng = np.random.default_rng(303)
-    w = rng.normal(size=(4, 4))
+    w = Tensor(rng.normal(size=(4, 4)))
     x0 = rng.normal(size=(3, 4))
 
-    def value(x):
+    def loss(x: Tensor) -> Tensor:
+        return nc.sum_all(nc.tanh(nc.softmax_lastdim(nc.relu(nc.matmul(x, w)))))
+
+    def value(x: np.ndarray) -> np.ndarray:
         with nc.no_grad():
-            h = nc.relu(nc.matmul(Tensor(x), Tensor(w)))
-            return float(nc.sum_all(nc.tanh(nc.softmax_lastdim(h))).data)
+            return loss(Tensor(x.reshape(x0.shape))).data.reshape(1)
 
     xt = Tensor(x0, requires_grad=True)
     with nc.record() as tape:
-        h = nc.relu(nc.matmul(xt, Tensor(w)))
-        loss = nc.sum_all(nc.tanh(nc.softmax_lastdim(h)))
-    nc.backward(loss, tape)
-    fd = np.zeros_like(x0)
-    for i in range(x0.size):
-        xp, xm = x0.copy(), x0.copy()
-        xp.flat[i] += 1e-5
-        xm.flat[i] -= 1e-5
-        fd.flat[i] = (value(xp) - value(xm)) / 2e-5
+        out = loss(xt)
+    nc.backward(out, tape)
+    fd = _fd_jacobian(value, x0.ravel(), 1e-5).reshape(x0.shape)
     err = float(np.max(np.abs(xt.grad - fd) / np.maximum(np.abs(fd), 1e-8)))
     detail["max_rel_gradient_error"] = err
     return err < 1e-3

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from helpers import fd_gradient, flow_map, identity_stack, numerical_jacobian, random_stack, rel_err
@@ -302,6 +302,7 @@ class TestFlowStack:
         half_last=hst.integers(1, 3),
         seed=hst.integers(0, 2**32 - 1),
     )
+    @example(n_steps=6, every=1, half_out=1, half_last=2, seed=1)  # max|z| 1.0e6, error 8.9e-8
     @settings(max_examples=40, deadline=None)
     def test_factor_out_round_trip_over_random_schedules(self, n_steps, every, half_out, half_last, seed):
         # widths are even and every split leaves at least 2 channels, so each schedule is valid
@@ -317,7 +318,11 @@ class TestFlowStack:
         st = rng.normal(size=(5, 3))
         z, _ = stack.forward(Tensor(x), Tensor(st))
         back = stack.reverse(z, Tensor(st))
-        assert np.max(np.abs(back.data - x)) <= 1e-9
+        # The couplings' exp scales can push z far from unit scale, and the
+        # inverse's float64 rounding grows with it: over 32,000 draws the
+        # error stayed below 8.8e-14 max|z|. The bound is 1e-9 up to
+        # max|z| = 100, then 1e-11 max|z|.
+        assert np.max(np.abs(back.data - x)) <= max(1e-9, 1e-11 * np.max(np.abs(z.data)))
 
     def test_factor_out_logdet_matches_jacobian(self):
         rng = np.random.default_rng(6)

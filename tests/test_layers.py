@@ -165,6 +165,15 @@ class TestFusedAttention:
         for captured, oracle in zip(attn.capture, maps):
             assert np.max(np.abs(captured - oracle)) <= 1e-12
 
+    @pytest.mark.parametrize("rows", [None, np.array([3, 0])], ids=["all_rows", "query_rows"])
+    def test_one_attention_node_per_call(self, rows):
+        rng = np.random.default_rng(35)
+        attn = MultiHeadSelfAttention(rng, self.D, self.H)
+        with nc.record() as tape:
+            attn(nc.Tensor(rng.normal(size=(2, 4, self.D)), requires_grad=True), self.masks(rng, 2, 4)["shared"], rows)
+        # the wqkv product, its (P, T, 3, H, d_k) view, the attention, the heads' (P, T_q, d) view and wo
+        assert len(tape.nodes) == 5
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(34)
         attn = MultiHeadSelfAttention(rng, self.D, self.H)

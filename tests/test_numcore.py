@@ -162,6 +162,11 @@ class TestBackward:
         assert np.max(np.abs(combined - (a * gf + b * gg))) < 1e-12
 
 
+# attention masks of 2 graphs of 4 nodes: causal, and one per graph in which
+# every node keeps itself and graph 1 also sees every other node
+CAUSAL = np.where(np.tri(4) == 1.0, 1.0, nc.NEG_INF)
+PER_GRAPH = np.where((np.eye(4)[None] + (np.arange(2) == 1)[:, None, None] + (np.arange(4) < 2)) > 0, 1.0, nc.NEG_INF)
+
 # gradient check for every differentiable op on random small tensors
 OP_CASES = [
     ("add", lambda t, u: nc.add(t, u), 2),
@@ -189,9 +194,7 @@ OP_CASES = [
     ("gru_cell", lambda h, x, wx, bx, wh: nc.gru_cell(h, x, wx, bx, wh), [(3, 4), (3, 2), (2, 12), (12,), (4, 12)]),
     # batched ops of the stacked encoder
     ("linear_stacked", lambda x, w, b: nc.linear(x, w, b), [(2, 3, 4), (4, 2), (2,)]),
-    ("bmm", lambda a, b: nc.bmm(a, b), [(2, 3, 3, 4), (2, 3, 4, 2)]),
     ("transpose_stacked", lambda a: nc.transpose(a), [(2, 3, 4)]),
-    ("permute", lambda a: nc.permute(a, (2, 0, 3, 1)), [(2, 3, 4, 2)]),
     ("index_basic", lambda a: nc.index(a, (slice(None), 2)), [(2, 3, 4)]),
     ("index_gather", lambda a: nc.index(a, (np.array([0, 1, 1]), np.array([2, 0, 0]))), [(2, 3, 4)]),
     # the slicing and repeating jobs that `index` took over
@@ -200,11 +203,12 @@ OP_CASES = [
     ("repeat_rows", lambda t: nc.index(t, np.arange(9) // 3), 1),
     ("concat_rows", lambda a, b: nc.concat([a, b], 0), [(2, 4), (3, 4)]),
     ("concat_lastdim", lambda a, b: nc.concat([a, b], -1), [(3, 2), (3, 4)]),
-    (
-        "apply_mask_per_graph",
-        lambda a: nc.apply_mask(a, np.where(np.eye(3)[None] + (np.arange(2) == 0)[:, None, None], 1.0, nc.NEG_INF)),
-        [(2, 2, 3, 3)],
-    ),
+    # attention over (P, T, 3, H, d_k) = (2, 4, 3, 2, 3): every node or one query row per graph,
+    # under the causal mask shared by both graphs or under one mask per graph
+    ("attention_shared_mask", lambda a: nc.attention(a, CAUSAL), [(2, 4, 3, 2, 3)]),
+    ("attention_per_graph_mask", lambda a: nc.attention(a, PER_GRAPH), [(2, 4, 3, 2, 3)]),
+    ("attention_rows_shared_mask", lambda a: nc.attention(a, CAUSAL, np.array([3, 1])), [(2, 4, 3, 2, 3)]),
+    ("attention_rows_per_graph_mask", lambda a: nc.attention(a, PER_GRAPH, np.array([2, 0])), [(2, 4, 3, 2, 3)]),
 ]
 
 
@@ -310,32 +314,83 @@ def test_basic_key_gradient_equals_scatter(key):
     assert node.vjp(g)[0].tobytes() == scatter.tobytes()
 
 
+class TestAttention:
+    def qkv(self, seed, p=2, t=4, h=2, d_k=3):
+        return nc.Tensor(np.random.default_rng(seed).normal(size=(p, t, 3, h, d_k)), requires_grad=True)
+
+    def test_matches_masked_softmax_of_scaled_scores(self):
+        # one graph and head at a time from the plain formula; the op runs them all at once
+        qkv = self.qkv(24)
+        for mask, rows in ((None, None), (CAUSAL, None), (PER_GRAPH, None), (CAUSAL, np.array([3, 1])), (PER_GRAPH, np.array([2, 0]))):
+            got = nc.attention(qkv, mask, rows).data
+            for p in range(2):
+                for h in range(2):
+                    q, k, v = (qkv.data[p, :, j, h] for j in range(3))
+                    scores = q @ k.T / np.sqrt(3)
+                    if mask is not None:
+                        m = mask if mask.ndim == 2 else mask[p]
+                        scores = np.where(m == nc.NEG_INF, -np.inf, scores)
+                    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+                    expect = e / e.sum(axis=1, keepdims=True) @ v
+                    if rows is not None:
+                        expect = expect[rows[p] : rows[p] + 1]
+                    assert np.max(np.abs(got[p, :, h] - expect)) <= 1e-14, (mask is None, rows, p, h)
+
+    def test_one_tape_node_writes_one_gradient_of_the_input_shape(self):
+        qkv = self.qkv(26)
+        with nc.record() as tape:
+            out = nc.attention(qkv, PER_GRAPH, np.array([1, 3]))
+        [node] = tape.nodes
+        assert out.shape == (2, 1, 2, 3)
+        [grad] = node.vjp(np.ones(out.shape))
+        assert grad.shape == qkv.shape and np.any(grad[:, :, 0] != 0.0)
+
+    def test_all_masked_query_row_raises(self):
+        qkv = self.qkv(27)
+        mask = CAUSAL.copy()
+        mask[2] = nc.NEG_INF
+        with pytest.raises(DegenerateMaskError):
+            nc.attention(qkv, mask)
+        with pytest.raises(DegenerateMaskError):
+            nc.attention(qkv, mask, np.array([0, 2]))
+        per_graph = np.stack([CAUSAL, mask])
+        with pytest.raises(DegenerateMaskError):
+            nc.attention(qkv, per_graph, np.array([2, 2]))
+        # the mask is cut to the query rows, so a row nobody asks for is not checked
+        assert nc.attention(qkv, per_graph, np.array([2, 3])).shape == (2, 1, 2, 3)
+
+    def test_input_shape_checked(self):
+        with pytest.raises(ShapeError, match="attention"):
+            nc.attention(nc.Tensor(np.ones((2, 4, 2, 2, 3))), None)
+
+
 def test_apply_mask_blocks_gradient():
-    mask = np.array([[1.0, nc.NEG_INF], [1.0, 1.0]])
-    x = nc.Tensor(np.ones((2, 2)), requires_grad=True)
+    # attention's mask: a masked key gets exactly zero weight, and its key and value no gradient
+    qkv = nc.Tensor(np.random.default_rng(25).normal(size=(2, 4, 3, 2, 3)), requires_grad=True)
+    maps = []
     with nc.record() as tape:
-        loss = nc.sum_all(nc.apply_mask(x, mask))
+        out = nc.attention(qkv, CAUSAL, capture=maps)
+        loss = nc.sum_all(nc.index(out, (slice(None), 1)))  # node 1 sees nodes 0 and 1
     nc.backward(loss, tape)
-    assert x.grad[0, 1] == 0.0
-    assert x.grad[0, 0] == 1.0
+    assert len(maps) == 4 and all(np.all(m[CAUSAL == nc.NEG_INF] == 0.0) for m in maps)
+    assert np.all(qkv.grad[:, 2:, 1:] == 0.0)  # keys and values of the masked nodes 2 and 3
+    assert np.all(qkv.grad[:, :2, 1:] != 0.0)
 
 
 def test_apply_mask_broadcasts_over_batch_and_heads():
-    rng = np.random.default_rng(22)
-    scores = rng.normal(size=(2, 3, 4, 4))
-    shared = np.where(rng.random((4, 4)) < 0.5, 1.0, nc.NEG_INF)
-    per_graph = np.where(rng.random((2, 4, 4)) < 0.5, 1.0, nc.NEG_INF)
-    for mask, expect in ((shared, shared[None, None]), (per_graph, per_graph[:, None])):
-        out = nc.apply_mask(nc.Tensor(scores), mask).data
-        assert np.array_equal(out, np.where(expect == nc.NEG_INF, nc.NEG_INF, scores))
+    # attention's mask: a (T, T) one is shared by every graph and head, a (P, T, T) one by every head
+    qkv = nc.Tensor(np.random.default_rng(22).normal(size=(2, 4, 3, 2, 3)))
+    for rows in (None, np.array([3, 1])):
+        shared = nc.attention(qkv, CAUSAL, rows).data
+        assert np.array_equal(shared, nc.attention(qkv, np.stack([CAUSAL, CAUSAL]), rows).data)
+        mixed = nc.attention(qkv, np.stack([CAUSAL, PER_GRAPH[1]]), rows).data
+        assert np.array_equal(mixed[0], shared[0]) and not np.array_equal(mixed[1], shared[1])
     for bad in (np.ones((3, 4, 4)), np.ones((4, 3)), np.ones((2, 2, 4, 4))):
         with pytest.raises(ShapeError, match="mask shape"):
-            nc.apply_mask(nc.Tensor(scores), bad)
+            nc.attention(qkv, bad)
 
 
 def test_batched_shapes_checked():
-    with pytest.raises(ShapeError, match="bmm"):
-        nc.bmm(nc.Tensor(np.ones((2, 3, 4))), nc.Tensor(np.ones((3, 4, 2))))
     with pytest.raises(ShapeError, match="linear"):
         nc.linear(nc.Tensor(np.ones((2, 3, 4))), nc.Tensor(np.ones((3, 2))))
 
