@@ -39,7 +39,7 @@ def _cmd_train(args) -> int:
     if result.aborted:
         print(f"training aborted on non-finite loss; last-good checkpoint: {result.last_path}")
         return 1
-    print(f"trained {result.checkpoint.epoch} epochs; last checkpoint: {result.last_path}")
+    print(f"trained {cfg.train.epochs} epochs; last checkpoint: {result.last_path}")
     if result.best_path is not None:
         print(f"best validation checkpoint: {result.best_path}")
     if result.skipped_steps:

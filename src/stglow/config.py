@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -98,21 +99,45 @@ def toy_config(seed: int = 0) -> Config:
     return cfg
 
 
+# lower bound of every int field; `validate` checks them before any arithmetic
+INT_MINIMA = {
+    "model.d": 2,
+    "model.n_heads": 1,
+    "model.n_flow_steps": 1,  # without a flow the model is not STGlow
+    "model.factor_out_every": 1,
+    "model.factor_out_channels": 1,
+    "model.d_h": 1,
+    "model.t_obs": 1,
+    "model.t_pred": 1,
+    "train.batch": 2,  # the likelihood loss and the normalization init need two windows
+    "train.epochs": 0,
+    "train.k_train": 1,
+    "train.checkpoint_every": 1,
+    "eval.k": 1,
+    "data.window_stride": 1,
+    "data.synth_count": 1,
+    "data.synth_seed": 0,
+    "seed": 0,
+}
+
+
 def validate(cfg: Config) -> Config:
+    flat = flatten(cfg)
+    for key, low in INT_MINIMA.items():
+        if flat[key] < low:
+            raise ConfigError(f"{key} must be >= {low}, got {flat[key]}")
+    for key, val in flat.items():
+        if any(isinstance(v, float) and not math.isfinite(v) for v in (val if isinstance(val, tuple) else (val,))):
+            raise ConfigError(f"{key} must be finite, got {val!r}")
     m = cfg.model
     if m.d % m.n_heads != 0:
         raise ConfigError(f"n_heads {m.n_heads} must divide d {m.d}")
     if m.d % 2 != 0:
         raise ConfigError(f"flow channel count d={m.d} must be even")
-    if m.factor_out:
-        width = m.d
-        for step in range(1, m.n_flow_steps):
-            if step % m.factor_out_every == 0:
-                width -= m.factor_out_channels
-                if width < 2 or width % 2 != 0:
-                    raise ConfigError("factor-out schedule leaves an invalid channel count")
-    if cfg.train.batch < 2:
-        raise ConfigError("training batch must be >= 2 (normalization init needs it)")
+    # the flow factors out after every factor_out_every-th step but the last
+    n_out = (m.n_flow_steps - 1) // m.factor_out_every if m.factor_out else 0
+    if n_out and (m.factor_out_channels % 2 or m.d - n_out * m.factor_out_channels < 2):
+        raise ConfigError("factor-out schedule leaves an invalid channel count")
     if not 0.0 <= cfg.train.val_fraction < 1.0:
         raise ConfigError("val_fraction must be in [0, 1)")
     if len(cfg.train.loss_weights) != 4:
@@ -157,7 +182,7 @@ def from_flat(flat: dict[str, object], base: Config | None = None) -> Config:
         parts = key.split(".")
         obj = cfg
         for part in parts[:-1]:
-            if not hasattr(obj, part):
+            if not is_dataclass(obj) or part not in {f.name for f in fields(obj)}:
                 raise ConfigError(f"unknown config section {key!r}")
             obj = getattr(obj, part)
         leaf = parts[-1]
@@ -205,8 +230,8 @@ def load_config(path: str | Path) -> Config:
         key, val = line.split("=", 1)
         try:
             parsed = ast.literal_eval(val.strip())
-        except (ValueError, SyntaxError):
-            parsed = val.strip()
+        except (ValueError, SyntaxError, TypeError, MemoryError, RecursionError):
+            parsed = val.strip()  # not a literal: a bare string
         try:
             cfg = from_flat({key.strip(): parsed}, cfg)
         except ConfigError as exc:

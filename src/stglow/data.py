@@ -71,42 +71,64 @@ class SceneWindow:
         )
 
 
+MAX_ID = 2**53  # float64 holds every integer up to here exactly
+MAX_COORD = 1e6  # meters; farther is a unit or format error, and keeps all later arithmetic finite
+
+
 def load_tracks(path: str | Path) -> list[RawTrack]:
-    """Parse a dataset file into per-pedestrian tracks sorted by frame."""
-    rows: dict[int, list[tuple[int, float, float]]] = {}
+    """Parse a dataset file into per-pedestrian tracks sorted by frame.
+
+    Every field must be finite, the frame and pedestrian ids integral (`12`
+    or `12.0`) and the positions within `MAX_COORD`. A line with the wrong
+    field count or a non-number raises a `ParseError` naming it; after
+    that, so does the first line whose values are out of range.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"{path}: cannot open dataset file ({exc.strerror})") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not a UTF-8 text file ({exc.reason} at byte {exc.start})") from None
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
+    lines = text.split("\n")
+    rows, linenos = [], []
+    for lineno, line in enumerate(lines, start=1):
         fields = line.split()
+        if not fields:
+            continue
         if len(fields) != 4:
             raise ParseError(f"expected 4 fields, got {len(fields)}", line=lineno)
         try:
-            frame = int(float(fields[0]))
-            ped = int(float(fields[1]))
-            x = float(fields[2])
-            y = float(fields[3])
+            rows.append((float(fields[0]), float(fields[1]), float(fields[2]), float(fields[3])))
         except ValueError as exc:
             raise ParseError(f"non-numeric field: {exc}", line=lineno) from None
-        rows.setdefault(ped, []).append((frame, x, y))
+        linenos.append(lineno)
+    if not rows:
+        return []
+    table = np.array(rows)
+    ids = table[:, :2]
+    finite = np.isfinite(table).all(axis=1)
+    integral = ((ids == np.round(ids)) & (np.abs(ids) <= MAX_ID)).all(axis=1)
+    near = (np.abs(table[:, 2:]) <= MAX_COORD).all(axis=1)
+    bad = np.flatnonzero(~(finite & integral & near))
+    if bad.size:
+        i = bad[0]
+        why = (
+            "non-finite field" if not finite[i]
+            else "frame and pedestrian ids must be integers within ±2**53" if not integral[i]
+            else f"position beyond ±{MAX_COORD:g} m"
+        )
+        raise ParseError(f"{why} in {lines[linenos[i] - 1].strip()!r}", line=linenos[i])
+    frames, peds = ids.astype(np.int64).T
+    order = np.lexsort((frames, peds))  # by pedestrian, then frame
     tracks = []
-    for ped in sorted(rows):
-        entries = sorted(rows[ped])
-        frames = np.array([e[0] for e in entries], dtype=np.int64)
-        if len(frames) > 1:
-            diffs = np.diff(frames)
-            if np.any(diffs <= 0):
-                raise DataError(f"pedestrian {ped} has duplicate or non-ascending frames")
-            if np.any(diffs != diffs[0]):
-                raise DataError(f"pedestrian {ped} has a non-uniform frame stride")
-        positions = np.array([[e[1], e[2]] for e in entries], dtype=np.float64)
-        tracks.append(RawTrack(ped_id=ped, frames=frames, positions=positions))
+    for idx in np.split(order, np.flatnonzero(np.diff(peds[order])) + 1):
+        ped = int(peds[idx[0]])
+        diffs = np.diff(frames[idx])
+        if np.any(diffs <= 0):
+            raise DataError(f"pedestrian {ped} has duplicate or non-ascending frames")
+        if np.any(diffs != diffs[:1]):
+            raise DataError(f"pedestrian {ped} has a non-uniform frame stride")
+        tracks.append(RawTrack(ped_id=ped, frames=frames[idx], positions=table[idx, 2:]))
     return tracks
 
 
@@ -138,8 +160,8 @@ def window_scenes(
     dataset: str = "",
 ) -> list[SceneWindow]:
     """Per-target sliding windows over pedestrians fully present in them."""
-    if t_obs < 1 or t_pred < 1:
-        raise ConfigError("window needs t_obs >= 1 and t_pred >= 1")
+    if t_obs < 1 or t_pred < 1 or stride < 1:
+        raise ConfigError("window needs t_obs, t_pred and stride >= 1")
     if not tracks:
         return []
     t_total = t_obs + t_pred

@@ -149,8 +149,11 @@ def backward(loss: Tensor, tape: Tape) -> None:
         for inp, g in zip(node.inputs, grads):
             if g is None or not inp.requires_grad:
                 continue
-            if inp.is_leaf:
-                inp.grad = g.copy() if inp.grad is None else inp.grad + g
+            if inp.is_leaf:  # copied once, so no VJP output is ever written to
+                if inp.grad is None:
+                    inp.grad = g.copy()
+                else:
+                    inp.grad += g
             else:
                 prev = adjoint.get(id(inp))
                 adjoint[id(inp)] = g if prev is None else prev + g
@@ -677,7 +680,12 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], t: int) -> None:
+        """Adopt `arrays`, named as by `state_arrays`, as the moments: they are
+        not copied, and each step updates them in place."""
+        own = self.state_arrays()
+        if set(arrays) != set(own) or any(arrays[k].shape != v.shape for k, v in own.items()):
+            raise ShapeError("optimizer state does not match the parameters")
         self.t = t
         for name in self.params:
-            self.m[name] = arrays[f"m.{name}"].copy()
-            self.v[name] = arrays[f"v.{name}"].copy()
+            self.m[name] = arrays[f"m.{name}"]
+            self.v[name] = arrays[f"v.{name}"]

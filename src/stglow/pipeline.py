@@ -55,10 +55,12 @@ def build_model(cfg: Config) -> TrajectoryModel:
 
 
 def snapshot(model: TrajectoryModel, cfg: Config, opt: Adam | None, epoch: int) -> Checkpoint:
+    """A checkpoint of the live parameter and Adam arrays, uncopied: save it
+    before the next optimizer step moves them."""
     return Checkpoint(
         config=cfg,
-        params={k: p.data.copy() for k, p in model.params().items()},
-        opt_state={k: v.copy() for k, v in opt.state_arrays().items()} if opt else {},
+        params={k: p.data for k, p in model.params().items()},
+        opt_state=opt.state_arrays() if opt else {},
         opt_step=opt.t if opt else 0,
         epoch=epoch,
     )
@@ -121,9 +123,12 @@ def load_eval_windows(data: str, t_obs: int, t_pred: int) -> dict[str, list[Scen
 
 @dataclass
 class TrainResult:
-    checkpoint: Checkpoint
-    last_path: Path | None
-    best_path: Path | None
+    """What `train` leaves besides its files: their paths, the per-epoch
+    history and the abort and skip flags. The file at `last_path` is the
+    last-good state, also after an abort; load it to use the trained model."""
+
+    last_path: Path
+    best_path: Path | None = None
     history: list[dict] = field(default_factory=list)
     aborted: bool = False
     skipped_steps: int = 0
@@ -141,6 +146,10 @@ def train(cfg: Config, resume: str | Path | None = None) -> TrainResult:
     an interrupted run bit for bit, pass the config it was started with. A
     checkpoint already past `cfg.train.epochs` raises `ConfigError` before
     anything is written.
+
+    Files are written straight from the live arrays, the only copy of the
+    model. The result carries paths, history and flags; `last_path` holds
+    the last-good state, also after an abort on a non-finite loss.
     """
     validate(cfg)
     model = build_model(cfg)
@@ -150,16 +159,7 @@ def train(cfg: Config, resume: str | Path | None = None) -> TrainResult:
         betas=cfg.train.betas,
         weight_decay=cfg.train.weight_decay,
     )
-    start_epoch = 0
-    if resume is not None:
-        # the passed config drives the schedule; the checkpoint supplies state
-        ckpt = load_checkpoint(resume)
-        load_params(model, ckpt)
-        if ckpt.opt_state:
-            opt.load_state_arrays(ckpt.opt_state, ckpt.opt_step)
-        start_epoch = ckpt.epoch
-        if start_epoch > cfg.train.epochs:
-            raise ConfigError(f"checkpoint is at epoch {start_epoch}, past train.epochs = {cfg.train.epochs}")
+    start_epoch = 0 if resume is None else _resume(model, opt, resume, cfg.train.epochs)
 
     windows = load_training_windows(cfg)
     if not windows:
@@ -183,11 +183,8 @@ def train(cfg: Config, resume: str | Path | None = None) -> TrainResult:
         model.flow.initialize(mb.data, st.data)
     out_dir = Path(cfg.train.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    last_path = out_dir / "last.ckpt"
-    best_path = out_dir / "best.ckpt"
-    result = TrainResult(checkpoint=snapshot(model, cfg, opt, start_epoch), last_path=None, best_path=None)
-    save_checkpoint(result.checkpoint, last_path)
-    result.last_path = last_path
+    result = TrainResult(last_path=out_dir / "last.ckpt")
+    save_checkpoint(snapshot(model, cfg, opt, start_epoch), result.last_path)
     best_val = math.inf
 
     for epoch in range(start_epoch, cfg.train.epochs):
@@ -247,17 +244,28 @@ def train(cfg: Config, resume: str | Path | None = None) -> TrainResult:
             f" val_ade={entry['val_ade']:.4f}" if "val_ade" in entry else "",
         )
         completed = epoch + 1
-        ckpt = snapshot(model, cfg, opt, completed)
         if completed % cfg.train.checkpoint_every == 0 or completed == cfg.train.epochs:
-            save_checkpoint(ckpt, last_path)
-            result.checkpoint = ckpt
+            ckpt = snapshot(model, cfg, opt, completed)
+            save_checkpoint(ckpt, result.last_path)
             if cfg.train.keep_epoch_checkpoints:
                 save_checkpoint(ckpt, out_dir / f"epoch_{completed:03d}.ckpt")
         if entry.get("val_ade", math.inf) < best_val:
             best_val = entry["val_ade"]
-            save_checkpoint(ckpt, best_path)
-            result.best_path = best_path
+            result.best_path = out_dir / "best.ckpt"
+            save_checkpoint(snapshot(model, cfg, opt, completed), result.best_path)
     return result
+
+
+def _resume(model: TrajectoryModel, opt: Adam, path: str | Path, epochs: int) -> int:
+    """Load a checkpoint's params and Adam state into `model` and `opt`, and
+    return its epoch. The loaded moments become `opt`'s own arrays."""
+    ckpt = load_checkpoint(path)
+    load_params(model, ckpt)
+    if ckpt.opt_state:
+        opt.load_state_arrays(ckpt.opt_state, ckpt.opt_step)
+    if ckpt.epoch > epochs:
+        raise ConfigError(f"checkpoint is at epoch {ckpt.epoch}, past train.epochs = {epochs}")
+    return ckpt.epoch
 
 
 def _loss_and_grads(model: TrajectoryModel, batch, k: int, rng, weights: LossWeights) -> tuple[float, dict]:

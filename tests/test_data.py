@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import write_windows
@@ -73,6 +73,72 @@ def straight_tracks(n_frames, ped_id=1, start_frame=0, stride=10):
     frames = np.arange(n_frames, dtype=np.int64) * stride + start_frame
     positions = np.stack([np.arange(n_frames, dtype=np.float64) * 0.5, np.zeros(n_frames)], axis=1)
     return dt.RawTrack(ped_id=ped_id, frames=frames, positions=positions)
+
+
+# two pedestrians over five frames: two (t_obs=2, t_pred=2) windows per target
+TRACK_TEXT = "".join(f"{10 * t} {ped} {0.5 * t:.2f} {ped - 0.25 * t:.2f}\n" for t in range(5) for ped in (1, 2))
+
+
+@st.composite
+def mutated_track_text(draw) -> str:
+    """TRACK_TEXT with one to three fields or lines mutated: a field replaced
+    by a number or arbitrary text, a line replaced or duplicated."""
+    lines = TRACK_TEXT.splitlines()
+    numbers = st.one_of(
+        st.integers(-3, 60).map(str),
+        st.floats().map(repr),
+        st.sampled_from(["inf", "-inf", "nan", "1e999", "1.5", "1e308", "-1e308", "9007199254740993", "1e17"]),
+    )
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["number", "text", "line", "duplicate"]))
+        if kind in ("number", "text"):
+            fields = lines[i].split() or [""]
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(numbers if kind == "number" else st.text(max_size=8))
+            lines[i] = " ".join(fields)
+        elif kind == "line":
+            lines[i] = draw(st.text(max_size=30))
+        else:
+            lines.insert(i, lines[i])
+    return "\n".join(lines) + "\n"
+
+
+class TestTrackFileFuzz:
+    @settings(max_examples=150)
+    @given(text=mutated_track_text())
+    @example(text=TRACK_TEXT.replace("20 1", "inf 1", 1))
+    @example(text=TRACK_TEXT.replace("20 1", "1e999 1", 1))
+    @example(text=TRACK_TEXT.replace("20 1", "20.5 1", 1))
+    @example(text=TRACK_TEXT.replace("20 1", "20 1.5", 1))
+    @example(text=TRACK_TEXT.replace("20 1 1.00", "20 1 nan", 1))
+    @example(text=TRACK_TEXT.replace("20 1 1.00", "20 1 inf", 1))
+    @example(text=TRACK_TEXT.replace("20 1 1.00", "20 1 1e308", 1).replace("20 2 1.00", "20 2 -1e308", 1))
+    @example(text=TRACK_TEXT.replace("20 1", "1e300 1", 1))
+    def test_fuzzed_track_file_loads_or_raises_a_typed_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+        path.write_text(text, encoding="utf-8")
+        try:
+            windows = dt.load_windows(path, t_obs=2, t_pred=2)
+        except (ParseError, DataError):
+            return
+        for w in windows:
+            assert np.all(np.isfinite(w.obs)) and np.all(np.isfinite(w.fut)) and np.all(np.isfinite(w.origin))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("inf 1 0.0 0.0", "line 2: non-finite field"),
+            ("1e999 1 0.0 0.0", "line 2: non-finite field"),
+            ("10 1 nan 0.0", "line 2: non-finite field"),
+            ("10.5 1 0.0 0.0", "line 2: frame and pedestrian ids must be integers"),
+            ("10 1.5 0.0 0.0", "line 2: frame and pedestrian ids must be integers"),
+            ("1e300 1 0.0 0.0", "line 2: frame and pedestrian ids must be integers within"),
+            ("10 1 2e6 0.0", "line 2: position beyond"),
+        ],
+    )
+    def test_bad_row_rejected_at_its_line(self, tmp_path, row, message):
+        with pytest.raises(ParseError, match=message):
+            dt.load_tracks(write(tmp_path, f"0 1 0.0 0.0\n{row}\n"))
 
 
 class TestWindowScenes:

@@ -144,6 +144,29 @@ class TestBackward:
 
         assert rel_err(analytic_gradient(f_t, x0), fd_gradient(f_np, x0)) < 1e-4
 
+    def test_leaf_read_by_three_ops_gets_the_exact_sum_in_its_own_array(self):
+        rng = np.random.default_rng(5)
+        x = nc.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        c, w = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+        with nc.record() as tape:
+            uses = [nc.mul(x, c), nc.tanh(x), nc.matmul(x, nc.Tensor(w))]
+            loss = nc.add(nc.add(nc.sum_all(uses[0]), nc.sum_all(uses[1])), nc.sum_all(uses[2]))
+        outputs, to_x = [], []
+        for node in tape.nodes:
+
+            def logged(g, node=node, vjp=node.vjp):
+                grads = vjp(g)
+                outputs.extend(a for a in grads if a is not None)
+                to_x.extend(a for t, a in zip(node.inputs, grads) if t is x)
+                return grads
+
+            node.vjp = logged
+        nc.backward(loss, tape)
+        assert len(to_x) == 3
+        want = to_x[0] + to_x[1] + to_x[2]  # backward's order: reverse tape order
+        assert x.grad.tobytes() == want.tobytes()
+        assert not any(np.shares_memory(x.grad, a) for a in outputs)
+
     def test_linearity_of_backward(self):
         rng = np.random.default_rng(11)
         x0 = rng.normal(size=(5,))

@@ -18,20 +18,48 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hst
 
 from stglow import numcore as nc
 from stglow import pipeline as pl
 from stglow.checkpoint import MAGIC, VERSION, Checkpoint, load_checkpoint, save_checkpoint
-from stglow.config import Config, flatten, from_flat, load_config, save_config, toy_config, validate
+from stglow.config import INT_MINIMA, Config, flatten, from_flat, load_config, save_config, toy_config, validate
 from stglow.data import SynthSpec, synth_scenes
-from stglow.errors import CheckpointError, ConfigError, SceneNotFoundError
+from stglow.errors import CheckpointError, ConfigError, SceneNotFoundError, ShapeError
 from stglow.flow import FlowStack, PatternNorm
 from stglow.metrics import EvalReport
 from stglow.model import TrajectoryModel
 
 logging.disable(logging.INFO)
+
+
+TOY_CFG_TEXT = "".join(f"{k} = {v!r}\n" for k, v in flatten(toy_config()).items())
+
+
+@hst.composite
+def mutated_config_text(draw) -> str:
+    """The toy preset's config file with one to three lines mutated: mostly a
+    value replaced (by a number, a literal, or arbitrary text), else a line
+    replaced by arbitrary text or cut short."""
+    lines = TOY_CFG_TEXT.splitlines()
+    values = hst.one_of(
+        hst.integers(-2, 3).map(str),
+        hst.integers().map(str),
+        hst.floats().map(repr),
+        hst.sampled_from(["1e999", "-1e999", "()", "[]", "{}", "None", "b'x'", "1j", "'x'", "(1, 'a')"]),
+        hst.text(max_size=16),
+    )
+    for _ in range(draw(hst.integers(1, 3))):
+        i = draw(hst.integers(0, len(lines) - 1))
+        kind = draw(hst.sampled_from(["value", "value", "value", "line", "cut"]))
+        if kind == "value":
+            lines[i] = f"{lines[i].split(' = ')[0]} = {draw(values)}"
+        elif kind == "line":
+            lines[i] = draw(hst.text(max_size=40))
+        else:
+            lines[i] = lines[i][: draw(hst.integers(0, len(lines[i])))]
+    return "\n".join(lines) + "\n"
 
 
 def tiny_config(out_dir, seed=3, epochs=2, **kw):
@@ -142,6 +170,60 @@ class TestConfig:
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config(tmp_path / "missing.cfg")
+
+    def test_every_int_field_has_a_lower_bound(self):
+        assert sorted(INT_MINIMA) == sorted(k for k, v in flatten(Config()).items() if type(v) is int)
+
+    @pytest.mark.parametrize("key", sorted(INT_MINIMA))
+    def test_int_below_its_bound_rejected_before_arithmetic(self, tmp_path, key):
+        p = tmp_path / "low.cfg"
+        p.write_text(f"{key} = {INT_MINIMA[key] - 1}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must be >= {INT_MINIMA[key]}, got {INT_MINIMA[key] - 1}")):
+            load_config(p)
+
+    @pytest.mark.parametrize("line", ["train.lr = 1e999", "train.betas = (0.9, -1e999)", "eval.sigma = 1e999"])
+    def test_non_finite_float_rejected(self, tmp_path, line):
+        p = tmp_path / "inf.cfg"
+        p.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=f"{line.split()[0]} must be finite"):
+            load_config(p)
+
+    def test_huge_flow_is_validated_without_a_loop(self):
+        cfg = Config()
+        cfg.model.n_flow_steps = 10**15
+        with pytest.raises(ConfigError, match="factor-out schedule"):
+            validate(cfg)
+        cfg.model.factor_out = False
+        assert validate(cfg) is cfg
+
+    def test_attribute_path_is_not_a_section(self):
+        for key in ("__class__.seed", "model.__class__.d", "seed.real"):
+            with pytest.raises(ConfigError, match="unknown config"):
+                from_flat({key: 1})
+        assert Config().seed == 0
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=mutated_config_text())
+    @example(text=TOY_CFG_TEXT + "model.n_heads = 0\n")
+    @example(text=TOY_CFG_TEXT + "model.factor_out_every = 0\n")
+    @example(text=TOY_CFG_TEXT + "train.checkpoint_every = 0\n")
+    @example(text=TOY_CFG_TEXT + "data.window_stride = 0\n")
+    @example(text=TOY_CFG_TEXT + "model.n_flow_steps = 0\n")
+    @example(text=TOY_CFG_TEXT + "model.d = 0\n")
+    @example(text=TOY_CFG_TEXT + "model.t_obs = 0\n")
+    @example(text=TOY_CFG_TEXT + "seed = -1\n")
+    @example(text=TOY_CFG_TEXT + f"model.n_flow_steps = {10**30}\n")
+    @example(text=TOY_CFG_TEXT + "data.paths = {[1]: 2}\n")
+    @example(text=TOY_CFG_TEXT + "out_dir = " + "-" * 10000 + "1\n")
+    @example(text=TOY_CFG_TEXT + "__class__.seed = 5\n")
+    def test_fuzzed_config_file_parses_or_raises_config_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+        path.write_text(text, encoding="utf-8")
+        try:
+            cfg = load_config(path)
+        except ConfigError:
+            return
+        assert validate(cfg) is cfg
 
     def test_heads_must_divide_width(self):
         cfg = toy_config()
@@ -448,14 +530,17 @@ class TestTraining:
             tiny_config(tmp_path / "resumed", epochs=4),
             resume=tmp_path / "full" / "epoch_002.ckpt",
         )
-        assert resumed.checkpoint.epoch == 4
-        assert resumed.checkpoint.opt_step == full.checkpoint.opt_step
-        assert set(resumed.checkpoint.params) == set(full.checkpoint.params)
-        for name, arr in full.checkpoint.params.items():
-            assert arr.tobytes() == resumed.checkpoint.params[name].tobytes(), name
-        assert set(resumed.checkpoint.opt_state) == set(full.checkpoint.opt_state)
-        for name, arr in full.checkpoint.opt_state.items():
-            assert arr.tobytes() == resumed.checkpoint.opt_state[name].tobytes(), name
+        # what a restart reads: the two runs' last.ckpt files
+        a, b = load_checkpoint(full.last_path), load_checkpoint(resumed.last_path)
+        assert resumed.last_path == tmp_path / "resumed" / "last.ckpt"
+        assert a.epoch == b.epoch == 4
+        assert a.opt_step == b.opt_step > 0
+        assert set(a.params) == set(b.params)
+        for name, arr in a.params.items():
+            assert arr.tobytes() == b.params[name].tobytes(), name
+        assert set(a.opt_state) == set(b.opt_state) and a.opt_state
+        for name, arr in a.opt_state.items():
+            assert arr.tobytes() == b.opt_state[name].tobytes(), name
 
     def test_non_finite_loss_aborts_with_last_good_checkpoint(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path / "run", epochs=3)
@@ -464,14 +549,14 @@ class TestTraining:
         monkeypatch.setattr(TrajectoryModel, "batch_loss", nan_on_call(2))
         result = pl.train(cfg)
         assert result.aborted
-        assert result.checkpoint.epoch == 1
-        restored = pl.restore_model(load_checkpoint(result.last_path))
-        params = restored.params()
-        assert set(params) == set(result.checkpoint.params)
-        for name, arr in result.checkpoint.params.items():
+        ckpt = load_checkpoint(result.last_path)
+        assert ckpt.epoch == 1 and ckpt.opt_step == 1
+        params = pl.restore_model(ckpt).params()
+        assert set(params) == set(ckpt.params)
+        for name, arr in ckpt.params.items():
             assert params[name].data.tobytes() == arr.tobytes(), name
         fresh = pl.build_model(cfg).params()
-        assert any(fresh[n].data.tobytes() != a.tobytes() for n, a in result.checkpoint.params.items())
+        assert any(fresh[n].data.tobytes() != a.tobytes() for n, a in ckpt.params.items())
 
         from stglow.cli import main
 
@@ -492,21 +577,22 @@ class TestTraining:
 
     def test_singular_mixing_matrix_steps_are_skipped(self, tmp_path):
         cfg = tiny_config(tmp_path / "a", epochs=1)
-        ckpt = pl.train(cfg).checkpoint
+        ckpt = load_checkpoint(pl.train(cfg).last_path)
         ckpt.params["flow.op01.lin.w"][:] = 0.0
         save_checkpoint(ckpt, tmp_path / "zeroed.ckpt")
         n = len(pl.load_training_windows(cfg))
         result = pl.train(tiny_config(tmp_path / "b", epochs=2), resume=tmp_path / "zeroed.ckpt")
         assert not result.aborted
         assert result.skipped_steps == len([lo for lo in range(0, n, cfg.train.batch) if n - lo >= 2]) > 0
-        assert result.checkpoint.epoch == 2 and result.checkpoint.opt_step == ckpt.opt_step
+        last = load_checkpoint(result.last_path)
+        assert last.epoch == 2 and last.opt_step == ckpt.opt_step
         for name, arr in ckpt.params.items():
-            assert result.checkpoint.params[name].tobytes() == arr.tobytes(), name
+            assert last.params[name].tobytes() == arr.tobytes(), name
 
     def test_singular_mixing_matrix_skips_validation_and_keeps_checkpointing(self, tmp_path, caplog):
         cfg = tiny_config(tmp_path / "a", epochs=1)
         cfg.train.val_fraction = 0.25
-        ckpt = pl.train(cfg).checkpoint
+        ckpt = load_checkpoint(pl.train(cfg).last_path)
         assert (tmp_path / "a" / "best.ckpt").exists()
         ckpt.params["flow.op01.lin.w"][:] = 0.0
         save_checkpoint(ckpt, tmp_path / "zeroed.ckpt")
@@ -525,7 +611,7 @@ class TestTraining:
         cfg = toy_config(0)
         cfg.train.epochs = 0
         cfg.train.out_dir = str(tmp_path / "a")
-        ckpt = pl.train(cfg).checkpoint
+        ckpt = load_checkpoint(pl.train(cfg).last_path)
         for name in ckpt.params:
             if name.endswith(".lin.w"):
                 ckpt.params[name] *= 0.4
@@ -567,6 +653,31 @@ class TestTraining:
         assert len(tapes) >= 2 and len(live_at_save) >= 3
         assert live_at_save == [0] * len(live_at_save)
 
+    def test_checkpoints_are_written_from_the_live_arrays(self, tmp_path, monkeypatch):
+        """Training keeps one copy of the model: every file it writes (last,
+        per-epoch and best) streams the live parameter and Adam arrays."""
+        live: dict = {}
+        real_build, real_adam, real_save = pl.build_model, pl.Adam, pl.save_checkpoint
+        monkeypatch.setattr(pl, "build_model", lambda cfg: live.setdefault("model", real_build(cfg)))
+        monkeypatch.setattr(pl, "Adam", lambda *a, **kw: live.setdefault("opt", real_adam(*a, **kw)))
+        written = []
+
+        def checking_save(ckpt, path):
+            params = {k: p.data for k, p in live["model"].params().items()}
+            opt_state = live["opt"].state_arrays()
+            assert set(ckpt.params) == set(params) and set(ckpt.opt_state) == set(opt_state)
+            assert all(np.shares_memory(a, params[k]) for k, a in ckpt.params.items())
+            assert all(np.shares_memory(a, opt_state[k]) for k, a in ckpt.opt_state.items())
+            written.append(Path(path).name)
+            real_save(ckpt, path)
+
+        monkeypatch.setattr(pl, "save_checkpoint", checking_save)
+        cfg = tiny_config(tmp_path, epochs=2)
+        cfg.train.val_fraction = 0.25
+        cfg.train.keep_epoch_checkpoints = True
+        pl.train(cfg)
+        assert {"last.ckpt", "epoch_002.ckpt", "best.ckpt"} <= set(written)
+
     def test_resume_past_epochs_rejected_before_writing(self, tmp_path):
         pl.train(tiny_config(tmp_path, epochs=3))
         last = tmp_path / "last.ckpt"
@@ -575,6 +686,13 @@ class TestTraining:
             pl.train(tiny_config(tmp_path, epochs=1), resume=last)
         assert last.read_bytes() == before
         assert load_checkpoint(last).epoch == 3
+
+    def test_resume_rejects_incomplete_adam_state(self, tmp_path):
+        ckpt = load_checkpoint(pl.train(tiny_config(tmp_path / "a", epochs=1)).last_path)
+        del ckpt.opt_state[sorted(ckpt.opt_state)[0]]
+        save_checkpoint(ckpt, tmp_path / "partial.ckpt")
+        with pytest.raises(ShapeError, match="optimizer state does not match"):
+            pl.train(tiny_config(tmp_path / "b", epochs=2), resume=tmp_path / "partial.ckpt")
 
     def test_resume_rejects_mismatched_architecture(self, tmp_path):
         pl.train(tiny_config(tmp_path / "a", epochs=1))
@@ -589,7 +707,7 @@ class TestEvaluate:
         out = tmp_path_factory.mktemp("trained")
         cfg = tiny_config(out, epochs=2)
         result = pl.train(cfg)
-        return pl.restore_model(result.checkpoint), cfg
+        return pl.restore_model(load_checkpoint(result.last_path)), cfg
 
     def windows(self, n=6, seed=42):
         return synth_scenes(SynthSpec(kinds=("straight",), count=n, seed=seed, noise_std=0.01))
@@ -709,7 +827,7 @@ class TestSamplePlot:
         out = tmp_path_factory.mktemp("sample")
         cfg = tiny_config(out, epochs=1)
         result = pl.train(cfg)
-        model = pl.restore_model(result.checkpoint)
+        model = pl.restore_model(load_checkpoint(result.last_path))
         windows = synth_scenes(
             SynthSpec(kinds=("crossing_pair",), count=2, seed=5, noise_std=0.01)
         )
@@ -749,7 +867,7 @@ class TestAblationConfigs:
         cfg = tiny_config(tmp_path / flag, epochs=1, **{flag: False})
         result = pl.train(cfg)
         assert not result.aborted
-        model = pl.restore_model(result.checkpoint)
+        model = pl.restore_model(load_checkpoint(result.last_path))
         ws = synth_scenes(SynthSpec(kinds=("straight",), count=2, seed=1, noise_std=0.01))
         report = pl.evaluate(model, {"s": ws}, k=2, sigma=1.0, seed=0)
         assert np.isfinite(report.rows[0].ade)
@@ -845,6 +963,13 @@ class TestCli:
             "eval_version_3_checkpoint",
             "eval_version_4_checkpoint",
             "train_removed_switch",
+            "train_zero_heads",
+            "train_zero_flow_steps",
+            "train_zero_factor_out_every",
+            "train_zero_checkpoint_every",
+            "train_zero_window_stride",
+            "eval_infinite_frame_id",
+            "eval_nan_position",
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, case):
@@ -864,6 +989,12 @@ class TestCli:
         non_utf8 = tmp_path / "utf16.txt"
         non_utf8.write_bytes(b"\xff\xfe1\x000\x00 \x001\x00")
         synth = "synth:straight:n=2:seed=9:noise=0.01"
+        zeroed = {}
+        for key in ("model.n_heads", "model.n_flow_steps", "model.factor_out_every", "train.checkpoint_every", "data.window_stride"):
+            zeroed[key] = tmp_path / f"zero_{key.split('.')[1]}.cfg"
+            zeroed[key].write_text(good_cfg.read_text() + f"{key} = 0\n")
+        (tmp_path / "inf_frame.txt").write_text("0 1 0.0 0.0\ninf 1 0.5 0.5\n")
+        (tmp_path / "nan_position.txt").write_text("0 1 nan 0.0\n")
         for version in (1, 2, 3, 4):
             payload = bytearray(good_ckpt.read_bytes()[4:-4])
             payload[:4] = struct.pack("<I", version)
@@ -885,6 +1016,13 @@ class TestCli:
             "eval_version_3_checkpoint": ["eval", "--ckpt", str(tmp_path / "v3.ckpt"), "--data", synth],
             "eval_version_4_checkpoint": ["eval", "--ckpt", str(tmp_path / "v4.ckpt"), "--data", synth],
             "train_removed_switch": ["train", "--config", str(removed_cfg)],
+            "train_zero_heads": ["train", "--config", str(zeroed["model.n_heads"])],
+            "train_zero_flow_steps": ["train", "--config", str(zeroed["model.n_flow_steps"])],
+            "train_zero_factor_out_every": ["train", "--config", str(zeroed["model.factor_out_every"])],
+            "train_zero_checkpoint_every": ["train", "--config", str(zeroed["train.checkpoint_every"])],
+            "train_zero_window_stride": ["train", "--config", str(zeroed["data.window_stride"])],
+            "eval_infinite_frame_id": ["eval", "--ckpt", str(good_ckpt), "--data", str(tmp_path / "inf_frame.txt")],
+            "eval_nan_position": ["eval", "--ckpt", str(good_ckpt), "--data", str(tmp_path / "nan_position.txt")],
         }[case]
         if case == "train_non_integer_seed":
             monkeypatch.setenv("STGLOW_SEED", "12a")
@@ -909,6 +1047,13 @@ class TestCli:
             "eval_version_3_checkpoint": "v3.ckpt: unsupported checkpoint version 3",
             "eval_version_4_checkpoint": "v4.ckpt: unsupported checkpoint version 4",
             "train_removed_switch": "removed.cfg:1: unknown config field 'model.use_centrality'",
+            "train_zero_heads": "model.n_heads must be >= 1, got 0",
+            "train_zero_flow_steps": "model.n_flow_steps must be >= 1, got 0",
+            "train_zero_factor_out_every": "model.factor_out_every must be >= 1, got 0",
+            "train_zero_checkpoint_every": "train.checkpoint_every must be >= 1, got 0",
+            "train_zero_window_stride": "data.window_stride must be >= 1, got 0",
+            "eval_infinite_frame_id": "line 2: non-finite field in 'inf 1 0.5 0.5'",
+            "eval_nan_position": "line 1: non-finite field in '0 1 nan 0.0'",
         }[case]
         assert cause in err
 
