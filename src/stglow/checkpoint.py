@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Config, flatten, from_flat
+from .config import Config, flatten, from_flat, validate
 from .errors import CheckpointError, ConfigError
 
 MAGIC = b"STGF"
@@ -204,7 +204,7 @@ def _parse(r: _Reader) -> Checkpoint:
     if not isinstance(header, dict) or any(not isinstance(header.get(k), t) for k, t in HEADER_TYPES.items()):
         raise CheckpointError(f"{path}: incomplete header (needs {', '.join(HEADER_TYPES)})")
     try:
-        config = from_flat(header["config"])
+        config = validate(from_flat(header["config"]))
     except ConfigError as exc:
         raise CheckpointError(f"{path}: header config: {exc}") from None
     records = {}

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_checkpoint
-from .config import load_config
+from .config import check_bound, load_config
 from .errors import ConfigError, StglowError
 from .pipeline import (
     check,
@@ -48,9 +48,12 @@ def _cmd_train(args) -> int:
 
 
 def _forecast_args(args, ckpt) -> tuple[int, float]:
-    """--k and --sigma, each defaulting to the checkpoint's `eval` section."""
+    """--k and --sigma, each defaulting to the checkpoint's `eval` section and bounded as its field is."""
     ev = ckpt.config.eval
-    return (ev.k if args.k is None else args.k), (ev.sigma if args.sigma is None else args.sigma)
+    k, sigma = (ev.k if args.k is None else args.k), (ev.sigma if args.sigma is None else args.sigma)
+    check_bound("eval.k", k, "--k")
+    check_bound("eval.sigma", sigma, "--sigma")
+    return k, sigma
 
 
 def _cmd_eval(args) -> int:

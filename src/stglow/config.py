@@ -121,14 +121,43 @@ INT_MINIMA = {
 }
 
 
+# range of every float field, each entry of a tuple alike: "(" and ")" exclude the bound
+FLOAT_RANGES = {
+    "train.lr": "(0, inf)",
+    "train.betas": "[0, 1)",
+    "train.weight_decay": "[0, inf)",
+    "train.loss_weights": "[0, inf)",
+    "train.val_fraction": "[0, 1)",
+    "train.grad_clip": "[0, inf)",
+    "train.lr_min_factor": "[0, 1]",
+    "eval.sigma": "[0, inf)",
+    "data.synth_noise": "[0, inf)",
+}
+
+
+def check_bound(key: str, val, name: str | None = None) -> None:
+    """Raise ConfigError naming `name` (default `key`) unless `val` is within
+    field `key`'s bound in `INT_MINIMA` or, finite, its `FLOAT_RANGES` range."""
+    name = name or key
+    if key in INT_MINIMA:
+        if val < INT_MINIMA[key]:
+            raise ConfigError(f"{name} must be >= {INT_MINIMA[key]}, got {val}")
+        return
+    if not math.isfinite(val):
+        raise ConfigError(f"{name} must be finite, got {val!r}")
+    rule = FLOAT_RANGES[key]
+    low, high = (float(b) for b in rule[1:-1].split(","))
+    above = low < val if rule[0] == "(" else low <= val
+    below = val < high if rule[-1] == ")" else val <= high
+    if not (above and below):
+        raise ConfigError(f"{name} must be in {rule}, got {val!r}")
+
+
 def validate(cfg: Config) -> Config:
     flat = flatten(cfg)
-    for key, low in INT_MINIMA.items():
-        if flat[key] < low:
-            raise ConfigError(f"{key} must be >= {low}, got {flat[key]}")
-    for key, val in flat.items():
-        if any(isinstance(v, float) and not math.isfinite(v) for v in (val if isinstance(val, tuple) else (val,))):
-            raise ConfigError(f"{key} must be finite, got {val!r}")
+    for key in (*INT_MINIMA, *FLOAT_RANGES):  # ints first: before any arithmetic
+        for val in flat[key] if isinstance(flat[key], tuple) else (flat[key],):
+            check_bound(key, val)
     m = cfg.model
     if m.d % m.n_heads != 0:
         raise ConfigError(f"n_heads {m.n_heads} must divide d {m.d}")
@@ -138,8 +167,6 @@ def validate(cfg: Config) -> Config:
     n_out = (m.n_flow_steps - 1) // m.factor_out_every if m.factor_out else 0
     if n_out and (m.factor_out_channels % 2 or m.d - n_out * m.factor_out_channels < 2):
         raise ConfigError("factor-out schedule leaves an invalid channel count")
-    if not 0.0 <= cfg.train.val_fraction < 1.0:
-        raise ConfigError("val_fraction must be in [0, 1)")
     if len(cfg.train.loss_weights) != 4:
         raise ConfigError("loss_weights needs 4 entries (goal, fwd, bwd, both)")
     if cfg.train.lr_schedule not in ("constant", "cosine"):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import ContractError
-from .layers import GruCell, Linear, Mlp, _prefix
+from .layers import GruCell, Layer, Linear, Mlp
 from .numcore import Tensor
 
 
@@ -60,7 +60,7 @@ class BatchDecoded:
         return BatchDecoded(*(None if h is None else nc.index(h, idx) for h in heads))
 
 
-class BidirectionalDecoder:
+class BidirectionalDecoder(Layer):
     def __init__(
         self,
         rng: np.random.Generator,
@@ -123,26 +123,6 @@ class BidirectionalDecoder:
             y_b=None if prediction_only else _stack_steps(y_b_desc[::-1], m),
             y_both=_stack_steps(y_both_desc[::-1], m),
         )
-
-    def params(self) -> dict[str, Tensor]:
-        children = {
-            "goal_mlp": self.goal_mlp,
-            "fwd_init": self.fwd_init,
-            "fwd_in": self.fwd_in,
-            "fwd_gru": self.fwd_gru,
-            "fwd_out": self.fwd_out,
-        }
-        if self.bidirectional:
-            children.update(
-                {
-                    "bwd_init": self.bwd_init,
-                    "bwd_in": self.bwd_in,
-                    "bwd_gru": self.bwd_gru,
-                    "bwd_out": self.bwd_out,
-                    "both_out": self.both_out,
-                }
-            )
-        return _prefix(children)
 
 
 def _stack_steps(steps: list[Tensor], m: int) -> Tensor:

@@ -22,13 +22,13 @@ from .errors import (
     DegenerateChannelError,
     FlowNumericsError,
 )
-from .layers import Linear, _prefix
+from .layers import Layer, Linear
 from .numcore import Tensor
 
 LOG_SCALE_BOUND = 5.0  # coupling log-scales are clamped to +-this
 
 
-class PatternNorm:
+class PatternNorm(Layer):
     """Per-channel affine map y = s * x + b, built as the identity (s=1, b=0).
 
     `init_from_data` sets scale and bias from a batch so that outputs have
@@ -60,9 +60,6 @@ class PatternNorm:
     def reverse(self, y: Tensor, _st: Tensor | None = None, _rows: np.ndarray | None = None) -> Tensor:
         return nc.div(nc.sub(y, self.b), self.s)
 
-    def params(self) -> dict[str, Tensor]:
-        return {"s": self.s, "b": self.b}
-
 
 def random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
     """Orthogonal matrix with determinant +1 from a QR of a Gaussian draw."""
@@ -73,7 +70,7 @@ def random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
     return q
 
 
-class InvertibleLinear:
+class InvertibleLinear(Layer):
     """Dense channel-mixing map, initialized as a rotation (log-det zero).
 
     Untaped reverse passes (sampling, eval) reuse W^-T for as long as the
@@ -100,11 +97,8 @@ class InvertibleLinear:
             self._inv_of = self.w.data.copy()
         return nc.matmul(y, self._inv_t)
 
-    def params(self) -> dict[str, Tensor]:
-        return {"w": self.w}
 
-
-class AffineCoupling:
+class AffineCoupling(Layer):
     """Scale/shift of the second half-channels, conditioned on context.
 
     The first half passes through unchanged and, concatenated with the
@@ -149,9 +143,6 @@ class AffineCoupling:
         xb = nc.div(nc.sub(yb, t), nc.exp(log_s))
         return nc.concat([ya, xb], -1)
 
-    def params(self) -> dict[str, Tensor]:
-        return _prefix({"fc0": self.fc0, "fc1": self.fc1})
-
 
 class FactorOut:
     """Marker op diverting the trailing channels straight to the base."""
@@ -160,7 +151,7 @@ class FactorOut:
         self.keep = width_in - out_channels
 
 
-class FlowStack:
+class FlowStack(Layer):
     """Ordered invertible steps with per-sample log-det accounting."""
 
     def __init__(
@@ -251,17 +242,11 @@ class FlowStack:
         return x
 
     def params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        step = 0
-        for op in self.ops:
-            tag = type(op).__name__
-            kind = {"PatternNorm": "pn", "InvertibleLinear": "lin", "AffineCoupling": "coup"}.get(tag)
-            if kind is None:
-                continue
-            for k, v in op.params().items():
-                out[f"op{step:02d}.{kind}.{k}"] = v
-            step += 1
-        return out
+        """Op i's parameters under `op{i:02d}.{pn|lin|coup}.`, ops with none not counted:
+        the names of checkpoint version 5."""
+        kinds = {PatternNorm: "pn", InvertibleLinear: "lin", AffineCoupling: "coup"}
+        steps = [op for op in self.ops if not isinstance(op, FactorOut)]
+        return {f"op{i:02d}.{kinds[type(op)]}.{k}": v for i, op in enumerate(steps) for k, v in op.params().items()}
 
 
 def nll_loss(mb: Tensor, st: Tensor, stack: FlowStack) -> Tensor:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import ConfigError, DataError, ShapeError
-from .layers import Linear, Mlp, ReluLinear, TransformerBlock, _prefix
+from .layers import Layer, Linear, Mlp, ReluLinear, TransformerBlock
 from .numcore import NEG_INF, Tensor
 
 
@@ -75,7 +75,7 @@ def _checked_trajectories(traj) -> np.ndarray:
     return traj
 
 
-class TemporalGraphormer:
+class TemporalGraphormer(Layer):
     """Trajectory encoder with causal masked attention, over (P, T, 2) stacks.
 
     The causal mask is always applied. Every step's embedding is computed
@@ -90,8 +90,9 @@ class TemporalGraphormer:
         self.node_mlp = Mlp(rng, 2, d, d)
         self.centrality = Linear(rng, 1, d)
         self.centrality.w.data *= 0.1  # raw degrees reach t_max; keep embeddings O(1)
-        self.pos_table = Tensor(rng.normal(0.0, 0.1, size=(t_max, d)), requires_grad=True)
+        pos_table = Tensor(rng.normal(0.0, 0.1, size=(t_max, d)), requires_grad=True)
         self.block = TransformerBlock(rng, d, n_heads)
+        self.pos_table = pos_table  # drawn before the block, listed after it
 
     def centrality_embedding(self, mask: np.ndarray) -> Tensor:
         deg = temporal_degrees(mask)[:, None]
@@ -109,13 +110,8 @@ class TemporalGraphormer:
         h = nc.add(h, nc.index(self.pos_table, slice(0, t)))
         return self.block(h, mask, rows)
 
-    def params(self) -> dict[str, Tensor]:
-        out = _prefix({"node_mlp": self.node_mlp, "centrality": self.centrality, "block": self.block})
-        out["pos_table"] = self.pos_table
-        return out
 
-
-class SpatialGraphormer:
+class SpatialGraphormer(Layer):
     """Cross-pedestrian encoder at one time step under the FOV mask, over
     (Q, N, d) stacks of scenes.
 
@@ -151,11 +147,8 @@ class SpatialGraphormer:
         v = nc.add(v, self.steer_mlp(Tensor(steer[..., None])))
         return self.block(v, build_spatial_adjacency(positions_prev, positions_now), rows)
 
-    def params(self) -> dict[str, Tensor]:
-        return _prefix({"rel_mlp": self.rel_mlp, "steer_mlp": self.steer_mlp, "block": self.block})
 
-
-class SceneEncoder:
+class SceneEncoder(Layer):
     """Assembles the temporal/spatial encoders into per-target encodings.
 
     Three separate temporal encoders are kept: one for the full trajectory
@@ -198,9 +191,3 @@ class SceneEncoder:
             full = np.asarray(full, dtype=np.float64)
             mb = self.tg_full(full[scenes, targets], rows=np.full(q, full.shape[2] - 1))
         return mb, st
-
-    def params(self) -> dict[str, Tensor]:
-        children = {"tg_full": self.tg_full, "tg_hist": self.tg_hist, "tg_target": self.tg_target}
-        if self.sg is not None:
-            children["sg"] = self.sg
-        return _prefix(children)

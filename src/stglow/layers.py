@@ -1,9 +1,13 @@
 """Small neural building blocks shared by the encoder and the decoder.
 
-Every layer owns named `Tensor` parameters and exposes them through
-`params()`; parents namespace the names with dots. Initialization draws
-from a caller-supplied numpy Generator so model construction is fully
-deterministic under a seed.
+Every layer subclasses `Layer`, whose one `params()` lists parameters from
+the layer's attributes in the order they were set: each `Tensor` with
+`requires_grad` under the attribute's name, and each `Layer`'s own
+parameters under `<attribute>.`. Attributes that are None, that hold
+anything else, or whose names start with `_` (caches such as
+`InvertibleLinear._inv_t`) are skipped. Training and checkpoints see
+exactly the listed parameters. Initialization draws from a caller-supplied
+numpy Generator so model construction is fully deterministic under a seed.
 """
 
 from __future__ import annotations
@@ -15,11 +19,26 @@ from .errors import ConfigError
 from .numcore import Tensor
 
 
+class Layer:
+    """Defines only `params()`: `bench/spans` patches subclasses' `__init__`/`__call__` and weak-keys instances."""
+
+    def params(self) -> dict[str, Tensor]:
+        out: dict[str, Tensor] = {}
+        for name, val in vars(self).items():
+            if name.startswith("_"):
+                continue
+            if isinstance(val, Tensor) and val.requires_grad:
+                out[name] = val
+            elif isinstance(val, Layer):
+                out.update({f"{name}.{k}": v for k, v in val.params().items()})
+        return out
+
+
 def _init_weight(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
 
 
-class Linear:
+class Linear(Layer):
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int, bias: bool = True, zero_init: bool = False):
         w = np.zeros((d_in, d_out)) if zero_init else _init_weight(rng, d_in, d_out)
         self.w = Tensor(w, requires_grad=True)
@@ -28,14 +47,8 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return nc.linear(x, self.w, self.b)
 
-    def params(self) -> dict[str, Tensor]:
-        out = {"w": self.w}
-        if self.b is not None:
-            out["b"] = self.b
-        return out
 
-
-class Mlp:
+class Mlp(Layer):
     """Two-layer perceptron with ReLU in between."""
 
     def __init__(self, rng, d_in: int, d_hidden: int, d_out: int):
@@ -45,11 +58,8 @@ class Mlp:
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc1(nc.relu(self.fc0(x)))
 
-    def params(self) -> dict[str, Tensor]:
-        return _prefix({"fc0": self.fc0, "fc1": self.fc1})
 
-
-class ReluLinear:
+class ReluLinear(Layer):
     """Single linear layer followed by ReLU."""
 
     def __init__(self, rng, d_in: int, d_out: int):
@@ -58,11 +68,8 @@ class ReluLinear:
     def __call__(self, x: Tensor) -> Tensor:
         return nc.relu(self.fc(x))
 
-    def params(self) -> dict[str, Tensor]:
-        return _prefix({"fc": self.fc})
 
-
-class GruCell:
+class GruCell(Layer):
     """Standard gated recurrent cell (update gate, reset gate, candidate).
 
     A step is one `nc.gru_cell` tape node over three fused tensors: the
@@ -85,11 +92,8 @@ class GruCell:
     def __call__(self, h: Tensor, x: Tensor) -> Tensor:
         return nc.gru_cell(h, x, self.wx, self.bx, self.wh)
 
-    def params(self) -> dict[str, Tensor]:
-        return {"wx": self.wx, "bx": self.bx, "wh": self.wh}
 
-
-class MultiHeadSelfAttention:
+class MultiHeadSelfAttention(Layer):
     """Masked multi-head self-attention over stacks of node embeddings.
 
     The input is (P, T, d): P graphs of T nodes each, attended to
@@ -128,11 +132,8 @@ class MultiHeadSelfAttention:
         heads = nc.attention(qkv, mask, rows, self.capture)  # (P, T_q, H, d_k)
         return self.wo(nc.reshape(heads, (p, heads.shape[1], d)))
 
-    def params(self) -> dict[str, Tensor]:
-        return {"wqkv": self.wqkv, **{f"wo.{k}": v for k, v in self.wo.params().items()}}
 
-
-class TransformerBlock:
+class TransformerBlock(Layer):
     """One attention + feed-forward block with plain residual connections,
     over (P, T, d) stacks of node embeddings.
 
@@ -157,14 +158,3 @@ class TransformerBlock:
         x = nc.add(x, attended)
         x = nc.add(x, self.ffn(x))
         return x if rows is None else nc.reshape(x, (x.shape[0], x.shape[2]))
-
-    def params(self) -> dict[str, Tensor]:
-        return _prefix({"attn": self.attn, "ffn": self.ffn})
-
-
-def _prefix(children: dict[str, object]) -> dict[str, Tensor]:
-    out: dict[str, Tensor] = {}
-    for name, child in children.items():
-        for k, v in child.params().items():
-            out[f"{name}.{k}"] = v
-    return out

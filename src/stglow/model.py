@@ -11,12 +11,13 @@ from .decoder import BidirectionalDecoder, LossWeights, best_of_k_rows, trajecto
 from .errors import ConfigError, ContractError
 from .flow import FlowStack, nll_loss, sample_behaviors
 from .graphormer import SceneEncoder
+from .layers import Layer
 from .numcore import Tensor
 
 FORECAST_ROWS = 1024  # sample rows (windows x K) per flow and decoder pass of `forecast`
 
 
-class TrajectoryModel:
+class TrajectoryModel(Layer):
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.encoder = SceneEncoder(
@@ -35,13 +36,6 @@ class TrajectoryModel:
         self.decoder = BidirectionalDecoder(
             rng, channels=cfg.d, d_h=cfg.d_h, t_pred=cfg.t_pred, bidirectional=cfg.bidirectional
         )
-
-    def params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for prefix, owner in (("encoder", self.encoder), ("flow", self.flow), ("decoder", self.decoder)):
-            for k, v in owner.params().items():
-                out[f"{prefix}.{k}"] = v
-        return out
 
     def encode_windows(self, windows: list[SceneWindow], training: bool) -> tuple[Tensor | None, Tensor]:
         """Per-window target encodings as (B, C) batches, in window order.

@@ -8,6 +8,20 @@ from stglow import data as dt
 from stglow.errors import ConfigError, DataError, ParseError
 
 
+@st.composite
+def synth_spec_text(draw) -> str:
+    """A `synth:` spec from valid and invalid pieces: mostly the `synth`
+    head, up to three kinds joined by `+`, mostly known ones, then up to
+    four fields, mostly `key=value` with a known key."""
+    head = draw(st.sampled_from(["synth", "synth", "synth", "Synth", "", "file.txt"]))
+    kind = st.one_of(st.sampled_from(dt.SYNTH_KINDS), st.sampled_from(dt.SYNTH_KINDS), st.text(max_size=8))
+    kinds = draw(st.lists(kind, max_size=3))
+    value = st.one_of(st.integers(-2, 3).map(str), st.integers().map(str), st.floats().map(repr), st.text(max_size=8))
+    field = st.tuples(st.sampled_from(["n", "seed", "noise", "n", "seed", "noise", "to", ""]), value).map("=".join)
+    fields = draw(st.lists(st.one_of(field, field, st.text(max_size=8)), max_size=4))
+    return ":".join([head, "+".join(kinds), *fields])
+
+
 def write(tmp_path, text, name="scene.txt"):
     p = tmp_path / name
     p.write_text(text)
@@ -319,6 +333,18 @@ class TestSynthScenes:
             key = field.split("=")[0]
             with pytest.raises(ConfigError, match=f"synth-spec field '{key}': must be"):
                 dt.parse_synth_spec(f"synth:straight:{field}")
+
+    @settings(max_examples=150)
+    @given(text=synth_spec_text())
+    def test_fuzzed_spec_parses_or_raises_config_error(self, text):
+        try:
+            spec = dt.parse_synth_spec(text)
+        except ConfigError:
+            return
+        assert spec.kinds and set(spec.kinds) <= set(dt.SYNTH_KINDS)
+        assert type(spec.count) is int and spec.count >= 1
+        assert type(spec.seed) is int and spec.seed >= 0
+        assert type(spec.noise_std) is float and 0.0 <= spec.noise_std < float("inf")
 
 
 class TestRoundTrip:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stglow import numcore as nc
-from stglow.layers import GruCell, Linear, MultiHeadSelfAttention
+from stglow.layers import GruCell, Layer, Linear, MultiHeadSelfAttention
 
 
 def unfused_linear(lin: Linear, x):
@@ -198,3 +198,21 @@ class TestFusedAttention:
             picked = np.arange(0, base.size, 7)
             err = np.abs(grads[name].flat[picked] - fd.flat[picked])
             assert np.max(err) <= 1e-6 * max(1.0, np.max(np.abs(fd))), name
+
+
+class TestLayerParams:
+    def test_lists_trainable_tensors_and_child_layers_in_assignment_order(self):
+        class Probe(Layer):
+            def __init__(self):
+                rng = np.random.default_rng(0)
+                self.child = Linear(rng, 2, 3)
+                self.frozen = nc.Tensor(np.ones(3))  # not trainable
+                self.w = nc.Tensor(np.ones(2), requires_grad=True)
+                self._cache = nc.Tensor(np.ones(2), requires_grad=True)  # private
+                self.missing = None
+                self.bare = Linear(rng, 3, 1, bias=False)
+                self.width = 3
+
+        probe = Probe()
+        assert list(probe.params()) == ["child.w", "child.b", "w", "bare.w"]
+        assert probe.params()["w"] is probe.w

@@ -6,6 +6,7 @@ what encoding and forecasting one window at a time gives.
 """
 
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -14,9 +15,10 @@ import pytest
 from stglow import metrics as mt
 from stglow import numcore as nc
 from stglow import pipeline as pl
-from stglow.config import toy_config
+from stglow.config import Config, toy_config
 from stglow.data import SYNTH_KINDS, SceneWindow, SynthSpec, synth_scenes
 from stglow.errors import ContractError
+from stglow.flow import InvertibleLinear
 from stglow.model import FORECAST_ROWS, TrajectoryModel
 
 SWITCHES = [None, "use_spatial", "use_pattern_norm", "bidirectional"]
@@ -198,6 +200,44 @@ def test_every_parameter_is_trainable_when_built(switches_on):
     params = pl.build_model(cfg).params()
     assert params
     assert [k for k, p in params.items() if not p.requires_grad] == []
+
+
+# sha256 of [(name, shape), ...] of `build_model(cfg).params()`, in order, as
+# version-5 checkpoints record them: toy config under (use_spatial,
+# use_pattern_norm, bidirectional), and the paper-scale `Config()`
+PARAM_SURFACE = {
+    (True, True, True): (109, "aff0a167dfe973d2"),
+    (True, True, False): (94, "3617d653a1ec0dcb"),
+    (True, False, True): (101, "87003b7b1977d2b2"),
+    (True, False, False): (86, "622ac66cd385cecb"),
+    (False, True, True): (99, "8fd6da8d81af8909"),
+    (False, True, False): (84, "3d4e4d2cabb903a8"),
+    (False, False, True): (91, "b902110e231623a0"),
+    (False, False, False): (76, "2ba004afce66b3aa"),
+    "paper": (193, "95bd45025c9ea125"),
+}
+
+
+def param_surface(params) -> tuple[int, str]:
+    shapes = repr([(k, p.data.shape) for k, p in params.items()])
+    return len(params), hashlib.sha256(shapes.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("switches", list(PARAM_SURFACE), ids=str)
+def test_parameter_names_order_and_shapes_are_pinned(switches):
+    cfg = Config()
+    if switches != "paper":
+        cfg = toy_config()
+        cfg.model.use_spatial, cfg.model.use_pattern_norm, cfg.model.bidirectional = switches
+    assert param_surface(pl.build_model(cfg).params()) == PARAM_SURFACE[switches]
+
+
+def test_forecast_caches_add_no_parameters():
+    model = make_model(None)
+    names = list(model.params())
+    model.forecast(mixed_windows()[:2], 3, 1.0, [np.random.default_rng(i) for i in range(2)])
+    assert all(op._inv_t is not None for op in model.flow.ops if isinstance(op, InvertibleLinear))
+    assert list(model.params()) == names
 
 
 def test_empty_input_is_a_contract_error():

@@ -24,7 +24,7 @@ from hypothesis import strategies as hst
 from stglow import numcore as nc
 from stglow import pipeline as pl
 from stglow.checkpoint import MAGIC, VERSION, Checkpoint, load_checkpoint, save_checkpoint
-from stglow.config import INT_MINIMA, Config, flatten, from_flat, load_config, save_config, toy_config, validate
+from stglow.config import FLOAT_RANGES, INT_MINIMA, Config, flatten, from_flat, load_config, save_config, toy_config, validate
 from stglow.data import SynthSpec, synth_scenes
 from stglow.errors import CheckpointError, ConfigError, SceneNotFoundError, ShapeError
 from stglow.flow import FlowStack, PatternNorm
@@ -40,9 +40,11 @@ TOY_CFG_TEXT = "".join(f"{k} = {v!r}\n" for k, v in flatten(toy_config()).items(
 @hst.composite
 def mutated_config_text(draw) -> str:
     """The toy preset's config file with one to three lines mutated: mostly a
-    value replaced (by a number, a literal, or arbitrary text), else a line
+    value replaced (by a number, a literal, or arbitrary text) or an int
+    field set to -1, 0 or 1, where most lower bounds lie, else a line
     replaced by arbitrary text or cut short."""
     lines = TOY_CFG_TEXT.splitlines()
+    keys = [line.split(" = ")[0] for line in lines]
     values = hst.one_of(
         hst.integers(-2, 3).map(str),
         hst.integers().map(str),
@@ -51,10 +53,14 @@ def mutated_config_text(draw) -> str:
         hst.text(max_size=16),
     )
     for _ in range(draw(hst.integers(1, 3))):
+        kind = draw(hst.sampled_from(["small int", "small int", "small int", "value", "value", "line", "cut"]))
+        if kind == "small int":
+            key = draw(hst.sampled_from(sorted(INT_MINIMA)))
+            lines[keys.index(key)] = f"{key} = {draw(hst.sampled_from([0, -1, 1]))}"
+            continue
         i = draw(hst.integers(0, len(lines) - 1))
-        kind = draw(hst.sampled_from(["value", "value", "value", "line", "cut"]))
         if kind == "value":
-            lines[i] = f"{lines[i].split(' = ')[0]} = {draw(values)}"
+            lines[i] = f"{keys[i]} = {draw(values)}"
         elif kind == "line":
             lines[i] = draw(hst.text(max_size=40))
         else:
@@ -188,6 +194,39 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{line.split()[0]} must be finite"):
             load_config(p)
 
+    def test_every_float_field_has_a_range(self):
+        floats = [k for k, v in flatten(Config()).items() if type(v) is float or (v and type(v) is tuple and type(v[0]) is float)]
+        assert sorted(FLOAT_RANGES) == sorted(floats)
+
+    @pytest.mark.parametrize(
+        "line, rule",
+        [
+            ("train.lr = 0.0", "(0, inf)"),
+            ("train.betas = (0.9, 1.0)", "[0, 1)"),
+            ("train.betas = (-0.1, 0.999)", "[0, 1)"),
+            ("train.weight_decay = -1e-9", "[0, inf)"),
+            ("train.loss_weights = (1.0, 0.25, -0.25, 0.5)", "[0, inf)"),
+            ("train.val_fraction = 1.0", "[0, 1)"),
+            ("train.grad_clip = -5.0", "[0, inf)"),
+            ("train.lr_min_factor = 1.5", "[0, 1]"),
+            ("train.lr_min_factor = -0.5", "[0, 1]"),
+            ("eval.sigma = -2.0", "[0, inf)"),
+            ("data.synth_noise = -0.01", "[0, inf)"),
+        ],
+    )
+    def test_float_outside_its_range_rejected(self, tmp_path, line, rule):
+        p = tmp_path / "range.cfg"
+        p.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{line.split()[0]} must be in {rule}, got ")):
+            load_config(p)
+
+    def test_range_bounds_that_are_allowed(self):
+        cfg = toy_config()
+        cfg.train.betas, cfg.train.weight_decay, cfg.train.grad_clip = (0.0, 0.0), 0.0, 0.0
+        cfg.train.lr_min_factor, cfg.train.loss_weights, cfg.eval.sigma = 1.0, (0.0, 0.0, 0.0, 0.0), 0.0
+        cfg.train.lr, cfg.data.synth_noise = 1e-4, 0.0  # the benchmark trains at lr 1e-4 without a clip
+        assert validate(cfg) is cfg
+
     def test_huge_flow_is_validated_without_a_loop(self):
         cfg = Config()
         cfg.model.n_flow_steps = 10**15
@@ -202,7 +241,7 @@ class TestConfig:
                 from_flat({key: 1})
         assert Config().seed == 0
 
-    @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
     @given(text=mutated_config_text())
     @example(text=TOY_CFG_TEXT + "model.n_heads = 0\n")
     @example(text=TOY_CFG_TEXT + "model.factor_out_every = 0\n")
@@ -970,6 +1009,15 @@ class TestCli:
             "train_zero_window_stride",
             "eval_infinite_frame_id",
             "eval_nan_position",
+            "train_negative_lr",
+            "train_negative_sigma",
+            "eval_negative_sigma",
+            "eval_nan_sigma",
+            "eval_infinite_sigma",
+            "eval_zero_k",
+            "sample_nan_sigma",
+            "sample_zero_k",
+            "eval_checkpoint_negative_sigma",
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, case):
@@ -983,6 +1031,8 @@ class TestCli:
         good_ckpt = pl.train(cfg).last_path  # 0 epochs, PatternNorms set from data
         later_ckpt = tmp_path / "later.ckpt"  # past the good config's 0 epochs
         save_checkpoint(dataclasses.replace(load_checkpoint(good_ckpt), epoch=3), later_ckpt)
+        negative_sigma_ckpt = tmp_path / "negative_sigma.ckpt"
+        save_checkpoint(dataclasses.replace(load_checkpoint(good_ckpt), config=from_flat({"eval.sigma": -1.0}, cfg)), negative_sigma_ckpt)
         bad_ckpt = tmp_path / "bad.ckpt"
         write_with_header(bad_ckpt, b"{}")
         missing = str(tmp_path / "missing")
@@ -993,6 +1043,10 @@ class TestCli:
         for key in ("model.n_heads", "model.n_flow_steps", "model.factor_out_every", "train.checkpoint_every", "data.window_stride"):
             zeroed[key] = tmp_path / f"zero_{key.split('.')[1]}.cfg"
             zeroed[key].write_text(good_cfg.read_text() + f"{key} = 0\n")
+        negative = {}
+        for key in ("train.lr", "eval.sigma"):
+            negative[key] = tmp_path / f"negative_{key.split('.')[1]}.cfg"
+            negative[key].write_text(good_cfg.read_text() + f"{key} = -2.0\n")
         (tmp_path / "inf_frame.txt").write_text("0 1 0.0 0.0\ninf 1 0.5 0.5\n")
         (tmp_path / "nan_position.txt").write_text("0 1 nan 0.0\n")
         for version in (1, 2, 3, 4):
@@ -1023,6 +1077,15 @@ class TestCli:
             "train_zero_window_stride": ["train", "--config", str(zeroed["data.window_stride"])],
             "eval_infinite_frame_id": ["eval", "--ckpt", str(good_ckpt), "--data", str(tmp_path / "inf_frame.txt")],
             "eval_nan_position": ["eval", "--ckpt", str(good_ckpt), "--data", str(tmp_path / "nan_position.txt")],
+            "train_negative_lr": ["train", "--config", str(negative["train.lr"])],
+            "train_negative_sigma": ["train", "--config", str(negative["eval.sigma"])],
+            "eval_negative_sigma": ["eval", "--ckpt", str(good_ckpt), "--data", synth, "--sigma", "-1"],
+            "eval_nan_sigma": ["eval", "--ckpt", str(good_ckpt), "--data", synth, "--sigma", "nan"],
+            "eval_infinite_sigma": ["eval", "--ckpt", str(good_ckpt), "--data", synth, "--sigma", "inf"],
+            "eval_zero_k": ["eval", "--ckpt", str(good_ckpt), "--data", synth, "--k", "0"],
+            "sample_nan_sigma": ["sample", "--ckpt", str(good_ckpt), "--data", synth, "--scene", "0", "--out", str(tmp_path / "s"), "--sigma", "nan"],
+            "sample_zero_k": ["sample", "--ckpt", str(good_ckpt), "--data", synth, "--scene", "0", "--out", str(tmp_path / "s"), "--k", "0"],
+            "eval_checkpoint_negative_sigma": ["eval", "--ckpt", str(negative_sigma_ckpt), "--data", synth],
         }[case]
         if case == "train_non_integer_seed":
             monkeypatch.setenv("STGLOW_SEED", "12a")
@@ -1054,6 +1117,15 @@ class TestCli:
             "train_zero_window_stride": "data.window_stride must be >= 1, got 0",
             "eval_infinite_frame_id": "line 2: non-finite field in 'inf 1 0.5 0.5'",
             "eval_nan_position": "line 1: non-finite field in '0 1 nan 0.0'",
+            "train_negative_lr": "train.lr must be in (0, inf), got -2.0",
+            "train_negative_sigma": "eval.sigma must be in [0, inf), got -2.0",
+            "eval_negative_sigma": "--sigma must be in [0, inf), got -1.0",
+            "eval_nan_sigma": "--sigma must be finite, got nan",
+            "eval_infinite_sigma": "--sigma must be finite, got inf",
+            "eval_zero_k": "--k must be >= 1, got 0",
+            "sample_nan_sigma": "--sigma must be finite, got nan",
+            "sample_zero_k": "--k must be >= 1, got 0",
+            "eval_checkpoint_negative_sigma": "negative_sigma.ckpt: header config: eval.sigma must be in [0, inf), got -1.0",
         }[case]
         assert cause in err
 
