@@ -27,9 +27,11 @@ def _seed_override(seed: int) -> int:
     if not env:
         return seed
     try:
-        return int(env)
+        value = int(env)
     except ValueError:
         raise ConfigError(f"STGLOW_SEED must be an integer, got {env!r}") from None
+    check_bound("seed", value, "STGLOW_SEED")
+    return value
 
 
 def _cmd_train(args) -> int:
@@ -65,7 +67,10 @@ def _cmd_eval(args) -> int:
     report = evaluate(model, windows, k=k, sigma=sigma, seed=seed)
     csv = report.to_csv()
     if args.out:
-        Path(args.out).write_text(csv)
+        try:
+            Path(args.out).write_text(csv)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out}: cannot write the metrics CSV ({exc.strerror})") from None
         print(f"wrote {args.out}")
     else:
         print(csv, end="")

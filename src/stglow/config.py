@@ -9,7 +9,7 @@ full-scale training recipe.
 from __future__ import annotations
 
 import ast
-import dataclasses
+import copy
 import math
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -196,15 +196,7 @@ def flatten(cfg: Config) -> dict[str, object]:
 def from_flat(flat: dict[str, object], base: Config | None = None) -> Config:
     """Apply dotted-key values onto a (copy of a) base config, each checked
     against its field's type; a mistyped value raises ConfigError."""
-    cfg = dataclasses.replace(base) if base is not None else Config()
-    # replace() is shallow; deep-copy the sections so the base stays intact
-    cfg = Config(
-        model=dataclasses.replace(cfg.model),
-        train=dataclasses.replace(cfg.train),
-        eval=dataclasses.replace(cfg.eval),
-        data=dataclasses.replace(cfg.data),
-        seed=cfg.seed,
-    )
+    cfg = copy.deepcopy(base) if base is not None else Config()
     for key, val in flat.items():
         parts = key.split(".")
         obj = cfg

@@ -8,12 +8,12 @@ and a deterministic synthetic scene generator for desk-scale training.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from .config import check_bound
 from .errors import ConfigError, DataError, ParseError
 
 
@@ -226,11 +226,11 @@ class SynthSpec:
         return "synth:" + "+".join(self.kinds)
 
 
-# spec key -> (SynthSpec field, type, range check, the range in words)
+# spec key -> (SynthSpec field, type, the config key whose bound it shares)
 _SYNTH_FIELDS = {
-    "n": ("count", int, lambda v: v >= 1, ">= 1"),
-    "seed": ("seed", int, lambda v: v >= 0, ">= 0"),
-    "noise": ("noise_std", float, lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
+    "n": ("count", int, "data.synth_count"),
+    "seed": ("seed", int, "data.synth_seed"),
+    "noise": ("noise_std", float, "data.synth_noise"),
 }
 
 
@@ -247,13 +247,12 @@ def parse_synth_spec(text: str) -> SynthSpec:
         key, val = part.split("=", 1)
         if key not in _SYNTH_FIELDS:
             raise ConfigError(f"unknown synth-spec field {key!r}")
-        attr, cast, in_range, rule = _SYNTH_FIELDS[key]
+        attr, cast, bound = _SYNTH_FIELDS[key]
         try:
             value = cast(val)
         except ValueError:
             raise ConfigError(f"synth-spec field {key!r}: expected {cast.__name__}, got {val!r}") from None
-        if not in_range(value):
-            raise ConfigError(f"synth-spec field {key!r}: must be {rule}, got {val!r}")
+        check_bound(bound, value, f"synth-spec field {key!r}")
         setattr(spec, attr, value)
     for kind in spec.kinds:
         if kind not in SYNTH_KINDS:

@@ -32,7 +32,7 @@ class ConfigError(StglowError):
 
 
 class DegenerateMaskError(StglowError):
-    """A softmax slice had every entry masked out."""
+    """An attention query row had every key masked out."""
 
 
 class DegenerateChannelError(StglowError):

@@ -101,14 +101,14 @@ class InvertibleLinear(Layer):
 class AffineCoupling(Layer):
     """Scale/shift of the second half-channels, conditioned on context.
 
-    The first half passes through unchanged and, concatenated with the
-    social-context vector, drives a small network whose zero-initialized
-    output layer makes the layer start as the identity.
-
-    With `rows`, row i of the input is conditioned on row `rows[i]` of
-    `st`: `fc0`'s conditioning rows and its bias project each row of `st`
-    once, and the projection is gathered by `rows` and added to the
-    product of the first half with `fc0`'s other rows.
+    The first half passes through unchanged and, with the social-context
+    vector, drives a small network whose zero-initialized output layer
+    makes the layer start as the identity. Its first layer `fc0` acts on
+    [first half, context] as two products: `fc0`'s conditioning rows and
+    its bias project each row of `st` once, and the projection is added to
+    the product of the first half with `fc0`'s other rows. With `rows`,
+    row i of the input is conditioned on row `rows[i]` of `st`, the
+    projection gathered by `rows`.
     """
 
     def __init__(self, rng: np.random.Generator, channels: int, cond_dim: int):
@@ -119,14 +119,11 @@ class AffineCoupling(Layer):
         self.fc1 = Linear(rng, 2 * channels, channels, zero_init=True)
 
     def _scale_shift(self, xa: Tensor, st: Tensor, rows: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-        if rows is None:
-            h = self.fc0(nc.concat([xa, st], -1))
-        else:
-            w, half = self.fc0.w, self.half
-            cond = nc.linear(st, nc.index(w, np.s_[half:]), self.fc0.b)
-            h = nc.add(nc.linear(xa, nc.index(w, np.s_[:half])), nc.index(cond, rows))
-        h = nc.relu(h)
-        out = self.fc1(h)
+        w, half = self.fc0.w, self.half
+        cond = nc.linear(st, nc.index(w, np.s_[half:]), self.fc0.b)
+        if rows is not None:
+            cond = nc.index(cond, rows)
+        out = self.fc1(nc.relu(nc.add(nc.linear(xa, nc.index(w, np.s_[:half])), cond)))
         log_s = nc.clamp(nc.index(out, np.s_[..., : self.half]), -LOG_SCALE_BOUND, LOG_SCALE_BOUND)
         t = nc.index(out, np.s_[..., self.half :])
         return log_s, t

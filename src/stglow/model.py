@@ -80,13 +80,14 @@ class TrajectoryModel(Layer):
         The best-of-K minimum sends gradient to at most two of a
         pedestrian's K samples, its goal winner and its trajectory winner,
         so the samples are drawn and decoded in two passes. The first,
-        untaped, evolves and decodes all B*K base draws and picks the
-        winners; it gives the reported `l_traj` and `l_total`. The second
-        re-runs the flow reverse and the decoder taped on the winning rows
-        only (at most 2B), conditioned on their pedestrians' rows of `st`,
-        and gives the loss that is differentiated. Both score rows with the
-        same cost code, so the loss and its gradients are those of one taped
-        pass over all rows, up to rounding.
+        untaped, evolves and decodes all B*K base draws and only picks the
+        winners. The second re-runs the flow reverse and the decoder taped
+        on the winning rows only (at most 2B), conditioned on their
+        pedestrians' rows of `st`, and gives the loss that is differentiated
+        and reported: `l_total` is its value and `l_traj` the mean of its
+        per-window terms. Both passes score rows with the same cost code, so
+        the loss and its gradients are those of one taped pass over all
+        rows, up to rounding.
         """
         mb, st = self.encode_windows(windows, training=True)
         l_p = nll_loss(mb, st, self.flow)
@@ -95,17 +96,12 @@ class TrajectoryModel(Layer):
             behaviors, z = sample_behaviors(st, self.flow, k_train, sigma, [rng] * len(windows))
             decoded = self.decoder.decode_batch(behaviors)
             winners = best_of_k_rows(decoded, gt_future, weights)
-            full = trajectory_loss_batched(decoded, gt_future, weights, winners)
         b = len(windows)
         rows, pos = np.unique(np.concatenate(winners), return_inverse=True)
         winning = self.decoder.decode_batch(self.flow.reverse(Tensor(z[rows]), st, rows // k_train))
         per_window = trajectory_loss_batched(winning, gt_future, weights, (pos[:b], pos[b:]))
         loss = nc.add(l_p, nc.sum_all(per_window))
-        stats = {
-            "l_p": float(l_p.data),
-            "l_traj": float(full.data.mean()),
-            "l_total": float(l_p.data + full.data.sum()),
-        }
+        stats = {"l_p": float(l_p.data), "l_traj": float(per_window.data.mean()), "l_total": float(loss.data)}
         return loss, stats
 
     def predict(self, window: SceneWindow, k: int, sigma: float, rng: np.random.Generator) -> np.ndarray:

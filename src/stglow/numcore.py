@@ -6,8 +6,8 @@ is rebuilt for every training step (define-by-run). Ops executed while no
 tape is active behave like plain numpy and record nothing.
 
 Attention masks use `NEG_INF`, a finite most-negative-float sentinel, so
-that tensors never carry actual infinities; `softmax_lastdim` and
-`attention` treat entries equal to the sentinel as masked and give them a
+that tensors never carry actual infinities; `attention`, the one masked
+softmax, treats entries equal to the sentinel as masked and gives them a
 weight of exactly 0.
 """
 
@@ -493,26 +493,8 @@ def inverse(w: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# masked softmax, attention and norms
+# attention and norms
 # ---------------------------------------------------------------------------
-
-
-def softmax_lastdim(a: Tensor) -> Tensor:
-    """Row softmax where entries equal to NEG_INF are masked to exactly 0."""
-    x = a.data
-    masked = x == NEG_INF
-    if np.any(masked.all(axis=-1)):
-        raise DegenerateMaskError("softmax slice with every entry masked")
-    safe = np.where(masked, -np.inf, x)
-    m = np.max(safe, axis=-1, keepdims=True)
-    e = np.exp(safe - m)  # masked entries become exp(-inf) == 0 exactly
-    out = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _register(out, (a,), vjp)
 
 
 def attention(qkv: Tensor, mask: np.ndarray | None, rows: np.ndarray | None = None, capture: list | None = None) -> Tensor:

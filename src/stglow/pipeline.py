@@ -30,7 +30,7 @@ from .data import (
 from .decoder import LossWeights
 from .errors import CheckpointError, ConfigError, ContractError, SceneNotFoundError, SingularMatrixError
 from .flow import AffineCoupling, FlowStack, InvertibleLinear, PatternNorm
-from .graphormer import build_spatial_adjacency
+from .graphormer import build_spatial_adjacency, build_temporal_adjacency
 from .layers import MultiHeadSelfAttention
 from .metrics import EvalReport, best_of_k
 from .model import TrajectoryModel
@@ -121,6 +121,17 @@ def load_eval_windows(data: str, t_obs: int, t_pred: int) -> dict[str, list[Scen
     return {path.stem: load_windows(path, t_obs, t_pred)}
 
 
+def _make_out_dir(path: str | Path) -> Path:
+    """`path` as a directory, made with its parents if missing; a ConfigError
+    naming it if it cannot be, say because it or a parent is a file."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot make output directory ({exc.strerror})") from None
+    return path
+
+
 @dataclass
 class TrainResult:
     """What `train` leaves besides its files: their paths, the per-epoch
@@ -181,8 +192,7 @@ def train(cfg: Config, resume: str | Path | None = None) -> TrainResult:
         with nc.no_grad():
             mb, st = model.encode_windows(init_windows, training=True)
         model.flow.initialize(mb.data, st.data)
-    out_dir = Path(cfg.train.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(cfg.train.out_dir)
     result = TrainResult(last_path=out_dir / "last.ckpt")
     save_checkpoint(snapshot(model, cfg, opt, start_epoch), result.last_path)
     best_val = math.inf
@@ -385,12 +395,14 @@ def _check_logdet_oracle(detail: dict) -> bool:
 
 
 def _check_gradients(detail: dict) -> bool:
+    """Finite-difference a chain through `nc.attention`, the op the encoder runs."""
     rng = np.random.default_rng(303)
-    w = Tensor(rng.normal(size=(4, 4)))
+    w = Tensor(rng.normal(size=(4, 12)))
     x0 = rng.normal(size=(3, 4))
+    mask = build_temporal_adjacency(3)
 
     def loss(x: Tensor) -> Tensor:
-        return nc.sum_all(nc.tanh(nc.softmax_lastdim(nc.relu(nc.matmul(x, w)))))
+        return nc.sum_all(nc.tanh(nc.attention(nc.reshape(nc.matmul(x, w), (1, 3, 3, 2, 2)), mask)))
 
     def value(x: np.ndarray) -> np.ndarray:
         with nc.no_grad():
@@ -594,8 +606,7 @@ def sample_and_plot(
     window = windows[scene_id]
     rng = rng_stream(seed, STREAM_EVAL, scene_id)
     preds = model.predict_all_pedestrians(window, k, sigma, rng)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(out_dir)
     csv_path = out / f"scene{scene_id}_trajectories.csv"
     svg_path = out / f"scene{scene_id}.svg"
     csv_text = sample_to_csv(window, preds)

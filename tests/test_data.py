@@ -331,7 +331,7 @@ class TestSynthScenes:
                 dt.parse_synth_spec(f"synth:straight:{key}=6")
         for field in ("n=0", "n=-3", "seed=-1", "noise=-1", "noise=nan", "noise=inf"):
             key = field.split("=")[0]
-            with pytest.raises(ConfigError, match=f"synth-spec field '{key}': must be"):
+            with pytest.raises(ConfigError, match=f"synth-spec field '{key}' must be"):
                 dt.parse_synth_spec(f"synth:straight:{field}")
 
     @settings(max_examples=150)

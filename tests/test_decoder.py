@@ -331,7 +331,15 @@ class TestBatchLoss(BatchLossRun):
 
 class TestTotalLoss(BatchLossRun):
     """batch_loss's l_total is l_p plus the sum of the per-window best-of-K
-    trajectory losses over all B*K decoded rows; l_traj is their mean."""
+    trajectory losses over all B*K decoded rows, up to rounding, and l_traj
+    is their mean; l_total is exactly the loss that is differentiated."""
+
+    def test_l_total_is_the_differentiated_loss(self):
+        model, windows = self.setup_model()
+        for i in range(0, len(windows), 3):
+            with nc.record():
+                loss, stats = model.batch_loss(windows[i : i + 3], 4, np.random.default_rng(8), dec.LossWeights())
+            assert stats["l_total"] == float(loss.data)
 
     def test_zero_trajectory_losses(self, monkeypatch):
         def zeros(batch, gt_future, weights, winners=None):

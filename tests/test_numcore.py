@@ -5,8 +5,6 @@ import zlib
 import numpy as np
 import pytest
 from helpers import fd_gradient, rel_err
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from stglow import numcore as nc
 from stglow.errors import ContractError, DegenerateMaskError, ShapeError
@@ -48,33 +46,6 @@ class TestMatmul:
             nc.matmul(nc.Tensor(np.zeros((2, 3))), nc.Tensor(np.zeros((2, 3))))
 
 
-class TestSoftmax:
-    def test_symmetric_pair(self):
-        out = nc.softmax_lastdim(nc.Tensor([0.0, 0.0]))
-        assert np.allclose(out.data, [0.5, 0.5], atol=0)
-
-    def test_masked_entry_exact_zero(self):
-        out = nc.softmax_lastdim(nc.Tensor([0.0, nc.NEG_INF]))
-        assert out.data[0] == 1.0
-        assert out.data[1] == 0.0
-
-    def test_matches_direct_formula(self):
-        x = np.array([1.0, 2.0, 3.0])
-        expect = np.exp(x) / np.exp(x).sum()
-        got = nc.softmax_lastdim(nc.Tensor(x)).data
-        assert np.max(np.abs(got - expect)) < 1e-12
-
-    def test_all_masked_slice_raises(self):
-        with pytest.raises(DegenerateMaskError):
-            nc.softmax_lastdim(nc.Tensor([[nc.NEG_INF, nc.NEG_INF]]))
-
-    @given(st.lists(st.floats(-30, 30), min_size=1, max_size=8))
-    @settings(max_examples=50, deadline=None)
-    def test_rows_sum_to_one(self, xs):
-        out = nc.softmax_lastdim(nc.Tensor(xs))
-        assert abs(out.data.sum() - 1.0) < 1e-12
-
-
 class TestRelu:
     def test_bits_equal_mask_and_select(self):
         a = np.random.default_rng(12).normal(size=(64, 33))
@@ -102,13 +73,6 @@ class TestBackward:
         nc.backward(loss, tape)
         assert x.grad == pytest.approx(6.0)
 
-    def test_softmax_sum_is_constant(self):
-        x = nc.Tensor([0.3, -1.2, 2.0], requires_grad=True)
-        with nc.record() as tape:
-            loss = nc.sum_all(nc.softmax_lastdim(x))
-        nc.backward(loss, tape)
-        assert np.max(np.abs(x.grad)) < 1e-12
-
     def test_non_scalar_loss_rejected(self):
         x = nc.Tensor([1.0, 2.0], requires_grad=True)
         with nc.record() as tape:
@@ -126,9 +90,9 @@ class TestBackward:
             s = np.exp(h) / np.exp(h).sum(axis=-1, keepdims=True)
             return np.tanh(s).sum()
 
-        def f_t(t):
-            h = nc.relu(nc.matmul(t, nc.Tensor(w)))
-            s = nc.softmax_lastdim(h)
+        def f_t(t):  # the softmax from elementwise ops, exp(h) read twice
+            e = nc.exp(nc.relu(nc.matmul(t, nc.Tensor(w))))
+            s = nc.div(e, nc.reshape(nc.sum_lastdim(e), (3, 1)))
             return nc.sum_all(nc.tanh(s))
 
         assert rel_err(analytic_gradient(f_t, x0), fd_gradient(f_np, x0)) < 1e-3
@@ -202,7 +166,6 @@ OP_CASES = [
     ("exp", lambda t: nc.exp(t), 1),
     ("log", lambda t: nc.log(nc.add(nc.mul(t, t), 0.5)), 1),
     ("clamp", lambda t: nc.clamp(t, -0.5, 0.5), 1),
-    ("softmax", lambda t: nc.softmax_lastdim(t), 1),
     ("sum_lastdim", lambda t: nc.sum_lastdim(t), 1),
     ("euclid_rows", lambda t: nc.euclid_rows(t), 1),
     ("transpose", lambda t: nc.transpose(t), 1),
@@ -518,9 +481,9 @@ def test_determinism_same_seed_same_bits():
     def run(seed):
         rng = np.random.default_rng(seed)
         x = nc.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-        w = nc.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        w = nc.Tensor(rng.normal(size=(4, 12)), requires_grad=True)
         with nc.record() as tape:
-            y = nc.softmax_lastdim(nc.matmul(nc.tanh(x), w))
+            y = nc.attention(nc.reshape(nc.matmul(nc.tanh(x), w), (1, 4, 3, 2, 2)), CAUSAL)
             loss = nc.mean_all(y)
         nc.backward(loss, tape)
         return loss.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()

@@ -850,6 +850,21 @@ class TestCheckCommand:
         assert by_name["mask_causality"]["failure"] == failure
         assert all(c["passed"] for name, c in by_name.items() if name != "mask_causality")
 
+    def test_broken_attention_gradient_fails(self, tmp_path, monkeypatch):
+        real = nc.attention
+
+        def no_query_gradient(qkv, *args, **kw):  # the same values, but no gradient reaches the queries
+            frozen = nc.Tensor(qkv.data[:, :, :1])
+            return real(nc.concat([frozen, nc.index(qkv, np.s_[:, :, 1:])], 2), *args, **kw)
+
+        monkeypatch.setattr(nc, "attention", no_query_gradient)
+        report, ok = pl.check(None, work_dir=tmp_path)
+        assert not ok
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert by_name["gradient_check"]["passed"] is False
+        assert by_name["gradient_check"]["max_rel_gradient_error"] >= 1e-3
+        assert all(c["passed"] for name, c in by_name.items() if name != "gradient_check")
+
     def test_missing_checkpoint_fails(self, tmp_path, capsys):
         from stglow.cli import main
 
@@ -1018,6 +1033,12 @@ class TestCli:
             "sample_nan_sigma",
             "sample_zero_k",
             "eval_checkpoint_negative_sigma",
+            "train_negative_env_seed",
+            "eval_negative_env_seed",
+            "sample_negative_env_seed",
+            "eval_out_in_missing_dir",
+            "sample_out_is_a_file",
+            "train_out_dir_below_a_file",
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, case):
@@ -1053,6 +1074,10 @@ class TestCli:
             payload = bytearray(good_ckpt.read_bytes()[4:-4])
             payload[:4] = struct.pack("<I", version)
             (tmp_path / f"v{version}.ckpt").write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload)))
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        below_file_cfg = tmp_path / "below_file.cfg"
+        below_file_cfg.write_text(good_cfg.read_text() + f"train.out_dir = {str(a_file / 'run')!r}\n")
         argv = {
             "train_missing_config": ["train", "--config", missing],
             "train_mistyped_config": ["train", "--config", str(bad_cfg)],
@@ -1086,9 +1111,17 @@ class TestCli:
             "sample_nan_sigma": ["sample", "--ckpt", str(good_ckpt), "--data", synth, "--scene", "0", "--out", str(tmp_path / "s"), "--sigma", "nan"],
             "sample_zero_k": ["sample", "--ckpt", str(good_ckpt), "--data", synth, "--scene", "0", "--out", str(tmp_path / "s"), "--k", "0"],
             "eval_checkpoint_negative_sigma": ["eval", "--ckpt", str(negative_sigma_ckpt), "--data", synth],
+            "train_negative_env_seed": ["train", "--config", str(good_cfg)],
+            "eval_negative_env_seed": ["eval", "--ckpt", str(good_ckpt), "--data", synth],
+            "sample_negative_env_seed": ["sample", "--ckpt", str(good_ckpt), "--data", synth, "--scene", "0", "--out", str(tmp_path / "s")],
+            "eval_out_in_missing_dir": ["eval", "--ckpt", str(good_ckpt), "--data", synth, "--out", missing + "/m.csv"],
+            "sample_out_is_a_file": ["sample", "--ckpt", str(good_ckpt), "--data", synth, "--scene", "0", "--out", str(a_file)],
+            "train_out_dir_below_a_file": ["train", "--config", str(below_file_cfg)],
         }[case]
         if case == "train_non_integer_seed":
             monkeypatch.setenv("STGLOW_SEED", "12a")
+        if case.endswith("_negative_env_seed"):
+            monkeypatch.setenv("STGLOW_SEED", "-3")
         assert self.run_cli(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
@@ -1102,7 +1135,7 @@ class TestCli:
             "eval_missing_data": "missing.txt: cannot open dataset file",
             "eval_non_utf8_data": "utf16.txt: not a UTF-8 text file",
             "eval_non_numeric_synth_field": "synth-spec field 'n': expected int, got 'abc'",
-            "eval_synth_out_of_range": "synth-spec field 'noise': must be finite and >= 0",
+            "eval_synth_out_of_range": "synth-spec field 'noise' must be in [0, inf), got -1.0",
             "eval_synth_window_steps": "unknown synth-spec field 'to'",
             "train_resume_past_epochs": "checkpoint is at epoch 3, past train.epochs = 0",
             "eval_version_1_checkpoint": "v1.ckpt: unsupported checkpoint version 1",
@@ -1126,6 +1159,12 @@ class TestCli:
             "sample_nan_sigma": "--sigma must be finite, got nan",
             "sample_zero_k": "--k must be >= 1, got 0",
             "eval_checkpoint_negative_sigma": "negative_sigma.ckpt: header config: eval.sigma must be in [0, inf), got -1.0",
+            "train_negative_env_seed": "STGLOW_SEED must be >= 0, got -3",
+            "eval_negative_env_seed": "STGLOW_SEED must be >= 0, got -3",
+            "sample_negative_env_seed": "STGLOW_SEED must be >= 0, got -3",
+            "eval_out_in_missing_dir": "--out " + missing + "/m.csv: cannot write the metrics CSV (No such file or directory)",
+            "sample_out_is_a_file": "a_file: cannot make output directory (File exists)",
+            "train_out_dir_below_a_file": "a_file/run: cannot make output directory (Not a directory)",
         }[case]
         assert cause in err
 
