@@ -7,7 +7,6 @@ import json
 import logging
 import os
 import sys
-from pathlib import Path
 
 from .checkpoint import load_checkpoint
 from .config import check_bound, load_config
@@ -58,7 +57,21 @@ def _forecast_args(args, ckpt) -> tuple[int, float]:
     return k, sigma
 
 
+def _write_out(path: str, text: str | None = None) -> None:
+    """Write `text` to `path`, or with None only check that it can be written, leaving the path as it was."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a" if text is None else "w") as f:
+            f.write(text or "")
+    except OSError as exc:
+        raise ConfigError(f"--out {path}: cannot write the metrics CSV ({exc.strerror})") from None
+    if text is None and not existed:
+        os.remove(path)
+
+
 def _cmd_eval(args) -> int:
+    if args.out:  # before the work, so that an unusable path fails fast
+        _write_out(args.out)
     ckpt = load_checkpoint(args.ckpt)
     model = restore_model(ckpt)
     seed = _seed_override(ckpt.config.seed)
@@ -67,10 +80,7 @@ def _cmd_eval(args) -> int:
     report = evaluate(model, windows, k=k, sigma=sigma, seed=seed)
     csv = report.to_csv()
     if args.out:
-        try:
-            Path(args.out).write_text(csv)
-        except OSError as exc:
-            raise ConfigError(f"--out {args.out}: cannot write the metrics CSV ({exc.strerror})") from None
+        _write_out(args.out, csv)
         print(f"wrote {args.out}")
     else:
         print(csv, end="")

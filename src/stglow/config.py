@@ -171,8 +171,13 @@ def validate(cfg: Config) -> Config:
         raise ConfigError("loss_weights needs 4 entries (goal, fwd, bwd, both)")
     if cfg.train.lr_schedule not in ("constant", "cosine"):
         raise ConfigError(f"unknown lr schedule {cfg.train.lr_schedule!r}")
-    if cfg.data.format not in ("synth", "eth_ucy"):
-        raise ConfigError(f"unknown data format {cfg.data.format!r}")
+    d = cfg.data
+    if d.format not in ("synth", "eth_ucy"):
+        raise ConfigError(f"unknown data format {d.format!r}")
+    if d.format == "synth" and (d.paths or d.holdout):
+        raise ConfigError(f"data.{'paths' if d.paths else 'holdout'} is set, but data.format 'synth' reads no files")
+    if d.format == "eth_ucy" and not d.paths:
+        raise ConfigError("data.paths must name the track files of data.format 'eth_ucy'")
     return cfg
 
 

@@ -73,29 +73,31 @@ def random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
 class InvertibleLinear(Layer):
     """Dense channel-mixing map, initialized as a rotation (log-det zero).
 
-    Untaped reverse passes (sampling, eval) reuse W^-T for as long as the
-    contents of W are unchanged. The key is a copy of W compared in full,
-    so an in-place update from any site (Adam, checkpoint loads, tests)
-    invalidates it.
+    `_inverse_t` forms W^-T once per state of W, a plain array that the
+    log-det's gradient and every reverse pass, taped or not, read; each op
+    tapes its own node around it. The key is a copy of W compared in full,
+    so an in-place update (Adam, checkpoint loads, tests) invalidates it. A
+    miss assigns new arrays: a live tape's VJPs may hold the old ones.
     """
 
     def __init__(self, rng: np.random.Generator, channels: int):
         self.channels = channels
         self.w = Tensor(random_rotation(rng, channels), requires_grad=True)
-        self._inv_t: Tensor | None = None
+        self._inv_t: np.ndarray | None = None
         self._inv_of: np.ndarray | None = None
 
+    def _inverse_t(self) -> np.ndarray:
+        """W^-T, C-contiguous; raises `SingularMatrixError` if W is singular."""
+        if self._inv_of is None or not np.array_equal(self._inv_of, self.w.data):
+            self._inv_t = np.ascontiguousarray(nc.inverse(self.w.data).T)
+            self._inv_of = self.w.data.copy()
+        return self._inv_t
+
     def forward(self, x: Tensor, _st: Tensor | None = None) -> tuple[Tensor, Tensor]:
-        y = nc.matmul(x, nc.transpose(self.w))
-        return y, nc.logabsdet(self.w)
+        return nc.matmul(x, nc.transpose(self.w)), nc.logabsdet(self.w, self._inverse_t())
 
     def reverse(self, y: Tensor, _st: Tensor | None = None, _rows: np.ndarray | None = None) -> Tensor:
-        if nc.active_tape() is not None:
-            return nc.matmul(y, nc.transpose(nc.inverse(self.w)))
-        if self._inv_of is None or not np.array_equal(self._inv_of, self.w.data):
-            self._inv_t = nc.transpose(nc.inverse(self.w))
-            self._inv_of = self.w.data.copy()
-        return nc.matmul(y, self._inv_t)
+        return nc.solve(y, self.w, self._inverse_t())
 
 
 class AffineCoupling(Layer):

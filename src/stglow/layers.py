@@ -4,8 +4,8 @@ Every layer subclasses `Layer`, whose one `params()` lists parameters from
 the layer's attributes in the order they were set: each `Tensor` with
 `requires_grad` under the attribute's name, and each `Layer`'s own
 parameters under `<attribute>.`. Attributes that are None, that hold
-anything else, or whose names start with `_` (caches such as
-`InvertibleLinear._inv_t`) are skipped. Training and checkpoints see
+anything else (plain-array caches such as `InvertibleLinear._inv_t`), or
+whose names start with `_` are skipped. Training and checkpoints see
 exactly the listed parameters. Initialization draws from a caller-supplied
 numpy Generator so model construction is fully deterministic under a seed.
 """

@@ -6,7 +6,7 @@ import numpy as np
 
 from . import numcore as nc
 from .config import ModelConfig
-from .data import SceneWindow
+from .data import MAX_COORD, SceneWindow
 from .decoder import BidirectionalDecoder, LossWeights, best_of_k_rows, trajectory_loss_batched
 from .errors import ConfigError, ContractError
 from .flow import FlowStack, nll_loss, sample_behaviors
@@ -145,4 +145,6 @@ class TrajectoryModel(Layer):
                 pred = self.decoder.decode_batch(behaviors, prediction_only=True).prediction
                 out[lo : lo + per_pass] = pred.data.reshape(len(part), k, -1, 2)
         out += np.stack([w.origin for w in windows])[:, None, None, :]
+        if not np.all(np.abs(out) <= MAX_COORD):  # as far as a track file may reach; also catches NaN
+            raise ContractError(f"a forecast lies beyond ±{MAX_COORD:g} m at sigma {sigma:g}")
         return out

@@ -457,39 +457,37 @@ def index(a: Tensor, key) -> Tensor:
     return _register(a.data[key], (a,), vjp)
 
 
-def logabsdet(w: Tensor) -> Tensor:
-    """log|det W| as a taped scalar; raises if det W is exactly zero.
-
-    W^-T, the gradient, is only formed when the backward pass asks for it.
-    How close W is to singular is judged by `inverse`, which a training
-    step's reverse pass calls before the backward pass.
-    """
-    sign, val = np.linalg.slogdet(w.data)
-    if sign == 0.0:
-        raise SingularMatrixError("matrix is singular (det = 0)")
-
-    def vjp(g):
-        return (float(g) * np.linalg.inv(w.data).T,)
-
-    return _register(np.asarray(val), (w,), vjp)
+def logabsdet(w: Tensor, inv_t: np.ndarray) -> Tensor:
+    """log|det W| as a taped scalar, given its gradient `inv_t` = W^-T from
+    `inverse`, which also judges whether W is singular."""
+    _, val = np.linalg.slogdet(w.data)
+    return _register(np.asarray(val), (w,), lambda g: (float(g) * inv_t,))
 
 
-def inverse(w: Tensor) -> Tensor:
-    """Taped matrix inverse via LAPACK; raises if W is singular, i.e. if
-    LAPACK fails or the 1-norm condition number ||W|| ||W^-1|| is not finite
-    or exceeds 1e12. The test is scale-free: c·W passes whenever W does."""
+def inverse(w: np.ndarray) -> np.ndarray:
+    """Untaped W^-1 via LAPACK; raises if W is singular, i.e. if LAPACK
+    fails or the 1-norm condition number ||W|| ||W^-1|| is not finite or
+    exceeds 1e12. The test is scale-free: c·W passes whenever W does."""
     try:
-        inv = np.linalg.inv(w.data)
+        inv = np.linalg.inv(w)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("matrix is singular") from None
-    cond = float(np.linalg.norm(w.data, 1)) * float(np.linalg.norm(inv, 1))
+    cond = float(np.linalg.norm(w, 1)) * float(np.linalg.norm(inv, 1))
     if not cond <= 1e12:  # also catches a NaN
         raise SingularMatrixError(f"matrix is numerically singular (condition number {cond:.3g})")
+    return inv
+
+
+def solve(y: Tensor, w: Tensor, inv_t: np.ndarray) -> Tensor:
+    """`y @ W^-T`, the rows x with W x = y, as one tape node, given `inv_t` =
+    W^-T from `inverse`; W's gradient is read off `inv_t` and the output."""
+    out = y.data @ inv_t
 
     def vjp(g):
-        return (-inv.T @ g @ inv.T,)
+        g_y = g @ inv_t.T
+        return g_y, -(g_y.T @ out)
 
-    return _register(inv, (w,), vjp)
+    return _register(out, (y, w), vjp)
 
 
 # ---------------------------------------------------------------------------

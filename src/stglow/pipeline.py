@@ -28,7 +28,7 @@ from .data import (
     synth_scenes,
 )
 from .decoder import LossWeights
-from .errors import CheckpointError, ConfigError, ContractError, SceneNotFoundError, SingularMatrixError
+from .errors import CheckpointError, ConfigError, ContractError, DataError, SceneNotFoundError, SingularMatrixError
 from .flow import AffineCoupling, FlowStack, InvertibleLinear, PatternNorm
 from .graphormer import build_spatial_adjacency, build_temporal_adjacency
 from .layers import MultiHeadSelfAttention
@@ -113,12 +113,13 @@ def load_eval_windows(data: str, t_obs: int, t_pred: int) -> dict[str, list[Scen
         spec.t_obs, spec.t_pred = t_obs, t_pred
         return {spec.name: synth_scenes(spec)}
     path = Path(data)
-    if path.is_dir():
-        files = sorted(path.glob("*.txt"))
-        if not files:
-            raise ConfigError(f"no .txt dataset files in {path}")
-        return {f.stem: load_windows(f, t_obs, t_pred) for f in files}
-    return {path.stem: load_windows(path, t_obs, t_pred)}
+    files = sorted(path.glob("*.txt")) if path.is_dir() else [path]
+    if not files:
+        raise ConfigError(f"no .txt dataset files in {path}")
+    groups = {f.stem: load_windows(f, t_obs, t_pred) for f in files}
+    if not any(groups.values()):
+        raise DataError(f"{path}: no pedestrian is tracked for the {t_obs + t_pred} frames of a window")
+    return groups
 
 
 def _make_out_dir(path: str | Path) -> Path:
@@ -163,6 +164,7 @@ def train(cfg: Config, resume: str | Path | None = None) -> TrainResult:
     the last-good state, also after an abort on a non-finite loss.
     """
     validate(cfg)
+    out_dir = _make_out_dir(cfg.train.out_dir)
     model = build_model(cfg)
     opt = Adam(
         model.params(),
@@ -192,7 +194,6 @@ def train(cfg: Config, resume: str | Path | None = None) -> TrainResult:
         with nc.no_grad():
             mb, st = model.encode_windows(init_windows, training=True)
         model.flow.initialize(mb.data, st.data)
-    out_dir = _make_out_dir(cfg.train.out_dir)
     result = TrainResult(last_path=out_dir / "last.ckpt")
     save_checkpoint(snapshot(model, cfg, opt, start_epoch), result.last_path)
     best_val = math.inf
@@ -603,10 +604,10 @@ def sample_and_plot(
     """Sample futures for one scene; write trajectory CSV and SVG overlay."""
     if not 0 <= scene_id < len(windows):
         raise SceneNotFoundError(f"scene {scene_id} out of range (have {len(windows)} scenes)")
+    out = _make_out_dir(out_dir)
     window = windows[scene_id]
     rng = rng_stream(seed, STREAM_EVAL, scene_id)
     preds = model.predict_all_pedestrians(window, k, sigma, rng)
-    out = _make_out_dir(out_dir)
     csv_path = out / f"scene{scene_id}_trajectories.csv"
     svg_path = out / f"scene{scene_id}.svg"
     csv_text = sample_to_csv(window, preds)

@@ -17,6 +17,7 @@ from stglow import numcore as nc
 from stglow import pipeline as pl
 from stglow.config import Config, toy_config
 from stglow.data import SYNTH_KINDS, SceneWindow, SynthSpec, synth_scenes
+from stglow.decoder import LossWeights
 from stglow.errors import ContractError
 from stglow.flow import InvertibleLinear
 from stglow.model import FORECAST_ROWS, TrajectoryModel
@@ -238,6 +239,49 @@ def test_forecast_caches_add_no_parameters():
     model.forecast(mixed_windows()[:2], 3, 1.0, [np.random.default_rng(i) for i in range(2)])
     assert all(op._inv_t is not None for op in model.flow.ops if isinstance(op, InvertibleLinear))
     assert list(model.params()) == names
+
+
+def test_one_inversion_per_mixing_matrix_per_state(monkeypatch):
+    nc_calls, lapack_calls = [], []
+    inverse, inv = nc.inverse, np.linalg.inv
+    monkeypatch.setattr(nc, "inverse", lambda w: nc_calls.append(w) or inverse(w))
+    monkeypatch.setattr(np.linalg, "inv", lambda w: lapack_calls.append(w) or inv(w))
+    counts = []
+    model = make_model(None)  # the flow's initialisation runs it forward
+    counts.append(len(nc_calls))
+    opt = nc.Adam(model.params(), lr=1e-3)
+    for _ in range(3):  # optimizer steps, as `pipeline.train` takes them
+        opt.zero_grad()
+        pl._loss_and_grads(model, mixed_windows(), 3, np.random.default_rng(5), LossWeights())
+        opt.step()
+        counts.append(len(nc_calls) - sum(counts))
+    for _ in range(2):
+        model.forecast(mixed_windows()[:2], 3, 1.0, [np.random.default_rng(i) for i in range(2)])
+        counts.append(len(nc_calls) - sum(counts))
+    n = sum(isinstance(op, InvertibleLinear) for op in model.flow.ops)
+    # the first step reuses the initialisation's inversions; each later W is inverted once
+    assert counts == [n, 0, n, n, n, 0]
+    assert len(lapack_calls) == len(nc_calls)  # the backward pass inverts nothing
+
+
+def test_untaped_inversion_serves_the_next_taped_step(monkeypatch):
+    grads = []
+    for validate in (False, True):
+        model = make_model(None)
+        rng = np.random.default_rng(6)
+        for op in model.flow.ops:
+            if isinstance(op, InvertibleLinear):  # as Adam would, so initialisation's inverses are stale
+                op.w.data += 1e-3 * rng.normal(size=op.w.data.shape)
+        if validate:
+            model.forecast(mixed_windows()[:2], 3, 1.0, [np.random.default_rng(i) for i in range(2)])
+        calls = []
+        inverse = nc.inverse
+        monkeypatch.setattr(nc, "inverse", lambda w: calls.append(w) or inverse(w))
+        pl._loss_and_grads(model, mixed_windows(), 3, np.random.default_rng(5), LossWeights())
+        monkeypatch.setattr(nc, "inverse", inverse)
+        assert bool(calls) != validate
+        grads.append([op.w.grad for op in model.flow.ops if isinstance(op, InvertibleLinear)])
+    assert all(g0.tobytes() == g1.tobytes() for g0, g1 in zip(*grads))
 
 
 def test_empty_input_is_a_contract_error():

@@ -8,6 +8,7 @@ from helpers import fd_gradient, rel_err
 
 from stglow import numcore as nc
 from stglow.errors import ContractError, DegenerateMaskError, ShapeError
+from stglow.flow import InvertibleLinear
 
 
 def analytic_gradient(f, x0: np.ndarray) -> np.ndarray:
@@ -251,7 +252,7 @@ def test_op_gradients_match_finite_differences(name, op, arity):
 # taped ops whose gradient has its own test instead of an OP_CASES entry
 OWN_GRADIENT_TEST = {
     "logabsdet": "TestLinearAlgebra::test_logabsdet_gradient",
-    "inverse": "TestLinearAlgebra::test_inverse_gradient",
+    "solve": "TestLinearAlgebra::test_solve_gradient",
 }
 
 
@@ -393,34 +394,21 @@ class TestLinearAlgebra:
             if np.linalg.det(a) > 0:
                 a[[0, 1]] = a[[1, 0]]  # a row swap flips the sign only
             assert np.linalg.det(a) < 0
-            val = float(nc.logabsdet(nc.Tensor(a)).data)
+            val = float(nc.logabsdet(nc.Tensor(a), nc.inverse(a).T).data)
             assert val == pytest.approx(np.sum(np.log(np.abs(d))), abs=1e-10)
 
     def test_inverse_is_right_inverse(self):
         rng = np.random.default_rng(6)
         for n in (1, 5, 32):
             a = rng.normal(size=(n, n))
-            assert np.allclose(a @ nc.inverse(nc.Tensor(a)).data, np.eye(n), atol=1e-10)
+            assert np.allclose(a @ nc.inverse(a), np.eye(n), atol=1e-10)
 
     def test_logabsdet_gradient(self):
         rng = np.random.default_rng(8)
         w0 = rng.normal(size=(4, 4)) + 2 * np.eye(4)
 
         def f_t(t):
-            return nc.logabsdet(t)
-
-        def f_np(x):
-            with nc.no_grad():
-                return float(nc.logabsdet(nc.Tensor(x)).data)
-
-        assert rel_err(analytic_gradient(f_t, w0), fd_gradient(f_np, w0)) < 1e-3
-
-    def test_inverse_gradient(self):
-        rng = np.random.default_rng(9)
-        w0 = rng.normal(size=(3, 3)) + 2 * np.eye(3)
-
-        def f_t(t):
-            return nc.sum_all(nc.tanh(nc.inverse(t)))
+            return nc.logabsdet(t, nc.inverse(t.data).T)
 
         def f_np(x):
             with nc.no_grad():
@@ -428,21 +416,45 @@ class TestLinearAlgebra:
 
         assert rel_err(analytic_gradient(f_t, w0), fd_gradient(f_np, w0)) < 1e-3
 
+    def test_solve_gradient(self):
+        rng = np.random.default_rng(9)
+        w0 = rng.normal(size=(3, 3)) + 2 * np.eye(3)
+        y0 = rng.normal(size=(4, 3))
+
+        def loss(y, w):
+            return nc.sum_all(nc.tanh(nc.solve(y, w, np.ascontiguousarray(nc.inverse(w.data).T))))
+
+        def f_np(y, w):
+            with nc.no_grad():
+                return float(loss(nc.Tensor(y), nc.Tensor(w)).data)
+
+        y, w = nc.Tensor(y0, requires_grad=True), nc.Tensor(w0, requires_grad=True)
+        with nc.record() as tape:
+            out = loss(y, w)
+        nc.backward(out, tape)
+        assert np.allclose(np.linalg.solve(w0, y0.T).T, nc.solve(y, w, nc.inverse(w0).T).data, atol=1e-12)
+        assert rel_err(y.grad, fd_gradient(lambda x: f_np(x, w0), y0)) < 1e-3
+        assert rel_err(w.grad, fd_gradient(lambda x: f_np(y0, x), w0)) < 1e-3
+
     def test_singular_matrix_rejected(self):
         with pytest.raises(nc.SingularMatrixError):
-            nc.logabsdet(nc.Tensor(np.zeros((3, 3))))
+            nc.inverse(np.zeros((3, 3)))
+        lin = InvertibleLinear(np.random.default_rng(0), 3)
+        lin.w.data[:] = 0.0
+        with pytest.raises(nc.SingularMatrixError):  # before the log-det is taken
+            lin.forward(nc.Tensor(np.ones((2, 3))))
 
     @pytest.mark.parametrize("n, c", [(64, 0.6), (256, 0.89), (256, 0.4)])
     def test_scaled_rotation_is_not_singular(self, n, c):
         # condition number 1, whatever the scale: |det| = c^n may be tiny
         q, _ = np.linalg.qr(np.random.default_rng(n).normal(size=(n, n)))
-        w = nc.Tensor(c * q)
-        assert np.allclose(nc.inverse(w).data, q.T / c, atol=1e-12)
-        assert float(nc.logabsdet(w).data) == pytest.approx(n * math.log(c), abs=1e-9)
+        w = c * q
+        assert np.allclose(nc.inverse(w), q.T / c, atol=1e-12)
+        assert float(nc.logabsdet(nc.Tensor(w), nc.inverse(w).T).data) == pytest.approx(n * math.log(c), abs=1e-9)
 
     def test_ill_conditioned_unit_determinant_rejected(self):
-        w = nc.Tensor(np.diag([1e-7, 1e7, 1.0, 1.0]))  # det 1, condition number 1e14
-        assert float(nc.logabsdet(w).data) == pytest.approx(0.0, abs=1e-12)
+        w = np.diag([1e-7, 1e7, 1.0, 1.0])  # det 1, condition number 1e14
+        assert float(nc.logabsdet(nc.Tensor(w), np.linalg.inv(w).T).data) == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(nc.SingularMatrixError, match="condition number"):
             nc.inverse(w)
 

@@ -18,9 +18,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import write_windows
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hst
 
+from stglow import cli
 from stglow import numcore as nc
 from stglow import pipeline as pl
 from stglow.checkpoint import MAGIC, VERSION, Checkpoint, load_checkpoint, save_checkpoint
@@ -131,7 +133,7 @@ class TestConfig:
     def test_flat_round_trip(self, tmp_path):
         cfg = toy_config(seed=11)
         cfg.train.loss_weights = (0.5, 0.1, 0.2, 0.7)
-        cfg.data.paths = ("a.txt", "b.txt")
+        cfg.data.format, cfg.data.paths = "eth_ucy", ("a.txt", "b.txt")
         path = tmp_path / "run.cfg"
         save_config(cfg, path)
         back = load_config(path)
@@ -167,11 +169,25 @@ class TestConfig:
 
     def test_ints_widen_to_float_and_lists_become_tuples(self, tmp_path):
         p = tmp_path / "ok.cfg"
-        p.write_text("train.lr = 1\ntrain.betas = [0, 0.5]\ndata.paths = ['a.txt']\n")
+        p.write_text("train.lr = 1\ntrain.betas = [0, 0.5]\ndata.format = 'eth_ucy'\ndata.paths = ['a.txt']\n")
         cfg = load_config(p)
         assert type(cfg.train.lr) is float and cfg.train.lr == 1.0
         assert cfg.train.betas == (0.0, 0.5) and type(cfg.train.betas[0]) is float
         assert cfg.data.paths == ("a.txt",)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"data.paths": ("/nonexistent/eth.txt",), "data.holdout": "zara1"}, "data.paths is set, but data.format 'synth'"),
+            ({"data.holdout": "zara1"}, "data.holdout is set, but data.format 'synth' reads no files"),
+            ({"data.format": "eth_ucy"}, "data.paths must name the track files of data.format 'eth_ucy'"),
+            ({"data.format": "eth_ucy", "data.holdout": "zara1"}, "data.paths must name"),
+        ],
+    )
+    def test_data_sources_agree_with_the_format(self, values, message):
+        # before, a synth config ignored its paths and trained on synthetic windows
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            validate(from_flat(values, toy_config()))
 
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
@@ -1039,6 +1055,10 @@ class TestCli:
             "eval_out_in_missing_dir",
             "sample_out_is_a_file",
             "train_out_dir_below_a_file",
+            "train_synth_with_paths",
+            "train_eth_ucy_without_paths",
+            "eval_huge_sigma",
+            "eval_no_windows",
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, case):
@@ -1078,6 +1098,10 @@ class TestCli:
         a_file.write_text("")
         below_file_cfg = tmp_path / "below_file.cfg"
         below_file_cfg.write_text(good_cfg.read_text() + f"train.out_dir = {str(a_file / 'run')!r}\n")
+        synth_paths_cfg = tmp_path / "synth_paths.cfg"
+        synth_paths_cfg.write_text(good_cfg.read_text() + "data.paths = ('/nonexistent/eth.txt',)\ndata.holdout = 'zara1'\n")
+        no_paths_cfg = tmp_path / "no_paths.cfg"
+        no_paths_cfg.write_text(good_cfg.read_text() + "data.format = 'eth_ucy'\n")
         argv = {
             "train_missing_config": ["train", "--config", missing],
             "train_mistyped_config": ["train", "--config", str(bad_cfg)],
@@ -1117,11 +1141,23 @@ class TestCli:
             "eval_out_in_missing_dir": ["eval", "--ckpt", str(good_ckpt), "--data", synth, "--out", missing + "/m.csv"],
             "sample_out_is_a_file": ["sample", "--ckpt", str(good_ckpt), "--data", synth, "--scene", "0", "--out", str(a_file)],
             "train_out_dir_below_a_file": ["train", "--config", str(below_file_cfg)],
+            "train_synth_with_paths": ["train", "--config", str(synth_paths_cfg)],
+            "train_eth_ucy_without_paths": ["train", "--config", str(no_paths_cfg)],
+            "eval_huge_sigma": ["eval", "--ckpt", str(good_ckpt), "--data", "synth:straight:n=2", "--sigma", "1e200"],
+            "eval_no_windows": ["eval", "--ckpt", str(good_ckpt), "--data", os.devnull],
         }[case]
         if case == "train_non_integer_seed":
             monkeypatch.setenv("STGLOW_SEED", "12a")
         if case.endswith("_negative_env_seed"):
             monkeypatch.setenv("STGLOW_SEED", "-3")
+        # a bad output path fails before the work that it would receive
+        unreached = {
+            "eval_out_in_missing_dir": (cli, "evaluate"),
+            "sample_out_is_a_file": (TrajectoryModel, "forecast"),
+            "train_out_dir_below_a_file": (pl, "build_model"),
+        }
+        if case in unreached:
+            monkeypatch.setattr(*unreached[case], lambda *a, **kw: pytest.fail("reached the work before the output path"))
         assert self.run_cli(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
@@ -1165,8 +1201,20 @@ class TestCli:
             "eval_out_in_missing_dir": "--out " + missing + "/m.csv: cannot write the metrics CSV (No such file or directory)",
             "sample_out_is_a_file": "a_file: cannot make output directory (File exists)",
             "train_out_dir_below_a_file": "a_file/run: cannot make output directory (Not a directory)",
+            "train_synth_with_paths": "data.paths is set, but data.format 'synth' reads no files",
+            "train_eth_ucy_without_paths": "data.paths must name the track files of data.format 'eth_ucy'",
+            "eval_huge_sigma": "a forecast lies beyond ±1e+06 m at sigma 1e+200",
+            "eval_no_windows": "null: no pedestrian is tracked for the 20 frames of a window",
         }[case]
         assert cause in err
+
+    def test_failed_eval_leaves_out_as_it_was(self, tmp_path):
+        ckpt = str(pl.train(tiny_config(tmp_path / "run", epochs=0)).last_path)
+        kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+        kept.write_text("earlier metrics\n")
+        for out in (kept, fresh):
+            assert self.run_cli("eval", "--ckpt", ckpt, "--data", os.devnull, "--out", str(out)) == 2
+        assert kept.read_text() == "earlier metrics\n" and not fresh.exists()
 
     def test_entry_point_runs(self, monkeypatch):
         # the child imports the same stglow as this process, installed or not
@@ -1179,3 +1227,55 @@ class TestCli:
         )
         assert out.returncode == 0
         assert "train" in out.stdout
+
+
+FUZZ_FLAGS = {
+    "--k": hst.integers(-2, 4).map(str),
+    "--scene": hst.integers(-2, 4).map(str),
+    "--sigma": hst.sampled_from(["-1", "-1e-300", "0", "nan", "inf", "-inf", "1e200", "1e-3", "0.5", "1"]),
+    "--data": hst.sampled_from(
+        ["synth:straight:n=1", "synth:turn+crossing_pair:n=2:seed=5", "synth:straight:n=abc", "synth:", "garbage", os.devnull, "DIR", "MISSING"]
+    ),
+    "--out": hst.sampled_from(["MISSING/out.csv", "FILE", "DIR", "FRESH"]),
+}
+
+
+@hst.composite
+def cli_argv(draw) -> list[str]:
+    """`eval` or `sample` of the checkpoint CKPT: the command's required
+    flags always given, the others given or left out, each as `--flag=value`
+    so that argparse takes `-inf` for a value. Upper-case values name paths
+    made for each call."""
+    command = draw(hst.sampled_from(["eval", "sample"]))
+    required = {"eval": {"--data"}, "sample": {"--scene", "--out"}}[command]
+    argv = [command, "--ckpt=CKPT"]
+    for flag, values in FUZZ_FLAGS.items():
+        if flag in required or (flag != "--scene" and draw(hst.booleans())):
+            argv.append(f"{flag}={draw(values)}")
+    return argv
+
+
+class TestCliFuzz:
+    @pytest.fixture(scope="class")
+    def ckpt(self, tmp_path_factory):
+        return str(pl.train(tiny_config(tmp_path_factory.mktemp("fuzz_run"), epochs=0)).last_path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=cli_argv())
+    @example(argv=["eval", "--ckpt=CKPT", "--data=synth:straight:n=2", "--sigma=1e200"])
+    @example(argv=["eval", "--ckpt=CKPT", f"--data={os.devnull}"])
+    def test_eval_and_sample_exit_0_or_2(self, ckpt, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            base = Path(tmp)
+            (base / "DIR").mkdir()
+            write_windows(synth_scenes(SynthSpec(count=2, seed=7)), base / "DIR" / "tracks.txt")
+            (base / "FILE").write_text("earlier contents\n")
+            paths = {"CKPT": ckpt, "DIR": base / "DIR", "FILE": base / "FILE", "FRESH": base / "fresh", "MISSING": base / "missing"}
+            for name, path in paths.items():
+                argv = [a.replace(f"={name}", f"={path}") for a in argv]
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                assert exc.code == 2
+                return
+            assert code in (0, 2)
