@@ -8,9 +8,11 @@ samples receive gradient: per pedestrian, the goal winner (least goal
 distance) and the trajectory winner (least weighted trajectory sum).
 
 Training therefore decodes in two passes. An untaped pass decodes all B*K
-samples and `best_of_k_rows` picks the winners; a taped pass decodes only
-the at most 2B winning rows, and `trajectory_loss_batched` takes its loss
-at the rows it is given. Both passes score rows with the same cost code.
+samples in float32, from a `cast` copy of the decoder, and `best_of_k_rows`
+picks the winners; a taped pass decodes only the at most 2B winning rows in
+float64, and `trajectory_loss_batched` takes its loss at the rows it is
+given. Both passes score rows with the same cost code; the loss, its
+gradients and every forecast are float64.
 """
 
 from __future__ import annotations

@@ -99,6 +99,14 @@ class InvertibleLinear(Layer):
     def reverse(self, y: Tensor, _st: Tensor | None = None, _rows: np.ndarray | None = None) -> Tensor:
         return nc.solve(y, self.w, self._inverse_t())
 
+    def cast(self, dtype) -> "InvertibleLinear":
+        """A copy whose W^-T is this one's, formed in float64, then cast: a
+        copy never inverts. Its key is its own W, which nothing updates."""
+        out = super().cast(dtype)
+        out._inv_t = self._inverse_t().astype(dtype)
+        out._inv_of = out.w.data
+        return out
+
 
 class AffineCoupling(Layer):
     """Scale/shift of the second half-channels, conditioned on context.
@@ -240,6 +248,12 @@ class FlowStack(Layer):
                 raise FlowNumericsError("non-finite activation in reverse pass", step=idx)
         return x
 
+    def cast(self, dtype) -> "FlowStack":
+        """The ops cast in order; a `FactorOut`, which holds no parameters, is shared."""
+        out = super().cast(dtype)
+        out.ops = [op.cast(dtype) if isinstance(op, Layer) else op for op in self.ops]
+        return out
+
     def params(self) -> dict[str, Tensor]:
         """Op i's parameters under `op{i:02d}.{pn|lin|coup}.`, ops with none not counted:
         the names of checkpoint version 5."""
@@ -273,6 +287,7 @@ def sample_behaviors(
     flattened along the first axis), and z holds the raw base draws.
     Row b's (k, C) block is drawn from `rngs[b]`, rows in order, so one
     generator passed B times, `[rng] * B`, draws one (B, k, C) block.
+    z is float64 whatever the pass; the flow evolves it in `st`'s dtype.
     """
     if k < 1:
         raise ContractError("need at least one sample")
@@ -283,4 +298,4 @@ def sample_behaviors(
         z = np.zeros((b * k, stack.channels))
     else:
         z = np.concatenate([rng.standard_normal((k, stack.channels)) for rng in rngs]) * sigma
-    return stack.reverse(Tensor(z), st, np.arange(b * k) // k), z
+    return stack.reverse(nc.cast(z, st.data.dtype), st, np.arange(b * k) // k), z

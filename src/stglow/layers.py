@@ -6,11 +6,15 @@ the layer's attributes in the order they were set: each `Tensor` with
 parameters under `<attribute>.`. Attributes that are None, that hold
 anything else (plain-array caches such as `InvertibleLinear._inv_t`), or
 whose names start with `_` are skipped. Training and checkpoints see
-exactly the listed parameters. Initialization draws from a caller-supplied
-numpy Generator so model construction is fully deterministic under a seed.
+exactly the listed parameters. `cast(dtype)` walks the same attributes to
+build an untaped copy that computes in another dtype. Initialization draws
+from a caller-supplied numpy Generator so model construction is fully
+deterministic under a seed.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -31,6 +35,20 @@ class Layer:
                 out[name] = val
             elif isinstance(val, Layer):
                 out.update({f"{name}.{k}": v for k, v in val.params().items()})
+        return out
+
+    def cast(self, dtype) -> "Layer":
+        """A shallow copy for untaped passes in `dtype`: each parameter that
+        `params()` would list by attribute is a `dtype` copy, each `Layer`
+        attribute is cast likewise, and every other attribute is shared."""
+        out = copy.copy(self)
+        for name, val in vars(self).items():
+            if name.startswith("_"):
+                continue
+            if isinstance(val, Tensor) and val.requires_grad:
+                setattr(out, name, nc.cast(val, dtype))
+            elif isinstance(val, Layer):
+                setattr(out, name, val.cast(dtype))
         return out
 
 

@@ -80,22 +80,22 @@ class TrajectoryModel(Layer):
         The best-of-K minimum sends gradient to at most two of a
         pedestrian's K samples, its goal winner and its trajectory winner,
         so the samples are drawn and decoded in two passes. The first,
-        untaped, evolves and decodes all B*K base draws and only picks the
-        winners. The second re-runs the flow reverse and the decoder taped
-        on the winning rows only (at most 2B), conditioned on their
-        pedestrians' rows of `st`, and gives the loss that is differentiated
-        and reported: `l_total` is its value and `l_traj` the mean of its
-        per-window terms. Both passes score rows with the same cost code, so
-        the loss and its gradients are those of one taped pass over all
-        rows, up to rounding.
+        `select_winners`, evolves and decodes all B*K base draws untaped and
+        in float32, and only picks the winners. The second re-runs the flow
+        reverse and the decoder taped and in float64 on the winning rows
+        only (at most 2B), from the same float64 base draws and conditioned
+        on their pedestrians' rows of `st`, and gives the loss that is
+        differentiated and reported: `l_total` is its value and `l_traj`
+        the mean of its per-window terms. Both passes score rows with the
+        same cost code, so while the float32 winners are the float64 ones
+        (`pipeline.winner_flips` counts where they are not), the loss and
+        its gradients are those of one taped float64 pass over all rows, up
+        to rounding.
         """
         mb, st = self.encode_windows(windows, training=True)
         l_p = nll_loss(mb, st, self.flow)
         gt_future = np.stack([w.fut[w.target_index] for w in windows])
-        with nc.no_grad():
-            behaviors, z = sample_behaviors(st, self.flow, k_train, sigma, [rng] * len(windows))
-            decoded = self.decoder.decode_batch(behaviors)
-            winners = best_of_k_rows(decoded, gt_future, weights)
+        winners, z = self.select_winners(st, gt_future, k_train, sigma, rng, weights, np.float32)
         b = len(windows)
         rows, pos = np.unique(np.concatenate(winners), return_inverse=True)
         winning = self.decoder.decode_batch(self.flow.reverse(Tensor(z[rows]), st, rows // k_train))
@@ -103,6 +103,30 @@ class TrajectoryModel(Layer):
         loss = nc.add(l_p, nc.sum_all(per_window))
         stats = {"l_p": float(l_p.data), "l_traj": float(per_window.data.mean()), "l_total": float(loss.data)}
         return loss, stats
+
+    def select_winners(
+        self,
+        st: Tensor,
+        gt_future: np.ndarray,
+        k: int,
+        sigma: float,
+        rng: np.random.Generator,
+        weights: LossWeights,
+        dtype,
+    ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """Each pedestrian's goal and trajectory winners among its K samples,
+        as (B,) row indices (see `best_of_k_rows`), and the base draws z,
+        (B*K, C), float64 and drawn from `rng` as `sample_behaviors` draws.
+
+        Untaped `dtype` copies of the flow and the decoder, made for this
+        call, evolve and decode all B*K rows; each copied mixing matrix's
+        W^-T is the float64 one, cast.
+        """
+        with nc.no_grad():
+            st_cast = nc.cast(st, dtype)
+            behaviors, z = sample_behaviors(st_cast, self.flow.cast(dtype), k, sigma, [rng] * st.shape[0])
+            decoded = self.decoder.cast(dtype).decode_batch(behaviors)
+        return best_of_k_rows(decoded, gt_future, weights), z
 
     def predict(self, window: SceneWindow, k: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
         """(K, t_p, 2) sampled futures for the window's target, in world coordinates."""

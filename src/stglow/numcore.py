@@ -5,6 +5,11 @@ are numpy float64 arrays; gradients are recorded on an explicit `Tape` that
 is rebuilt for every training step (define-by-run). Ops executed while no
 tape is active behave like plain numpy and record nothing.
 
+The ops keep their inputs' dtype, so an untaped pass over `cast` tensors
+runs in float32. Training uses this in one place only: the pass that picks
+each pedestrian's best-of-K winners, whose values are read by an argmin
+alone. Parameters, the loss, gradients, Adam and forecasts are float64.
+
 Attention masks use `NEG_INF`, a finite most-negative-float sentinel, so
 that tensors never carry actual infinities; `attention`, the one masked
 softmax, treats entries equal to the sentinel as masked and gives them a
@@ -80,7 +85,11 @@ def active_tape() -> Tape | None:
 
 
 class Tensor:
-    """A dense float64 array, optionally participating in the active tape."""
+    """A dense array, optionally participating in the active tape.
+
+    `Tensor(data)` is always float64; `cast` builds the untaped float32
+    copies of the winner-selection pass.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "is_leaf")
 
@@ -117,6 +126,11 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def cast(x, dtype) -> Tensor:
+    """An untaped tensor holding a `dtype` copy of `x`, an array or a `Tensor`."""
+    return Tensor._from_op(np.array(x.data if isinstance(x, Tensor) else x, dtype=dtype))
 
 
 def _register(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:

@@ -309,9 +309,10 @@ class BatchLossRun:
 
 
 def all_rows_decode(decodes, n_rows):
-    """The one untaped decode of all B*K rows."""
+    """The one untaped decode of all B*K rows: the float32 selection pass."""
     (decoded,) = [d for d, taped in decodes if not taped]
     assert decoded.goal.shape == (n_rows, 2)
+    assert all(getattr(decoded, f).data.dtype == np.float32 for f in ("goal",) + HEADS)
     return decoded
 
 
@@ -332,7 +333,19 @@ class TestBatchLoss(BatchLossRun):
 class TestTotalLoss(BatchLossRun):
     """batch_loss's l_total is l_p plus the sum of the per-window best-of-K
     trajectory losses over all B*K decoded rows, up to rounding, and l_traj
-    is their mean; l_total is exactly the loss that is differentiated."""
+    is their mean; l_total is exactly the loss that is differentiated.
+
+    The reference decodes the B*K rows in float64 (`float64_rows`): the
+    selection pass's own float32 values are only good for its argmin."""
+
+    def float64_rows(self, batch_windows, k):
+        """The B*K rows that batch_loss's selection pass decodes in float32,
+        decoded in float64: the same model, st and base draws (seed 8)."""
+        model, _ = self.setup_model()
+        with nc.no_grad():
+            _, st_ = model.encode_windows(batch_windows, training=True)
+            behaviors, _ = sample_behaviors(st_, model.flow, k, 1.0, [np.random.default_rng(8)] * len(batch_windows))
+            return model.decoder.decode_batch(behaviors)
 
     def test_l_total_is_the_differentiated_loss(self):
         model, windows = self.setup_model()
@@ -355,15 +368,17 @@ class TestTotalLoss(BatchLossRun):
         for batch_windows, stats, calls, decodes in self.run_batches(monkeypatch, w, batch_size=1):
             assert len(batch_windows) == 1
             gt_future = calls[0][1]
-            (expected,) = brute_force(all_rows_decode(decodes, 4), gt_future, w)
+            all_rows_decode(decodes, 4)
+            (expected,) = brute_force(self.float64_rows(batch_windows, 4), gt_future, w)
             assert stats["l_total"] == pytest.approx(stats["l_p"] + expected, rel=0, abs=1e-12)
             assert stats["l_traj"] == pytest.approx(expected, rel=0, abs=1e-12)
 
     def test_matches_manual_sum(self, monkeypatch):
         w = dec.LossWeights(alpha=0.7, fwd=0.2, bwd=0.3, both=0.5)
-        for _, stats, calls, decodes in self.run_batches(monkeypatch, w):
+        for batch_windows, stats, calls, decodes in self.run_batches(monkeypatch, w):
             gt_future = calls[0][1]
-            expected = brute_force(all_rows_decode(decodes, 3 * 4), gt_future, w)
+            all_rows_decode(decodes, 3 * 4)
+            expected = brute_force(self.float64_rows(batch_windows, 4), gt_future, w)
             assert stats["l_total"] == pytest.approx(stats["l_p"] + expected.sum(), rel=0, abs=1e-12)
             assert stats["l_traj"] == pytest.approx(expected.mean(), rel=0, abs=1e-12)
 

@@ -1059,6 +1059,8 @@ class TestCli:
             "train_eth_ucy_without_paths",
             "eval_huge_sigma",
             "eval_no_windows",
+            "sample_huge_sigma_fresh_out",
+            "train_no_windows_fresh_out_dir",
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, case):
@@ -1102,6 +1104,13 @@ class TestCli:
         synth_paths_cfg.write_text(good_cfg.read_text() + "data.paths = ('/nonexistent/eth.txt',)\ndata.holdout = 'zara1'\n")
         no_paths_cfg = tmp_path / "no_paths.cfg"
         no_paths_cfg.write_text(good_cfg.read_text() + "data.format = 'eth_ucy'\n")
+        fresh_out = tmp_path / "fresh" / "out"  # neither directory exists yet
+        (tmp_path / "short.txt").write_text("0 1 0.0 0.0\n10 1 0.4 0.0\n")  # two frames: no window
+        no_windows_cfg = tmp_path / "no_windows.cfg"
+        no_windows_cfg.write_text(
+            good_cfg.read_text()
+            + f"data.format = 'eth_ucy'\ndata.paths = ({str(tmp_path / 'short.txt')!r},)\ntrain.out_dir = {str(fresh_out)!r}\n"
+        )
         argv = {
             "train_missing_config": ["train", "--config", missing],
             "train_mistyped_config": ["train", "--config", str(bad_cfg)],
@@ -1145,6 +1154,8 @@ class TestCli:
             "train_eth_ucy_without_paths": ["train", "--config", str(no_paths_cfg)],
             "eval_huge_sigma": ["eval", "--ckpt", str(good_ckpt), "--data", "synth:straight:n=2", "--sigma", "1e200"],
             "eval_no_windows": ["eval", "--ckpt", str(good_ckpt), "--data", os.devnull],
+            "sample_huge_sigma_fresh_out": ["sample", "--ckpt", str(good_ckpt), "--data", synth, "--scene", "0", "--out", str(fresh_out), "--sigma", "1e200"],
+            "train_no_windows_fresh_out_dir": ["train", "--config", str(no_windows_cfg)],
         }[case]
         if case == "train_non_integer_seed":
             monkeypatch.setenv("STGLOW_SEED", "12a")
@@ -1205,8 +1216,12 @@ class TestCli:
             "train_eth_ucy_without_paths": "data.paths must name the track files of data.format 'eth_ucy'",
             "eval_huge_sigma": "a forecast lies beyond ±1e+06 m at sigma 1e+200",
             "eval_no_windows": "null: no pedestrian is tracked for the 20 frames of a window",
+            "sample_huge_sigma_fresh_out": "a forecast lies beyond ±1e+06 m at sigma 1e+200",
+            "train_no_windows_fresh_out_dir": "no training windows available",
         }[case]
         assert cause in err
+        # a failed command removes the output directories it made, empty
+        assert not (tmp_path / "fresh").exists()
 
     def test_failed_eval_leaves_out_as_it_was(self, tmp_path):
         ckpt = str(pl.train(tiny_config(tmp_path / "run", epochs=0)).last_path)
