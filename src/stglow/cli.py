@@ -45,6 +45,8 @@ def _cmd_train(args) -> int:
         print(f"best validation checkpoint: {result.best_path}")
     if result.skipped_steps:
         print(f"skipped {result.skipped_steps} singular-matrix steps")
+    if result.selection_fallbacks:
+        print(f"selected winners in float64 in {result.selection_fallbacks} steps (the float32 pass went non-finite)")
     return 0
 
 

@@ -9,10 +9,11 @@ distance) and the trajectory winner (least weighted trajectory sum).
 
 Training therefore decodes in two passes. An untaped pass decodes all B*K
 samples in float32, from a `cast` copy of the decoder, and `best_of_k_rows`
-picks the winners; a taped pass decodes only the at most 2B winning rows in
-float64, and `trajectory_loss_batched` takes its loss at the rows it is
-given. Both passes score rows with the same cost code; the loss, its
-gradients and every forecast are float64.
+picks the winners. A taped float64 pass then reads only what the loss
+reads: the goal head (`goal_mlp`) of the B goal winners, and the full
+decode of the B trajectory winners. `trajectory_loss_batched` takes its
+loss at the rows it is given. Both passes score rows with the same cost
+code; the loss, its gradients and every forecast are float64.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class BidirectionalDecoder(Layer):
         t_pred: int,
         bidirectional: bool = True,
     ):
-        self.t_pred = t_pred
+        self.t_pred, self.d_h = t_pred, d_h
         self.bidirectional = bidirectional
         self.goal_mlp = Mlp(rng, channels, d_h, 2)
         self.fwd_init = Mlp(rng, channels, d_h, d_h)
@@ -92,22 +93,32 @@ class BidirectionalDecoder(Layer):
         built (left None), nor the bidirectional decoder's last forward
         step, which only `y_f` reads; the `prediction` head is computed
         exactly as for training.
+
+        Each output head reads a concatenated input, [state, mb] or
+        [backward state, forward feature], as products with its weight's two
+        row blocks, so no concat is built; `mb`'s block is projected once per
+        decode.
         """
-        t_p, m = self.t_pred, mb.shape[0]
+        t_p, m, d_h = self.t_pred, mb.shape[0], self.d_h
         want_f = not (prediction_only and self.bidirectional)  # y_f is a forward-only decoder's forecast
         goal = self.goal_mlp(mb)
         f_h = self.fwd_init(mb)
         f_i: list[Tensor] = [self.fwd_in(f_h)]  # f_i[t] is the input feature at step t
         y_f: list[Tensor] = []
+        if want_f:
+            f_w, f_mb = _split_head(self.fwd_out, d_h, mb)
         # without y_f, step t_p's features feed nothing: the fused head reads f_i[1..t_p-1]
         for t in range(1, (t_p if want_f else t_p - 1) + 1):
             f_h = self.fwd_gru(f_h, f_i[t - 1])
             f_i.append(self.fwd_in(f_h))
             if want_f:
-                y_f.append(self.fwd_out(nc.concat([f_i[t], mb], -1)))
+                y_f.append(nc.add(nc.linear(f_i[t], f_w), f_mb))
         y_f_head = _stack_steps(y_f, m) if want_f else None
         if not self.bidirectional:
             return BatchDecoded(goal=goal, y_f=y_f_head, y_b=None, y_both=None)
+        if not prediction_only:
+            b_w, b_mb = _split_head(self.bwd_out, d_h, mb)
+        both_b, both_f = nc.index(self.both_out.w, np.s_[:d_h]), nc.index(self.both_out.w, np.s_[d_h:])
         b_h = self.bwd_init(mb)
         b_i = self.bwd_in(goal)
         y_both_desc: list[Tensor] = [goal]  # step t_p output is the goal itself
@@ -115,8 +126,8 @@ class BidirectionalDecoder(Layer):
         for _t_b in range(t_p - 1, 0, -1):
             b_h = self.bwd_gru(b_h, b_i)
             if not prediction_only:
-                y_b_desc.append(self.bwd_out(nc.concat([b_h, mb], -1)))
-            y_both_t = self.both_out(nc.concat([b_h, f_i[_t_b]], -1))
+                y_b_desc.append(nc.add(nc.linear(b_h, b_w), b_mb))
+            y_both_t = nc.add(nc.linear(b_h, both_b, self.both_out.b), nc.linear(f_i[_t_b], both_f))
             b_i = self.bwd_in(y_both_t)
             y_both_desc.append(y_both_t)
         return BatchDecoded(
@@ -125,6 +136,12 @@ class BidirectionalDecoder(Layer):
             y_b=None if prediction_only else _stack_steps(y_b_desc[::-1], m),
             y_both=_stack_steps(y_both_desc[::-1], m),
         )
+
+
+def _split_head(head: Linear, d_h: int, mb: Tensor) -> tuple[Tensor, Tensor]:
+    """A head over [state (d_h), mb] as the state's weight rows and the
+    projection of `mb`, bias included, made once for every step."""
+    return nc.index(head.w, np.s_[:d_h]), nc.linear(mb, nc.index(head.w, np.s_[d_h:]), head.b)
 
 
 def _stack_steps(steps: list[Tensor], m: int) -> Tensor:

@@ -294,8 +294,14 @@ def sample_behaviors(
     b = st.data.shape[0]
     if len(rngs) != b:
         raise ContractError(f"need one generator per conditioning row, got {len(rngs)} for {b} rows")
-    if sigma == 0.0:
-        z = np.zeros((b * k, stack.channels))
-    else:
-        z = np.concatenate([rng.standard_normal((k, stack.channels)) for rng in rngs]) * sigma
+    z = base_draws(stack.channels, k, sigma, rngs)
     return stack.reverse(nc.cast(z, st.data.dtype), st, np.arange(b * k) // k), z
+
+
+def base_draws(channels: int, k: int, sigma: float, rngs: list[np.random.Generator]) -> np.ndarray:
+    """(len(rngs) * k, channels) float64 draws from N(0, sigma^2), as
+    `sample_behaviors` takes them: row b's (k, channels) block from
+    `rngs[b]`. At sigma 0 they are zeros and no generator is read."""
+    if sigma == 0.0:
+        return np.zeros((len(rngs) * k, channels))
+    return np.concatenate([rng.standard_normal((k, channels)) for rng in rngs]) * sigma

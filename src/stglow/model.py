@@ -7,9 +7,9 @@ import numpy as np
 from . import numcore as nc
 from .config import ModelConfig
 from .data import MAX_COORD, SceneWindow
-from .decoder import BidirectionalDecoder, LossWeights, best_of_k_rows, trajectory_loss_batched
-from .errors import ConfigError, ContractError
-from .flow import FlowStack, nll_loss, sample_behaviors
+from .decoder import BatchDecoded, BidirectionalDecoder, LossWeights, best_of_k_rows, trajectory_loss_batched
+from .errors import ConfigError, ContractError, FlowNumericsError
+from .flow import FlowStack, base_draws, nll_loss, sample_behaviors
 from .graphormer import SceneEncoder
 from .layers import Layer
 from .numcore import Tensor
@@ -77,32 +77,38 @@ class TrajectoryModel(Layer):
     ) -> tuple[Tensor, dict[str, float]]:
         """Likelihood loss on the batch plus best-of-K trajectory losses.
 
-        The best-of-K minimum sends gradient to at most two of a
-        pedestrian's K samples, its goal winner and its trajectory winner,
-        so the samples are drawn and decoded in two passes. The first,
-        `select_winners`, evolves and decodes all B*K base draws untaped and
-        in float32, and only picks the winners. The second re-runs the flow
-        reverse and the decoder taped and in float64 on the winning rows
-        only (at most 2B), from the same float64 base draws and conditioned
-        on their pedestrians' rows of `st`, and gives the loss that is
-        differentiated and reported: `l_total` is its value and `l_traj`
-        the mean of its per-window terms. Both passes score rows with the
-        same cost code, so while the float32 winners are the float64 ones
-        (`pipeline.winner_flips` counts where they are not), the loss and
-        its gradients are those of one taped float64 pass over all rows, up
-        to rounding.
+        The best-of-K minimum sends gradient to two of a pedestrian's K
+        samples: to its goal winner's goal and to its trajectory winner's
+        trajectory heads. So the samples are drawn and decoded in two
+        passes. The first, `select_winners`, evolves and decodes all B*K
+        base draws untaped and in float32 (float64 where float32 meets a
+        non-finite value), and only picks the winners. The second is taped
+        and in float64, from the same float64 base draws: the flow reverse
+        runs on the B goal-winner rows, then the B trajectory-winner rows,
+        each conditioned on its pedestrian's row of `st`; `goal_mlp` alone
+        runs on the goal winners, and the full decoder on the trajectory
+        winners. Its loss is the one differentiated and reported: `l_total`
+        is its value and `l_traj` the mean of its per-window terms. Both
+        passes score rows with the same cost code, so while the selected
+        winners are the float64 ones (`pipeline.winner_flips` counts where
+        they are not), the loss and its gradients are those of one taped
+        float64 pass over all rows, up to rounding. `selection_fallback`
+        says whether the selection was redone in float64.
         """
         mb, st = self.encode_windows(windows, training=True)
         l_p = nll_loss(mb, st, self.flow)
         gt_future = np.stack([w.fut[w.target_index] for w in windows])
-        winners, z = self.select_winners(st, gt_future, k_train, sigma, rng, weights, np.float32)
-        b = len(windows)
-        rows, pos = np.unique(np.concatenate(winners), return_inverse=True)
-        winning = self.decoder.decode_batch(self.flow.reverse(Tensor(z[rows]), st, rows // k_train))
-        per_window = trajectory_loss_batched(winning, gt_future, weights, (pos[:b], pos[b:]))
+        winners, z, fell_back = self.select_winners(st, gt_future, k_train, sigma, rng, weights, np.float32)
+        b, rows = len(windows), np.concatenate(winners)
+        behaviors = self.flow.reverse(Tensor(z[rows]), st, rows // k_train)
+        traj = self.decoder.decode_batch(nc.index(behaviors, np.s_[b:]))
+        # one row per pedestrian: the goal head at its goal winner, the trajectory heads at its trajectory winner
+        winning = BatchDecoded(self.decoder.goal_mlp(nc.index(behaviors, np.s_[:b])), traj.y_f, traj.y_b, traj.y_both)
+        own = np.arange(b)
+        per_window = trajectory_loss_batched(winning, gt_future, weights, (own, own))
         loss = nc.add(l_p, nc.sum_all(per_window))
         stats = {"l_p": float(l_p.data), "l_traj": float(per_window.data.mean()), "l_total": float(loss.data)}
-        return loss, stats
+        return loss, {**stats, "selection_fallback": fell_back}
 
     def select_winners(
         self,
@@ -113,20 +119,39 @@ class TrajectoryModel(Layer):
         rng: np.random.Generator,
         weights: LossWeights,
         dtype,
-    ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, bool]:
         """Each pedestrian's goal and trajectory winners among its K samples,
-        as (B,) row indices (see `best_of_k_rows`), and the base draws z,
-        (B*K, C), float64 and drawn from `rng` as `sample_behaviors` draws.
+        as (B,) row indices (see `best_of_k_rows`); the base draws z,
+        (B*K, C), float64 and drawn from `rng` as `sample_behaviors` draws;
+        and whether the selection fell back to float64.
 
         Untaped `dtype` copies of the flow and the decoder, made for this
         call, evolve and decode all B*K rows; each copied mixing matrix's
-        W^-T is the float64 one, cast.
+        W^-T is the float64 one, cast. If a pass in another dtype than
+        float64 meets a non-finite value, in the flow's finite check or in
+        a decoded head, the selection is redone in float64 over the same z,
+        as a float64 call would make it. That pass's floating-point
+        warnings are silenced: the finite checks are the signal.
         """
+        decoded = None
         with nc.no_grad():
-            st_cast = nc.cast(st, dtype)
-            behaviors, z = sample_behaviors(st_cast, self.flow.cast(dtype), k, sigma, [rng] * st.shape[0])
-            decoded = self.decoder.cast(dtype).decode_batch(behaviors)
-        return best_of_k_rows(decoded, gt_future, weights), z
+            z = base_draws(self.flow.channels, k, sigma, [rng] * st.shape[0])
+            rows = np.arange(len(z)) // k
+            if dtype != np.float64:
+                with np.errstate(all="ignore"):
+                    try:
+                        decoded = self.decoder.cast(dtype).decode_batch(
+                            self.flow.cast(dtype).reverse(nc.cast(z, dtype), nc.cast(st, dtype), rows)
+                        )
+                    except FlowNumericsError:
+                        pass
+                heads = () if decoded is None else (decoded.goal, decoded.y_f, decoded.y_b, decoded.y_both)
+                if not all(np.isfinite(h.data).all() for h in heads if h is not None):
+                    decoded = None
+            fell_back = dtype != np.float64 and decoded is None
+            if decoded is None:
+                decoded = self.decoder.decode_batch(self.flow.reverse(Tensor(z), st, rows))
+        return best_of_k_rows(decoded, gt_future, weights), z, fell_back
 
     def predict(self, window: SceneWindow, k: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
         """(K, t_p, 2) sampled futures for the window's target, in world coordinates."""

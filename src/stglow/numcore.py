@@ -589,6 +589,9 @@ def euclid_rows(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+ADAM_SLICE = 32768  # elements per slice of `adam_step`: 256 KB of float64
+
+
 def adam_step(
     param: np.ndarray,
     grad: np.ndarray,
@@ -601,27 +604,39 @@ def adam_step(
     weight_decay: float = 0.0,
 ) -> None:
     """One in-place Adam update with decoupled weight decay; t is 1-based.
-    The textbook expressions' operations run in their order, so the bits are
-    theirs, but in two work arrays: the step, from m̂ on, and one scratch."""
+
+    The arrays are updated in slices of `ADAM_SLICE` elements, so a slice
+    stays in cache through all of its passes, with two work buffers of one
+    slice made once per call: the step, from m̂ on, and one scratch. On each
+    slice the textbook expressions' operations run in their order, so the
+    bits are theirs. `param`, `m` and `v` must be C-contiguous.
+    """
     if param.shape != grad.shape or param.shape != m.shape or param.shape != v.shape:
         raise ShapeError(
             f"adam_step shape mismatch: param {param.shape}, grad {grad.shape}, "
             f"m {m.shape}, v {v.shape}"
         )
+    if not (param.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+        raise ContractError("adam_step updates param, m and v in place and needs them C-contiguous")
     b1, b2 = betas
-    scratch, step = np.empty_like(param), np.empty_like(param)
-    m *= b1
-    m += np.multiply(grad, 1.0 - b1, out=scratch)
-    v *= b2
-    v += np.multiply(np.multiply(grad, 1.0 - b2, out=scratch), grad, out=scratch)
-    np.divide(m, 1.0 - b1**t, out=step)  # m̂, then lr·m̂ / (√v̂ + eps)
-    step *= lr
-    np.sqrt(np.divide(v, 1.0 - b2**t, out=scratch), out=scratch)
-    scratch += eps
-    step /= scratch
-    param -= step
-    if weight_decay != 0.0:
-        param -= np.multiply(param, lr * weight_decay, out=scratch)
+    flat = [a.reshape(-1) for a in (param, grad, m, v)]
+    n = param.size
+    scratch_buf, step_buf = (np.empty(min(n, ADAM_SLICE), dtype=param.dtype) for _ in range(2))
+    for lo in range(0, n, ADAM_SLICE):
+        p, g, m_, v_ = (a[lo : lo + ADAM_SLICE] for a in flat)
+        scratch, step = scratch_buf[: p.size], step_buf[: p.size]
+        m_ *= b1
+        m_ += np.multiply(g, 1.0 - b1, out=scratch)
+        v_ *= b2
+        v_ += np.multiply(np.multiply(g, 1.0 - b2, out=scratch), g, out=scratch)
+        np.divide(m_, 1.0 - b1**t, out=step)  # m̂, then lr·m̂ / (√v̂ + eps)
+        step *= lr
+        np.sqrt(np.divide(v_, 1.0 - b2**t, out=scratch), out=scratch)
+        scratch += eps
+        step /= scratch
+        p -= step
+        if weight_decay != 0.0:
+            p -= np.multiply(p, lr * weight_decay, out=scratch)
 
 
 class Adam:

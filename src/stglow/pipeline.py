@@ -154,14 +154,17 @@ def _out_dir(path: str | Path) -> Iterator[Path]:
 @dataclass
 class TrainResult:
     """What `train` leaves besides its files: their paths, the per-epoch
-    history and the abort and skip flags. The file at `last_path` is the
-    last-good state, also after an abort; load it to use the trained model."""
+    history, the abort flag and the step counts. The file at `last_path` is
+    the last-good state, also after an abort; load it to use the trained
+    model. `selection_fallbacks` counts the steps whose float32 winner
+    selection met a non-finite value and was redone in float64."""
 
     last_path: Path
     best_path: Path | None = None
     history: list[dict] = field(default_factory=list)
     aborted: bool = False
     skipped_steps: int = 0
+    selection_fallbacks: int = 0
 
 
 def train(cfg: Config, resume: str | Path | None = None) -> TrainResult:
@@ -241,6 +244,7 @@ def _train(cfg: Config, resume: str | Path | None, out_dir: Path) -> TrainResult
                 result.skipped_steps += 1
                 log.warning("epoch %d: skipped a step (singular mixing matrix)", epoch)
                 continue
+            result.selection_fallbacks += stats["selection_fallback"]
             if not np.isfinite(loss):
                 log.error("epoch %d: non-finite loss, aborting with last-good checkpoint", epoch)
                 result.aborted = True

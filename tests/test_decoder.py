@@ -324,9 +324,11 @@ class TestBatchLoss(BatchLossRun):
             assert len(taped) == 1
             decoded, gt_future, weights, winners, _ = taped[0]
             assert weights is w
-            # the taped loss sees the winning rows only: at most two per pedestrian
-            assert 3 <= decoded.goal.shape[0] <= 2 * 3
+            # the taped loss sees one row per pedestrian, holding its goal winner's
+            # goal and its trajectory winner's trajectory heads, each at its own row
+            assert all(getattr(decoded, f).shape[0] == 3 for f in ("goal",) + HEADS)
             assert len(winners[0]) == len(winners[1]) == 3
+            assert winners[0].tolist() == winners[1].tolist() == [0, 1, 2]
             assert np.array_equal(gt_future, np.stack([x.fut[x.target_index] for x in batch_windows]))
 
 
@@ -533,9 +535,10 @@ class TestWinnerGradients:
 
 
 class TestTapedRows(BatchLossRun):
-    """Regression guard: a training step tapes the decoder and the flow
-    reverse on at most 2B rows, however many samples it draws, and the
-    flow reverse is conditioned on the B rows of `st`, never repeated."""
+    """Regression guard: a training step tapes the flow reverse on the B
+    goal-winner rows and the B trajectory-winner rows, and the decoder on the
+    B trajectory winners only, however many samples it draws; the flow
+    reverse is conditioned on the B rows of `st`, never repeated."""
 
     def test_taped_decoder_and_flow_reverse_see_at_most_two_rows_per_pedestrian(self, monkeypatch):
         model, windows = self.setup_model()
@@ -556,11 +559,8 @@ class TestTapedRows(BatchLossRun):
         monkeypatch.setattr(fl.FlowStack, "reverse", recording_reverse)
         b, k = 5, 20
         pl._loss_and_grads(model, windows[:b], k, np.random.default_rng(12), dec.LossWeights())
-        for stage in ("decode", "reverse"):
-            calls = seen[stage]
-            taped = [rows for rows, on_tape in calls if on_tape]
-            assert taped and max(taped) <= 2 * b, (stage, calls)
-            assert [rows for rows, on_tape in calls if not on_tape] == [b * k], (stage, calls)
+        assert seen["decode"] == [(b * k, False), (b, True)]
+        assert seen["reverse"] == [(b * k, False), (2 * b, True)]
         assert seen["conditioning"] == [(b, False), (b, True)]
 
     def test_ties_tape_one_row_per_pedestrian(self, monkeypatch):

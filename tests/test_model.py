@@ -6,6 +6,7 @@ what encoding and forecasting one window at a time gives.
 """
 
 import dataclasses
+import functools
 import hashlib
 import tracemalloc
 
@@ -20,7 +21,7 @@ from stglow.config import Config, toy_config
 from stglow.data import SYNTH_KINDS, SceneWindow, SynthSpec, synth_scenes
 from stglow.decoder import BidirectionalDecoder, LossWeights
 from stglow.errors import ContractError, FlowNumericsError
-from stglow.flow import AffineCoupling, InvertibleLinear
+from stglow.flow import AffineCoupling, InvertibleLinear, base_draws
 from stglow.model import FORECAST_ROWS, TrajectoryModel
 
 SWITCHES = [None, "use_spatial", "use_pattern_norm", "bidirectional"]
@@ -343,9 +344,9 @@ def bits(model):
 def test_parameters_stay_float64(monkeypatch, tmp_path, selection_raises):
     """The float32 selection pass reads float32 copies of the parameters,
     never the parameters: after a step, or a step whose selection pass
-    raises, each parameter and gradient is float64 and each value keeps its
-    bits, also through a checkpoint (whose writer would widen a float32
-    array without a word)."""
+    raises and is redone in float64, each parameter and gradient is float64
+    and each value keeps its bits, also through a checkpoint (whose writer
+    would widen a float32 array without a word)."""
     model = make_model(None)
     params = model.params()
     before = bits(model)
@@ -358,11 +359,9 @@ def test_parameters_stay_float64(monkeypatch, tmp_path, selection_raises):
             return decode(decoder, mb, **kw)
 
         monkeypatch.setattr(BidirectionalDecoder, "decode_batch", failing)
-        with pytest.raises(FlowNumericsError):
-            pl._loss_and_grads(model, mixed_windows(), 3, np.random.default_rng(5), LossWeights())
-    else:
-        pl._loss_and_grads(model, mixed_windows(), 3, np.random.default_rng(5), LossWeights())
-        assert sum(p.grad is not None for p in params.values()) > len(params) // 2
+    _, stats = pl._loss_and_grads(model, mixed_windows(), 3, np.random.default_rng(5), LossWeights())
+    assert stats["selection_fallback"] == selection_raises
+    assert sum(p.grad is not None for p in params.values()) > len(params) // 2
     assert model.params() == params  # the same Tensor objects
     assert all(p.data.dtype == np.float64 and (p.grad is None or p.grad.dtype == np.float64) for p in params.values())
     assert bits(model) == before
@@ -423,3 +422,63 @@ class TestFloat32Winners:
         flips, winners = flips_over(model, batches, cfg.train.k_train)
         assert winners == 256
         assert flips <= pl.WINNER_FLIPS_MAX * winners
+
+
+class TestFloat32Overflow:
+    """Where the float32 selection pass goes non-finite on rows that float64
+    carries, the batch's selection is redone in float64 over the same base
+    draws, and no floating-point warning escapes."""
+
+    def overflowing_model(self, where):
+        """The reverse pass ends by dividing channel 0 by the first
+        PatternNorm's scale. At 1e-39 the behaviours reach ~1e39, past
+        float32's 3.4e38, so the float32 flow's finite check fails. At 1e-36
+        the flow stays finite, and a goal head scaled by 1e6 overflows."""
+        model = make_model(None)
+        model.flow.ops[0].s.data[0] = 1e-39 if where == "flow" else 1e-36
+        if where == "decoder":
+            model.decoder.goal_mlp.fc1.w.data *= 1e6
+        return model
+
+    def run_batch_loss(self, monkeypatch, model, selection_dtype):
+        """batch_loss with its selection pass in `selection_dtype`: the loss,
+        the stats and what `select_winners` returned."""
+        select, seen = TrajectoryModel.select_winners, []
+
+        def recording(self_, st, gt, k, sigma, rng, weights, dtype):
+            seen.append(select(self_, st, gt, k, sigma, rng, weights, selection_dtype))
+            return seen[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(TrajectoryModel, "select_winners", recording)
+            with nc.record():
+                loss, stats = model.batch_loss(mixed_windows(), 4, np.random.default_rng(8))
+        (picked,) = seen
+        return float(loss.data), stats, picked
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("where", ["flow", "decoder"])
+    def test_batch_loss_gives_the_float64_selection(self, monkeypatch, where):
+        model = self.overflowing_model(where)
+        windows = mixed_windows()
+        with nc.no_grad():
+            _, st = model.encode_windows(windows, training=True)
+        z = base_draws(model.flow.channels, 4, 1.0, [np.random.default_rng(8)] * len(windows))
+        reverse32 = functools.partial(
+            model.flow.cast(np.float32).reverse, nc.cast(z, np.float32), nc.cast(st, np.float32), np.arange(len(z)) // 4
+        )
+        with nc.no_grad(), np.errstate(all="ignore"):
+            if where == "flow":
+                with pytest.raises(FlowNumericsError):
+                    reverse32()
+            else:
+                assert np.all(np.isfinite(reverse32().data))
+        loss, stats, (winners, _, fell_back) = self.run_batch_loss(monkeypatch, model, np.float32)
+        ref_loss, ref_stats, (ref_winners, _, ref_fell_back) = self.run_batch_loss(monkeypatch, model, np.float64)
+        assert fell_back and stats["selection_fallback"]
+        assert not ref_fell_back and not ref_stats["selection_fallback"]
+        assert all(np.array_equal(a, b) for a, b in zip(winners, ref_winners))
+        assert np.isfinite(ref_loss) and loss == ref_loss
+        assert {k: stats[k] for k in ("l_p", "l_traj", "l_total")} == {
+            k: ref_stats[k] for k in ("l_p", "l_traj", "l_total")
+        }

@@ -488,6 +488,28 @@ class TestAdam:
         with pytest.raises(ShapeError):
             nc.adam_step(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2), 1, 0.1)
 
+    @pytest.mark.parametrize(
+        "shape", [(5,), (nc.ADAM_SLICE,), (3, 20000)], ids=["below_a_slice", "one_slice", "not_a_multiple"]
+    )
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01], ids=["plain", "decay"])
+    def test_slices_match_a_whole_array_textbook_update(self, shape, weight_decay):
+        rng = np.random.default_rng(len(shape))
+        p, g, m = (rng.normal(size=shape) for _ in range(3))
+        v = rng.uniform(0.0, 2.0, size=shape)
+        lr, (b1, b2), eps, t = 3e-3, (0.8, 0.99), 1e-7, 7
+        m_ref = b1 * m + (1.0 - b1) * g
+        v_ref = b2 * v + (1.0 - b2) * g * g
+        p_ref = p - lr * (m_ref / (1.0 - b1**t)) / (np.sqrt(v_ref / (1.0 - b2**t)) + eps)
+        p_ref = p_ref - lr * weight_decay * p_ref
+        nc.adam_step(p, g, m, v, t, lr, (b1, b2), eps, weight_decay)
+        for got, want in ((p, p_ref), (m, m_ref), (v, v_ref)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_non_contiguous_state_rejected(self):
+        p = np.zeros((4, 4))[:, ::2]
+        with pytest.raises(ContractError, match="C-contiguous"):
+            nc.adam_step(p, np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((4, 2)), 1, 0.1)
+
 
 def test_determinism_same_seed_same_bits():
     def run(seed):

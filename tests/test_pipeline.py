@@ -644,6 +644,20 @@ class TestTraining:
         for name, arr in ckpt.params.items():
             assert last.params[name].tobytes() == arr.tobytes(), name
 
+    def test_float32_selection_overflow_falls_back_and_trains_on(self, tmp_path):
+        # the reverse pass ends by dividing channel 0 by this scale: behaviours of
+        # ~1e39, past float32's range, so the first step's float32 selection goes
+        # non-finite; its Adam update moves the scale to the order of lr
+        cfg = tiny_config(tmp_path / "a", epochs=1)
+        ckpt = load_checkpoint(pl.train(cfg).last_path)
+        ckpt.params["flow.op00.pn.s"][0] = 1e-39
+        save_checkpoint(ckpt, tmp_path / "tiny_scale.ckpt")
+        result = pl.train(tiny_config(tmp_path / "b", epochs=2), resume=tmp_path / "tiny_scale.ckpt")
+        assert not result.aborted and result.skipped_steps == 0
+        assert result.selection_fallbacks == 1
+        assert np.isfinite(result.history[0]["l_total"])
+        assert load_checkpoint(result.last_path).opt_step == ckpt.opt_step + 2
+
     def test_singular_mixing_matrix_skips_validation_and_keeps_checkpointing(self, tmp_path, caplog):
         cfg = tiny_config(tmp_path / "a", epochs=1)
         cfg.train.val_fraction = 0.25
