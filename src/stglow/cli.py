@@ -9,16 +9,10 @@ import os
 import sys
 
 from .checkpoint import load_checkpoint
+from .checks import check
 from .config import check_bound, load_config
 from .errors import ConfigError, StglowError
-from .pipeline import (
-    check,
-    evaluate,
-    load_eval_windows,
-    restore_model,
-    sample_and_plot,
-    train,
-)
+from .pipeline import evaluate, load_eval_windows, load_training_windows, restore_model, sample_and_plot, train
 
 
 def _seed_override(seed: int) -> int:
@@ -97,8 +91,6 @@ def _cmd_sample(args) -> int:
         groups = load_eval_windows(args.data, ckpt.config.model.t_obs, ckpt.config.model.t_pred)
         windows = [w for name in sorted(groups) for w in groups[name]]
     else:
-        from .pipeline import load_training_windows
-
         windows = load_training_windows(ckpt.config)
     k, sigma = _forecast_args(args, ckpt)
     csv_path, svg_path = sample_and_plot(model, windows, args.scene, k, sigma, args.out, seed=seed)

@@ -11,9 +11,9 @@ Training therefore decodes in two passes. An untaped pass decodes all B*K
 samples in float32, from a `cast` copy of the decoder, and `best_of_k_rows`
 picks the winners. A taped float64 pass then reads only what the loss
 reads: the goal head (`goal_mlp`) of the B goal winners, and the full
-decode of the B trajectory winners. `trajectory_loss_batched` takes its
-loss at the rows it is given. Both passes score rows with the same cost
-code; the loss, its gradients and every forecast are float64.
+decode of the B trajectory winners, one row per pedestrian, which
+`trajectory_loss_batched` scores as it stands. Both passes score rows with
+the same cost code; the loss, its gradients and every forecast are float64.
 """
 
 from __future__ import annotations
@@ -199,23 +199,19 @@ def best_of_k_rows(
 
 
 def trajectory_loss_batched(
-    batch: BatchDecoded,
-    gt_future: np.ndarray,
-    weights: LossWeights = LossWeights(),
-    winners: tuple[np.ndarray, np.ndarray] | None = None,
+    batch: BatchDecoded, gt_future: np.ndarray, weights: LossWeights = LossWeights()
 ) -> Tensor:
     """Best-of-K supervised loss per pedestrian: (B,), with `gt_future` (B, t_p, 2).
 
     The loss of pedestrian b is alpha times its goal winner's goal distance
     plus its trajectory winner's weighted trajectory sum, and gradients flow
-    only through those rows' terms. `winners` is (goal rows, trajectory
-    rows), each (B,) indices into the batch; by default they are those of
-    `best_of_k_rows`, over M = B*K pedestrian-major rows.
+    only through those rows' terms. A batch of M = B*K pedestrian-major
+    rows is reduced to its winners by `best_of_k_rows`; a batch of B rows
+    (K = 1) is its own winners and is scored as it stands.
     """
     gt = _truth(batch, gt_future)
-    goal_rows, traj_rows = best_of_k_rows(batch, gt, weights) if winners is None else winners
-    if len(goal_rows) != len(gt) or len(traj_rows) != len(gt):
-        raise ContractError(f"need one goal and one trajectory winner per pedestrian, {len(gt)} each")
-    goal = _goal_cost(nc.index(batch.goal, goal_rows), gt)
-    traj = _traj_cost(batch.rows(traj_rows), gt, weights)
-    return nc.add(nc.mul(goal, weights.alpha), traj)
+    goal, traj = batch.goal, batch
+    if goal.shape[0] != len(gt):
+        goal_rows, traj_rows = best_of_k_rows(batch, gt, weights)
+        goal, traj = nc.index(goal, goal_rows), batch.rows(traj_rows)
+    return nc.add(nc.mul(_goal_cost(goal, gt), weights.alpha), _traj_cost(traj, gt, weights))

@@ -209,6 +209,8 @@ class FlowStack(Layer):
                     op.init_from_data(x.data)
                 x, _ = op.forward(x, stt)
 
+    # the per-op finite checks raise FlowNumericsError; numpy's float warnings would only precede it
+    @np.errstate(all="ignore")
     def forward(self, mb: Tensor, st: Tensor) -> tuple[Tensor, Tensor]:
         """(z, per-sample log-det); z concatenates factored parts in order."""
         b = mb.data.shape[0]
@@ -228,6 +230,7 @@ class FlowStack(Layer):
         z = parts[0] if len(parts) == 1 else nc.concat(parts, -1)
         return z, logdet
 
+    @np.errstate(all="ignore")
     def reverse(self, z: Tensor, st: Tensor, rows: np.ndarray | None = None) -> Tensor:
         """Exact inverse of `forward` for the same conditioning.
 
@@ -262,6 +265,7 @@ class FlowStack(Layer):
         return {f"op{i:02d}.{kinds[type(op)]}.{k}": v for i, op in enumerate(steps) for k, v in op.params().items()}
 
 
+@np.errstate(all="ignore")
 def nll_loss(mb: Tensor, st: Tensor, stack: FlowStack) -> Tensor:
     """Mean negative log-likelihood of behavior vectors under the flow,
     with a standard-normal base."""

@@ -90,7 +90,7 @@ class TrajectoryModel(Layer):
         winners. Its loss is the one differentiated and reported: `l_total`
         is its value and `l_traj` the mean of its per-window terms. Both
         passes score rows with the same cost code, so while the selected
-        winners are the float64 ones (`pipeline.winner_flips` counts where
+        winners are the float64 ones (`checks.winner_flips` counts where
         they are not), the loss and its gradients are those of one taped
         float64 pass over all rows, up to rounding. `selection_fallback`
         says whether the selection was redone in float64.
@@ -104,8 +104,7 @@ class TrajectoryModel(Layer):
         traj = self.decoder.decode_batch(nc.index(behaviors, np.s_[b:]))
         # one row per pedestrian: the goal head at its goal winner, the trajectory heads at its trajectory winner
         winning = BatchDecoded(self.decoder.goal_mlp(nc.index(behaviors, np.s_[:b])), traj.y_f, traj.y_b, traj.y_both)
-        own = np.arange(b)
-        per_window = trajectory_loss_batched(winning, gt_future, weights, (own, own))
+        per_window = trajectory_loss_batched(winning, gt_future, weights)
         loss = nc.add(l_p, nc.sum_all(per_window))
         stats = {"l_p": float(l_p.data), "l_traj": float(per_window.data.mean()), "l_total": float(loss.data)}
         return loss, {**stats, "selection_fallback": fell_back}

@@ -1,9 +1,11 @@
-"""Training, evaluation, diagnostics, and plotting glue.
+"""Training and evaluation: seed streams, model I/O, data loading, `train`,
+`evaluate` and `sample_and_plot`.
 
 Randomness is organized as seed-derived streams keyed by purpose (model
 init, validation split, per-epoch shuffling, per-epoch sampling, per-scene
 evaluation) so every run, resumed run, and evaluation is bit-reproducible
-from (seed, config, data) alone.
+from (seed, config, data) alone. The `stglow check` suites live in
+`checks`, the CSV and SVG format in `plot`.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,23 +23,13 @@ import numpy as np
 from . import numcore as nc
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import Config, validate
-from .data import (
-    SYNTH_KINDS,
-    SceneWindow,
-    SynthSpec,
-    leave_one_out_split,
-    load_windows,
-    parse_synth_spec,
-    synth_scenes,
-)
+from .data import SceneWindow, SynthSpec, leave_one_out_split, load_windows, parse_synth_spec, synth_scenes
 from .decoder import LossWeights
-from .errors import CheckpointError, ConfigError, ContractError, DataError, SceneNotFoundError, SingularMatrixError
-from .flow import AffineCoupling, FlowStack, InvertibleLinear, PatternNorm
-from .graphormer import build_spatial_adjacency, build_temporal_adjacency
-from .layers import MultiHeadSelfAttention
+from .errors import ConfigError, DataError, SceneNotFoundError, SingularMatrixError
 from .metrics import EvalReport, best_of_k
 from .model import TrajectoryModel
-from .numcore import Adam, Tensor
+from .numcore import Adam
+from .plot import parse_sample_csv, render_svg, sample_to_csv
 
 log = logging.getLogger("stglow")
 
@@ -348,310 +339,6 @@ def evaluate(
         ades, fdes = best_of_k(preds, np.stack([w.world_fut()[w.target_index] for w in windows]))
         report.add(name, k, ades, fdes)
     return report
-
-
-# ---------------------------------------------------------------------------
-# consistency checks
-# ---------------------------------------------------------------------------
-
-
-# share of the winners whose float32 pick may differ from float64's. Over 20
-# batches of 32 pedestrians (1280 winners), 0 differed on a briefly trained
-# toy model and on the paper-scale flow with couplings perturbed by
-# N(0, 1e-2); 4 did at N(0, 1e-1).
-WINNER_FLIPS_MAX = 0.01
-
-
-def winner_flips(
-    model: TrajectoryModel, windows: list[SceneWindow], k: int, seed: int, weights: LossWeights = LossWeights()
-) -> tuple[int, int]:
-    """(flips, winners): how many of the 2B goal and trajectory winners of
-    `windows`, each among K samples at sigma 1 as in training, the float32
-    selection of `batch_loss` picks differently from a float64 selection
-    of the same base draws, drawn from `np.random.default_rng(seed)`."""
-    gt = np.stack([w.fut[w.target_index] for w in windows])
-    with nc.no_grad():
-        _, st = model.encode_windows(windows, training=False)
-    picks = [
-        model.select_winners(st, gt, k, 1.0, np.random.default_rng(seed), weights, dtype)[0]
-        for dtype in (np.float32, np.float64)
-    ]
-    return sum(int(np.count_nonzero(a != b)) for a, b in zip(*picks)), 2 * len(windows)
-
-
-def _random_flow(channels: int, cond: int, steps: int, rng: np.random.Generator) -> FlowStack:
-    stack = FlowStack(rng, channels, cond, n_steps=steps)
-    for op in stack.ops:
-        if isinstance(op, PatternNorm):
-            op.s.data[:] = rng.uniform(0.5, 1.5, op.channels)
-            op.b.data[:] = rng.normal(0.0, 0.5, op.channels)
-        elif isinstance(op, InvertibleLinear):
-            op.w.data += 0.3 * rng.normal(size=op.w.data.shape) / np.sqrt(op.channels)
-        elif isinstance(op, AffineCoupling):
-            hidden = op.fc1.w.data.shape[0]
-            op.fc1.w.data[:] = rng.normal(0.0, 0.3 / np.sqrt(hidden), op.fc1.w.data.shape)
-            op.fc1.b.data[:] = rng.normal(0.0, 0.15, op.fc1.b.data.shape)
-    return stack
-
-
-def _fd_jacobian(f, x0: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    y0 = f(x0)
-    jac = np.zeros((y0.size, x0.size))
-    for i in range(x0.size):
-        xp, xm = x0.copy(), x0.copy()
-        xp[i] += h
-        xm[i] -= h
-        jac[:, i] = (f(xp) - f(xm)) / (2 * h)
-    return jac
-
-
-def _round_trip_error(stack: FlowStack, x: np.ndarray, st: np.ndarray) -> float:
-    """Largest |reverse(forward(x)) - x| of one flow under conditioning `st`."""
-    cond = Tensor(st)
-    with nc.no_grad():
-        z, _ = stack.forward(Tensor(x), cond)
-        back = stack.reverse(z, cond)
-    return float(np.max(np.abs(back.data - x)))
-
-
-def _check_invertibility(detail: dict) -> bool:
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(4):
-        stack = _random_flow(32, 32, 4, rng)
-        x = rng.normal(size=(25, 32))
-        worst = max(worst, _round_trip_error(stack, x, rng.normal(size=(25, 32))))
-    detail["max_round_trip_error"] = worst
-    return worst < 1e-9
-
-
-def _check_logdet_oracle(detail: dict) -> bool:
-    rng = np.random.default_rng(202)
-    worst = 0.0
-    for _ in range(5):
-        stack = _random_flow(4, 2, 2, rng)
-        st = rng.normal(size=2)
-        x0 = rng.normal(size=4)
-
-        def f(x):
-            with nc.no_grad():
-                z, _ = stack.forward(Tensor(x[None]), Tensor(st[None]))
-            return z.data[0].copy()
-
-        _, expect = np.linalg.slogdet(_fd_jacobian(f, x0))
-        with nc.no_grad():
-            _, total = stack.forward(Tensor(x0[None]), Tensor(st[None]))
-        worst = max(worst, abs(float(total.data[0]) - expect))
-    detail["max_logdet_error"] = worst
-    return worst < 1e-4
-
-
-def _check_gradients(detail: dict) -> bool:
-    """Finite-difference a chain through `nc.attention`, the op the encoder runs."""
-    rng = np.random.default_rng(303)
-    w = Tensor(rng.normal(size=(4, 12)))
-    x0 = rng.normal(size=(3, 4))
-    mask = build_temporal_adjacency(3)
-
-    def loss(x: Tensor) -> Tensor:
-        return nc.sum_all(nc.tanh(nc.attention(nc.reshape(nc.matmul(x, w), (1, 3, 3, 2, 2)), mask)))
-
-    def value(x: np.ndarray) -> np.ndarray:
-        with nc.no_grad():
-            return loss(Tensor(x.reshape(x0.shape))).data.reshape(1)
-
-    xt = Tensor(x0, requires_grad=True)
-    with nc.record() as tape:
-        out = loss(xt)
-    nc.backward(out, tape)
-    fd = _fd_jacobian(value, x0.ravel(), 1e-5).reshape(x0.shape)
-    err = float(np.max(np.abs(xt.grad - fd) / np.maximum(np.abs(fd), 1e-8)))
-    detail["max_rel_gradient_error"] = err
-    return err < 1e-3
-
-
-def _attention(attn: MultiHeadSelfAttention, run) -> list[np.ndarray]:
-    """Per-head post-softmax weights that `attn` computes during `run()`."""
-    weights: list[np.ndarray] = []
-    attn.capture = weights
-    try:
-        with nc.no_grad():
-            run()
-    finally:
-        attn.capture = None
-    if len(weights) != attn.n_heads:  # an empty capture would pass the mask checks vacuously
-        raise ContractError(f"captured {len(weights)} attention maps, expected {attn.n_heads}")
-    return weights
-
-
-def _check_masks(model: TrajectoryModel, detail: dict) -> bool:
-    rng = np.random.default_rng(404)
-    t_o = model.cfg.t_obs
-    tg, sg = model.encoder.tg_hist, model.encoder.sg
-    for _ in range(10):
-        traj = rng.normal(size=(t_o, 2)).cumsum(axis=0)
-        for head in _attention(tg.block.attn, lambda: tg(traj[None])):
-            if np.any(head[np.triu_indices(t_o, k=1)] != 0.0):
-                detail["failure"] = "temporal mask leak"
-                return False
-        if sg is not None:
-            n = 4
-            prev = rng.normal(size=(n, 2))
-            now = prev + rng.normal(size=(n, 2)) * 0.5
-            mask = build_spatial_adjacency(prev, now)
-            th = Tensor(rng.normal(size=(1, n, model.cfg.d)))
-            for head in _attention(sg.block.attn, lambda: sg(prev[None], now[None], th, [0])):
-                if np.any(head[mask == nc.NEG_INF] != 0.0):
-                    detail["failure"] = "spatial mask leak"
-                    return False
-    return True
-
-
-def _check_winner_selection(model: TrajectoryModel, cfg: Config, detail: dict) -> bool:
-    """Float32 against float64 winners on 64 seed-fixed synthetic windows,
-    at the configured K and loss weights."""
-    spec = SynthSpec(kinds=SYNTH_KINDS, count=40, seed=606, t_obs=cfg.model.t_obs, t_pred=cfg.model.t_pred)
-    weights = LossWeights(*cfg.train.loss_weights)
-    flips, winners = winner_flips(model, synth_scenes(spec)[:64], cfg.train.k_train, 606, weights)
-    detail.update(flips=flips, winners=winners, bound=WINNER_FLIPS_MAX)
-    return flips <= WINNER_FLIPS_MAX * winners
-
-
-def _check_checkpoint_roundtrip(model: TrajectoryModel, cfg: Config, tmp: Path, detail: dict) -> bool:
-    ckpt = snapshot(model, cfg, None, epoch=0)
-    path = tmp / "roundtrip.ckpt"
-    save_checkpoint(ckpt, path)
-    back = load_checkpoint(path)
-    for name, arr in ckpt.params.items():
-        if back.params[name].tobytes() != arr.tobytes():
-            detail["failure"] = f"parameter {name} not bit-exact"
-            return False
-    return True
-
-
-def check(ckpt_path: str | Path | None = None, work_dir: str | Path | None = None) -> tuple[dict, bool]:
-    """Run the consistency suites; returns (machine-readable report, ok).
-
-    Without a `work_dir` the suites write to a temporary directory that is
-    removed on return.
-    """
-    if work_dir is None:
-        with tempfile.TemporaryDirectory(prefix="stglow-check-") as tmp:
-            return check(ckpt_path, tmp)
-
-    from .config import toy_config
-
-    if ckpt_path is not None:
-        try:
-            ckpt = load_checkpoint(ckpt_path)
-        except CheckpointError as exc:
-            report = {
-                "checks": [{"name": "checkpoint_roundtrip", "passed": False, "exception": str(exc)}],
-                "ok": False,
-            }
-            return report, False
-        cfg = ckpt.config
-        model = restore_model(ckpt)
-    else:
-        cfg = toy_config()
-        model = build_model(cfg)
-        rng = np.random.default_rng(1)
-        model.flow.initialize(rng.normal(size=(64, cfg.model.d)), rng.normal(size=(64, cfg.model.d)))
-
-    checks = []
-    tmp = Path(work_dir)
-    tmp.mkdir(parents=True, exist_ok=True)
-    suite = [
-        ("flow_invertibility", lambda d: _check_invertibility(d)),
-        ("logdet_oracle", lambda d: _check_logdet_oracle(d)),
-        ("gradient_check", lambda d: _check_gradients(d)),
-        ("mask_causality", lambda d: _check_masks(model, d)),
-        ("checkpoint_roundtrip", lambda d: _check_checkpoint_roundtrip(model, cfg, tmp, d)),
-        ("model_flow_roundtrip", lambda d: _check_model_flow(model, d)),
-        ("winner_selection", lambda d: _check_winner_selection(model, cfg, d)),
-    ]
-    ok = True
-    for name, fn in suite:
-        detail: dict = {}
-        try:
-            passed = bool(fn(detail))
-        except Exception as exc:  # a crashed check is a failed check
-            passed = False
-            detail["exception"] = f"{type(exc).__name__}: {exc}"
-        checks.append({"name": name, "passed": passed, **detail})
-        ok = ok and passed
-    return {"checks": checks, "ok": ok}, ok
-
-
-def _check_model_flow(model: TrajectoryModel, detail: dict) -> bool:
-    rng = np.random.default_rng(505)
-    x = rng.normal(size=(16, model.cfg.d))
-    err = _round_trip_error(model.flow, x, rng.normal(size=(16, model.cfg.d)))
-    detail["max_round_trip_error"] = err
-    return err < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# sampling output: trajectory CSV + SVG overlay
-# ---------------------------------------------------------------------------
-
-
-def sample_to_csv(window: SceneWindow, preds: np.ndarray) -> str:
-    """CSV rows `ped_id,k,t,x,y` for (N, K, t_p, 2) world-frame predictions."""
-    lines = ["ped_id,k,t,x,y"]
-    n, k_count, t_p, _ = preds.shape
-    for i in range(n):
-        for k in range(k_count):
-            for t in range(t_p):
-                x, y = preds[i, k, t]
-                lines.append(f"{window.ped_ids[i]},{k},{t + 1},{x:.9f},{y:.9f}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_sample_csv(text: str) -> dict[tuple[int, int], list[tuple[float, float]]]:
-    """CSV -> {(ped_id, k): [(x, y), ...]} ordered by t."""
-    rows: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
-    for line in text.strip().splitlines()[1:]:
-        ped, k, t, x, y = line.split(",")
-        rows.setdefault((int(ped), int(k)), []).append((int(t), float(x), float(y)))
-    return {key: [(x, y) for _, x, y in sorted(vals)] for key, vals in sorted(rows.items())}
-
-
-def _polyline(points, stroke: str, width: float, dash: str | None = None, opacity: float = 1.0) -> str:
-    pts = " ".join(f"{x:.3f},{-y:.3f}" for x, y in points)
-    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-    return (
-        f'<polyline points="{pts}" fill="none" stroke="{stroke}" '
-        f'stroke-width="{width:.3f}" stroke-opacity="{opacity:.2f}"{dash_attr}/>'
-    )
-
-
-def render_svg(window: SceneWindow, pred_paths: dict[tuple[int, int], list[tuple[float, float]]]) -> str:
-    """Static overlay: observed (solid blue), true future (dashed green),
-    sampled futures (thin orange)."""
-    obs = window.world_obs()
-    fut = window.world_fut()
-    all_pts = [obs.reshape(-1, 2), fut.reshape(-1, 2)]
-    for path in pred_paths.values():
-        all_pts.append(np.array(path))
-    concat = np.concatenate(all_pts)
-    x0, y0 = concat.min(axis=0) - 1.0
-    x1, y1 = concat.max(axis=0) + 1.0
-    width = x1 - x0
-    height = y1 - y0
-    stroke_w = max(width, height) / 300.0
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{x0:.3f} {-y1:.3f} {width:.3f} {height:.3f}" '
-        f'width="600" height="{600 * height / width:.0f}">',
-        f'<rect x="{x0:.3f}" y="{-y1:.3f}" width="{width:.3f}" height="{height:.3f}" fill="white"/>',
-    ]
-    for key in sorted(pred_paths):
-        parts.append(_polyline(pred_paths[key], "#ff7f0e", stroke_w, opacity=0.45))
-    for i in range(window.n_pedestrians):
-        parts.append(_polyline(obs[i], "#1f77b4", 2 * stroke_w))
-        parts.append(_polyline(fut[i], "#2ca02c", 2 * stroke_w, dash=f"{3 * stroke_w:.3f},{2 * stroke_w:.3f}"))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
 
 
 def sample_and_plot(

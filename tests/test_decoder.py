@@ -278,16 +278,15 @@ class BatchLossRun:
     def run_batches(self, monkeypatch, weights, batch_size=3, loss_fn=None, sigma=1.0):
         """batch_loss over consecutive batches of batch_size windows; per
         batch: (windows, stats, loss calls, decodes). A loss call is
-        (decoded, gt_future, weights, winners, taped); a decode is
-        (decoded, taped)."""
+        (decoded, gt_future, weights, taped); a decode is (decoded, taped)."""
         model, windows = self.setup_model()
         loss_fn = loss_fn or dec.trajectory_loss_batched
         decode = dec.BidirectionalDecoder.decode_batch
         calls, decodes = [], []
 
-        def recording(batch, gt_future, weights, winners=None):
-            calls.append((batch, np.array(gt_future), weights, winners, nc.active_tape() is not None))
-            return loss_fn(batch, gt_future, weights, winners)
+        def recording(batch, gt_future, weights):
+            calls.append((batch, np.array(gt_future), weights, nc.active_tape() is not None))
+            return loss_fn(batch, gt_future, weights)
 
         def recording_decode(decoder, mb, **kw):
             out = decode(decoder, mb, **kw)
@@ -320,15 +319,13 @@ class TestBatchLoss(BatchLossRun):
     def test_one_loss_call_per_batch(self, monkeypatch):
         w = dec.LossWeights()
         for batch_windows, _, calls, _ in self.run_batches(monkeypatch, w):
-            taped = [c for c in calls if c[4]]
+            taped = [c for c in calls if c[3]]
             assert len(taped) == 1
-            decoded, gt_future, weights, winners, _ = taped[0]
+            decoded, gt_future, weights, _ = taped[0]
             assert weights is w
             # the taped loss sees one row per pedestrian, holding its goal winner's
-            # goal and its trajectory winner's trajectory heads, each at its own row
+            # goal and its trajectory winner's trajectory heads: a B-row batch, scored as it stands
             assert all(getattr(decoded, f).shape[0] == 3 for f in ("goal",) + HEADS)
-            assert len(winners[0]) == len(winners[1]) == 3
-            assert winners[0].tolist() == winners[1].tolist() == [0, 1, 2]
             assert np.array_equal(gt_future, np.stack([x.fut[x.target_index] for x in batch_windows]))
 
 
@@ -357,7 +354,7 @@ class TestTotalLoss(BatchLossRun):
             assert stats["l_total"] == float(loss.data)
 
     def test_zero_trajectory_losses(self, monkeypatch):
-        def zeros(batch, gt_future, weights, winners=None):
+        def zeros(batch, gt_future, weights):
             return Tensor(np.zeros(len(gt_future)))
 
         for _, stats, calls, _ in self.run_batches(monkeypatch, dec.LossWeights(), loss_fn=zeros):
@@ -419,6 +416,7 @@ class TestWinnerSelection:
         assert np.isnan(dec.trajectory_loss_batched(decoded, gt).data[0])
 
     def test_given_winners_score_those_rows(self):
+        # batch_loss's form: a B-row batch of the goal winners' goals and the trajectory winners' trajectory heads
         n_windows, k, t_p = 2, 3, 5
         d = make_decoder(seed=31, t_pred=t_p)
         rng = np.random.default_rng(32)
@@ -426,7 +424,9 @@ class TestWinnerSelection:
         gt = rng.normal(size=(n_windows, t_p, 2))
         w = dec.LossWeights(alpha=0.7, fwd=0.2, bwd=0.3, both=0.5)
         goal_rows, traj_rows = np.array([2, 4]), np.array([0, 5])
-        loss = dec.trajectory_loss_batched(decoded, gt, w, (goal_rows, traj_rows))
+        traj = decoded.rows(traj_rows)
+        winning = dec.BatchDecoded(nc.index(decoded.goal, goal_rows), traj.y_f, traj.y_b, traj.y_both)
+        loss = dec.trajectory_loss_batched(winning, gt, w)
         goal_w = dec.LossWeights(alpha=w.alpha, fwd=0.0, bwd=0.0, both=0.0)
         traj_w = dec.LossWeights(alpha=0.0, fwd=w.fwd, bwd=w.bwd, both=w.both)
         for b in range(n_windows):
@@ -437,9 +437,9 @@ class TestWinnerSelection:
 
     def test_winner_count_must_match_pedestrians(self):
         d = make_decoder(t_pred=3)
-        batch = d.decode_batch(Tensor(np.zeros((4, 6))))
+        batch = d.decode_batch(Tensor(np.zeros((5, 6))))  # not B rows, nor B*K
         with pytest.raises(ContractError):
-            dec.trajectory_loss_batched(batch, np.zeros((2, 3, 2)), winners=(np.array([0]), np.array([1])))
+            dec.trajectory_loss_batched(batch, np.zeros((2, 3, 2)))
 
 
 def full_rows_step(model, windows, k, sigma, seed, weights):

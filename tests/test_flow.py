@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from helpers import fd_gradient, flow_map, identity_stack, numerical_jacobian, random_stack, rel_err
+from helpers import fd_gradient, identity_stack, rel_err
 from stglow import flow as fl
+from stglow.checks import fd_jacobian, flow_map, random_flow
 from stglow import numcore as nc
 from stglow.errors import ConfigError, ContractError, DegenerateChannelError
 from stglow.numcore import Tensor
@@ -74,7 +75,7 @@ class TestPatternNorm:
             with nc.no_grad():
                 return pn.forward(Tensor(x[None]))[0].data[0].copy()
 
-        jac = numerical_jacobian(f, rng.normal(size=4))
+        jac = fd_jacobian(f, rng.normal(size=4))
         _, sign_logdet = np.linalg.slogdet(jac)
         _, logdet = pn.forward(Tensor(np.zeros((1, 4))))
         assert abs(float(logdet.data) - sign_logdet) < 1e-6
@@ -118,7 +119,7 @@ class TestInvertibleLinear:
 
     def test_scaled_rotation_round_trips(self):
         rng = np.random.default_rng(4)
-        stack = random_stack(64, 8, 4, rng, scale=0.0)
+        stack = random_flow(64, 8, 4, rng, scale=0.0)
         for op in stack.ops:
             if isinstance(op, fl.InvertibleLinear):
                 op.w.data *= 0.4  # condition number 1, |det| = 0.4^64
@@ -223,7 +224,7 @@ class TestAffineCoupling:
             with nc.no_grad():
                 return coup.forward(Tensor(x[None]), Tensor(st[None]))[0].data[0].copy()
 
-        jac = numerical_jacobian(f, x0)
+        jac = fd_jacobian(f, x0)
         assert np.max(np.abs(jac[:3, 3:])) < 1e-9  # pass-through half ignores the other
         _, jac_logdet = np.linalg.slogdet(jac)
         _, logdet = coup.forward(Tensor(x0[None]), Tensor(st[None]))
@@ -253,7 +254,7 @@ class TestFlowStack:
 
     def test_round_trip_random_parameters(self):
         rng = np.random.default_rng(2)
-        stack = random_stack(8, 4, 3, rng)
+        stack = random_flow(8, 4, 3, rng)
         x = rng.normal(size=(20, 8))
         st = rng.normal(size=(20, 4))
         z, _ = stack.forward(Tensor(x), Tensor(st))
@@ -262,7 +263,7 @@ class TestFlowStack:
 
     def test_total_logdet_is_sum_of_step_logdets(self):
         rng = np.random.default_rng(3)
-        stack = random_stack(6, 3, 2, rng)
+        stack = random_flow(6, 3, 2, rng)
         x = rng.normal(size=(5, 6))
         st = rng.normal(size=(5, 3))
         _, total = stack.forward(Tensor(x), Tensor(st))
@@ -278,17 +279,17 @@ class TestFlowStack:
     def test_logdet_matches_full_jacobian(self):
         rng = np.random.default_rng(4)
         for trial in range(5):
-            stack = random_stack(4, 2, 2, rng)
+            stack = random_flow(4, 2, 2, rng)
             st = rng.normal(size=2)
             x0 = rng.normal(size=4)
-            jac = numerical_jacobian(flow_map(stack, st), x0)
+            jac = fd_jacobian(flow_map(stack, st), x0)
             _, expect = np.linalg.slogdet(jac)
             _, total = stack.forward(Tensor(x0[None]), Tensor(st[None]))
             assert abs(float(total.data[0]) - expect) < 1e-4
 
     def test_factor_out_round_trip_and_widths(self):
         rng = np.random.default_rng(5)
-        stack = random_stack(16, 4, 4, rng, factor_out=True, factor_out_every=2, factor_out_channels=4)
+        stack = random_flow(16, 4, 4, rng, factor_out=True, factor_out_every=2, factor_out_channels=4)
         assert stack._part_widths == [4, 12]  # one split after step 2, 12 kept to the end
         x = rng.normal(size=(6, 16))
         st = rng.normal(size=(6, 4))
@@ -312,7 +313,7 @@ class TestFlowStack:
         out = 2 * half_out
         channels = splits * out + 2 * half_last
         rng = np.random.default_rng(seed)
-        stack = random_stack(
+        stack = random_flow(
             channels, 3, n_steps, rng, factor_out=True, factor_out_every=every, factor_out_channels=out
         )
         assert stack._part_widths == [out] * splits + [2 * half_last]
@@ -328,17 +329,17 @@ class TestFlowStack:
 
     def test_factor_out_logdet_matches_jacobian(self):
         rng = np.random.default_rng(6)
-        stack = random_stack(6, 2, 2, rng, factor_out=True, factor_out_every=1, factor_out_channels=2)
+        stack = random_flow(6, 2, 2, rng, factor_out=True, factor_out_every=1, factor_out_channels=2)
         st = rng.normal(size=2)
         x0 = rng.normal(size=6)
-        jac = numerical_jacobian(flow_map(stack, st), x0)
+        jac = fd_jacobian(flow_map(stack, st), x0)
         _, expect = np.linalg.slogdet(jac)
         _, total = stack.forward(Tensor(x0[None]), Tensor(st[None]))
         assert abs(float(total.data[0]) - expect) < 1e-4
 
     def test_conditioning_changes_output_but_not_invertibility(self):
         rng = np.random.default_rng(7)
-        stack = random_stack(6, 3, 2, rng)
+        stack = random_flow(6, 3, 2, rng)
         x = rng.normal(size=(4, 6))
         outs = []
         for _ in range(5):
@@ -372,7 +373,7 @@ class TestConditioningRows:
 
     def test_equals_reverse_on_gathered_conditioning(self):
         rng = np.random.default_rng(12)
-        stack = random_stack(8, 6, 3, rng, factor_out=True, factor_out_every=1, factor_out_channels=2)
+        stack = random_flow(8, 6, 3, rng, factor_out=True, factor_out_every=1, factor_out_channels=2)
         st = Tensor(rng.normal(size=(4, 6)))
         rows = np.array([0, 0, 0, 3, 1, 1, 3, 2, 0, 2, 2, 2])
         z = Tensor(rng.normal(size=(len(rows), 8)))
@@ -385,7 +386,7 @@ class TestConditioningRows:
 
     def test_sample_rows_are_those_of_a_repeated_conditioning(self):
         rng = np.random.default_rng(15)
-        stack = random_stack(6, 4, 2, rng)
+        stack = random_flow(6, 4, 2, rng)
         st = Tensor(rng.normal(size=(3, 4)))
         behaviors, z = fl.sample_behaviors(st, stack, 5, 1.0, [np.random.default_rng(16)] * 3)
         with nc.no_grad():
@@ -394,7 +395,7 @@ class TestConditioningRows:
 
     def test_gradients_through_repeated_rows_match_finite_differences(self):
         rng = np.random.default_rng(13)
-        stack = random_stack(4, 3, 2, rng, scale=0.4)
+        stack = random_flow(4, 3, 2, rng, scale=0.4)
         rows = np.array([1, 0, 1, 1, 0, 1])  # both rows of st condition several rows of z
         st0, z = rng.normal(size=(2, 3)), Tensor(rng.normal(size=(6, 4)))
         weights = rng.normal(size=(6, 4))
@@ -456,7 +457,7 @@ class TestNll:
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
-        stack = random_stack(4, 2, 2, rng, scale=0.2)
+        stack = random_flow(4, 2, 2, rng, scale=0.2)
         mb = rng.normal(size=(6, 4))
         st = rng.normal(size=(6, 2))
         params = stack.params()
@@ -485,7 +486,7 @@ class TestNll:
 class TestDensityNormalization:
     def test_two_dim_density_integrates_to_one(self):
         rng = np.random.default_rng(12)
-        stack = random_stack(2, 2, 2, rng, scale=0.2)
+        stack = random_flow(2, 2, 2, rng, scale=0.2)
         st_row = rng.normal(size=2)
         grid = np.linspace(-8.0, 8.0, 201)
         xx, yy = np.meshgrid(grid, grid, indexing="ij")
@@ -501,7 +502,7 @@ class TestDensityNormalization:
 class TestSampling:
     def test_sigma_zero_collapses_samples(self):
         rng = np.random.default_rng(13)
-        stack = random_stack(4, 2, 2, rng)
+        stack = random_flow(4, 2, 2, rng)
         st = Tensor(rng.normal(size=(3, 2)))
         mb, z = fl.sample_behaviors(st, stack, k=5, sigma=0.0, rngs=[np.random.default_rng(0)] * 3)
         assert np.all(z == 0.0)
@@ -517,7 +518,7 @@ class TestSampling:
 
     def test_fixed_seed_reproducible(self):
         rng = np.random.default_rng(14)
-        stack = random_stack(4, 2, 2, rng)
+        stack = random_flow(4, 2, 2, rng)
         st = Tensor(rng.normal(size=(2, 2)))
         a, _ = fl.sample_behaviors(st, stack, k=4, sigma=1.0, rngs=[np.random.default_rng(42)] * 2)
         b, _ = fl.sample_behaviors(st, stack, k=4, sigma=1.0, rngs=[np.random.default_rng(42)] * 2)

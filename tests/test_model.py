@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from stglow import checks
 from stglow import metrics as mt
 from stglow import numcore as nc
 from stglow import pipeline as pl
@@ -383,14 +384,14 @@ def synth_batches(cfg, n_batches):
 
 
 def flips_over(model, batches, k):
-    counts = [pl.winner_flips(model, windows, k, seed) for seed, windows in enumerate(batches)]
+    counts = [checks.winner_flips(model, windows, k, seed) for seed, windows in enumerate(batches)]
     return sum(f for f, _ in counts), sum(n for _, n in counts)
 
 
 class TestFloat32Winners:
     """`batch_loss` picks its best-of-K winners in float32. A near-tie may
     flip a winner to a sample whose float64 cost is within ~1e-6 relative of
-    the best; the bound is `pl.WINNER_FLIPS_MAX` = 1% of the goal and
+    the best; the bound is `checks.WINNER_FLIPS_MAX` = 1% of the goal and
     trajectory winners.
 
     Measured over 20 batches x 32 pedestrians x the two winners (1280): 0
@@ -406,7 +407,7 @@ class TestFloat32Winners:
         model = pl.restore_model(load_checkpoint(pl.train(cfg).last_path))
         flips, winners = flips_over(model, synth_batches(cfg, 20), cfg.train.k_train)
         assert winners == 1280
-        assert flips <= pl.WINNER_FLIPS_MAX * winners
+        assert flips <= checks.WINNER_FLIPS_MAX * winners
 
     def test_perturbed_paper_scale_flow(self):
         cfg = Config(seed=7)
@@ -421,7 +422,7 @@ class TestFloat32Winners:
                 op.fc1.w.data += rng.normal(0.0, 1e-2, op.fc1.w.data.shape)
         flips, winners = flips_over(model, batches, cfg.train.k_train)
         assert winners == 256
-        assert flips <= pl.WINNER_FLIPS_MAX * winners
+        assert flips <= checks.WINNER_FLIPS_MAX * winners
 
 
 class TestFloat32Overflow:

@@ -22,14 +22,14 @@ from helpers import write_windows
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as hst
 
-from stglow import cli
+from stglow import checks, cli, plot
 from stglow import numcore as nc
 from stglow import pipeline as pl
 from stglow.checkpoint import MAGIC, VERSION, Checkpoint, load_checkpoint, save_checkpoint
 from stglow.config import FLOAT_RANGES, INT_MINIMA, Config, flatten, from_flat, load_config, save_config, toy_config, validate
 from stglow.data import SynthSpec, synth_scenes
-from stglow.errors import CheckpointError, ConfigError, SceneNotFoundError, ShapeError
-from stglow.flow import FlowStack, PatternNorm
+from stglow.errors import CheckpointError, ConfigError, FlowNumericsError, SceneNotFoundError, ShapeError
+from stglow.flow import AffineCoupling, FlowStack, PatternNorm
 from stglow.metrics import EvalReport
 from stglow.model import TrajectoryModel
 
@@ -658,6 +658,26 @@ class TestTraining:
         assert np.isfinite(result.history[0]["l_total"])
         assert load_checkpoint(result.last_path).opt_step == ckpt.opt_step + 2
 
+    @pytest.mark.parametrize(
+        "scale, error",
+        # dividing by 1e-320 overflows float64 too: the float64 selection's reverse pass goes
+        # non-finite; scaling by 1e200 leaves the forward pass finite but overflows z * z
+        [(1e-320, "step 0: non-finite activation in reverse pass"), (1e200, "step 11: non-finite log-likelihood")],
+        ids=["reverse pass", "log-likelihood"],
+    )
+    def test_float64_flow_overflow_is_one_error_line(self, tmp_path, capsys, scale, error):
+        # under this suite a float warning before the error would raise
+        cfg = tiny_config(tmp_path / "a", epochs=1)
+        ckpt = load_checkpoint(pl.train(cfg).last_path)
+        ckpt.params["flow.op00.pn.s"][0] = scale
+        save_checkpoint(ckpt, tmp_path / "scaled.ckpt")
+        with pytest.raises(FlowNumericsError, match=error):
+            pl.train(tiny_config(tmp_path / "b", epochs=2), resume=tmp_path / "scaled.ckpt")
+        save_config(tiny_config(tmp_path / "c", epochs=2), tmp_path / "run.cfg")
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(tmp_path / "run.cfg"), "--resume", str(tmp_path / "scaled.ckpt")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+
     def test_singular_mixing_matrix_skips_validation_and_keeps_checkpointing(self, tmp_path, caplog):
         cfg = tiny_config(tmp_path / "a", epochs=1)
         cfg.train.val_fraction = 0.25
@@ -825,14 +845,18 @@ class TestEvaluate:
 
 class TestCheckCommand:
     def test_fresh_model_passes(self, tmp_path):
-        report, ok = pl.check(None, work_dir=tmp_path)
+        report, ok = checks.check(None, work_dir=tmp_path)
         assert ok
         names = {c["name"] for c in report["checks"]}
         assert {"flow_invertibility", "logdet_oracle", "gradient_check", "mask_causality", "checkpoint_roundtrip"} <= names
+        assert [c["name"] for c in report["checks"]] == [
+            "flow_invertibility", "logdet_oracle", "gradient_check", "mask_causality",
+            "checkpoint_roundtrip", "model_flow_roundtrip", "winner_selection",
+        ]
 
     def test_no_temp_dir_left_behind(self, tmp_path, monkeypatch):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        report, ok = pl.check()
+        report, ok = checks.check()
         assert ok, report
         assert not list(tmp_path.glob("stglow-check-*"))
 
@@ -844,7 +868,7 @@ class TestCheckCommand:
         raw[-20] ^= 0x01
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(bytes(raw))
-        report, ok = pl.check(bad, work_dir=tmp_path)
+        report, ok = checks.check(bad, work_dir=tmp_path)
         assert not ok and not report["ok"]
         [only] = report["checks"]
         assert only["name"] == "checkpoint_roundtrip"
@@ -873,7 +897,7 @@ class TestCheckCommand:
             return real(qkv, None if mask.ndim in leaked_ndims else mask, *args)
 
         monkeypatch.setattr(nc, "attention", leaky)
-        report, ok = pl.check(path, work_dir=tmp_path)
+        report, ok = checks.check(path, work_dir=tmp_path)
         assert not ok
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["mask_causality"]["passed"] is False
@@ -888,12 +912,42 @@ class TestCheckCommand:
             return real(nc.concat([frozen, nc.index(qkv, np.s_[:, :, 1:])], 2), *args, **kw)
 
         monkeypatch.setattr(nc, "attention", no_query_gradient)
-        report, ok = pl.check(None, work_dir=tmp_path)
+        report, ok = checks.check(None, work_dir=tmp_path)
         assert not ok
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["gradient_check"]["passed"] is False
         assert by_name["gradient_check"]["max_rel_gradient_error"] >= 1e-3
         assert all(c["passed"] for name, c in by_name.items() if name != "gradient_check")
+
+    def test_pattern_norm_logdet_off_by_a_constant_fails(self, tmp_path, monkeypatch):
+        real = PatternNorm.forward
+
+        def shifted(pn, x, st=None):  # the right map, its log-det 1e-3 too large
+            y, logdet = real(pn, x, st)
+            return y, nc.add(logdet, 1e-3)
+
+        monkeypatch.setattr(PatternNorm, "forward", shifted)
+        report, ok = checks.check(None, work_dir=tmp_path)
+        assert not ok
+        failed = {c["name"]: c for c in report["checks"] if not c["passed"]}
+        assert list(failed) == ["logdet_oracle"]
+        assert failed["logdet_oracle"]["max_logdet_error"] >= 1e-4
+
+    def test_coupling_reverse_without_its_shift_fails(self, tmp_path, monkeypatch):
+        # trained couplings: a fresh model's are the identity, with no shift to skip
+        ckpt_path = pl.train(tiny_config(tmp_path / "run", epochs=1)).last_path
+
+        def unshifted(coup, y, st, rows=None):
+            ya, yb = nc.index(y, np.s_[..., : coup.half]), nc.index(y, np.s_[..., coup.half :])
+            log_s, _ = coup._scale_shift(ya, st, rows)
+            return nc.concat([ya, nc.div(yb, nc.exp(log_s))], -1)
+
+        monkeypatch.setattr(AffineCoupling, "reverse", unshifted)
+        report, ok = checks.check(ckpt_path, work_dir=tmp_path)
+        assert not ok
+        failed = {c["name"]: c for c in report["checks"] if not c["passed"]}
+        assert sorted(failed) == ["flow_invertibility", "model_flow_roundtrip"]
+        assert all(c["max_round_trip_error"] >= 1e-9 for c in failed.values())
 
     def test_missing_checkpoint_fails(self, tmp_path, capsys):
         from stglow.cli import main
@@ -933,7 +987,7 @@ class TestSamplePlot:
     def test_svg_rerender_is_identical(self, setup):
         model, windows, out = setup
         csv_path, svg_path = pl.sample_and_plot(model, windows, 1, k=2, sigma=1.0, out_dir=out / "p3")
-        again = pl.render_svg(windows[1], pl.parse_sample_csv(csv_path.read_text()))
+        again = plot.render_svg(windows[1], plot.parse_sample_csv(csv_path.read_text()))
         assert again == svg_path.read_text()
 
     def test_unknown_scene_rejected(self, setup):
@@ -1016,7 +1070,7 @@ class TestCli:
         rows = capsys.readouterr().out.strip().splitlines()
         assert rows[0].split(",")[1] == "K" and {r.split(",")[1] for r in rows[1:]} == {"3"}
         assert self.run_cli("sample", "--ckpt", ckpt, "--scene", "0", "--out", str(tmp_path / "plots")) == 0
-        paths = pl.parse_sample_csv((tmp_path / "plots" / "scene0_trajectories.csv").read_text())
+        paths = plot.parse_sample_csv((tmp_path / "plots" / "scene0_trajectories.csv").read_text())
         assert {k for _, k in paths} == {0, 1, 2}
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
