@@ -1,11 +1,15 @@
 """Versioned binary checkpoints with bit-exact parameter round-trips.
 
 Layout: magic `STGF`, little-endian u32 version, u32 header length, a JSON
-header (`config`, flattened; `epoch`, the next one to train; `opt_step`;
-`param_names` and `opt_names`, in file order), the named float64 records,
-and a trailing CRC32 over everything after the magic. A record is a u16
-name length, the UTF-8 name, a u8 ndim, one u32 per dim and the
-little-endian float64 values in C order.
+header (`config`, flattened; `epoch`, the next one to train; `opt_step`,
+the Adam steps taken; `param_names` and `opt_names`, in file order), the
+named float64 records, and a trailing CRC32 over everything after the
+magic. A record is a u16 name length, the UTF-8 name, a u8 ndim, one u32
+per dim and the little-endian float64 values in C order.
+
+Training writes no Adam records while `opt_step` is 0, when every moment
+is zero: `opt_names` is empty then, and resuming such a file starts a
+fresh Adam. A file with all-zero moments at step 0 resumes the same.
 
 `save_checkpoint` and `load_checkpoint` stream this layout: they write or
 read one record at a time and update the CRC as they go, so neither holds
@@ -203,6 +207,9 @@ def _parse(r: _Reader) -> Checkpoint:
         raise CheckpointError(f"{path}: undecodable header: {exc}") from None
     if not isinstance(header, dict) or any(not isinstance(header.get(k), t) for k, t in HEADER_TYPES.items()):
         raise CheckpointError(f"{path}: incomplete header (needs {', '.join(HEADER_TYPES)})")
+    for key in ("epoch", "opt_step"):
+        if isinstance(header[key], bool) or header[key] < 0:
+            raise CheckpointError(f"{path}: header {key} must be a non-negative integer, got {header[key]!r}")
     try:
         config = validate(from_flat(header["config"]))
     except ConfigError as exc:

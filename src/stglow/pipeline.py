@@ -22,10 +22,10 @@ import numpy as np
 
 from . import numcore as nc
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import Config, validate
+from .config import Config, ModelConfig, validate
 from .data import SceneWindow, SynthSpec, leave_one_out_split, load_windows, parse_synth_spec, synth_scenes
 from .decoder import LossWeights
-from .errors import ConfigError, DataError, SceneNotFoundError, SingularMatrixError
+from .errors import CheckpointError, ConfigError, DataError, SceneNotFoundError, SingularMatrixError
 from .metrics import EvalReport, best_of_k
 from .model import TrajectoryModel
 from .numcore import Adam
@@ -46,16 +46,28 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
 
 
 def build_model(cfg: Config) -> TrajectoryModel:
+    """A fresh model, its initial weights drawn from the seed's init stream."""
     return TrajectoryModel(cfg.model, rng_stream(cfg.seed, STREAM_INIT))
+
+
+class _NoDraws:
+    """The generator of a model whose parameters a checkpoint fills: every
+    layer, `random_rotation` and `pos_table` draw only through `normal`, and
+    here it hands back zeros, so no initial weight is drawn."""
+
+    def normal(self, loc=0.0, scale=1.0, size=None) -> np.ndarray:
+        return np.zeros(size)
 
 
 def snapshot(model: TrajectoryModel, cfg: Config, opt: Adam | None, epoch: int) -> Checkpoint:
     """A checkpoint of the live parameter and Adam arrays, uncopied: save it
-    before the next optimizer step moves them."""
+    before the next optimizer step moves them. Before the first step
+    (`opt.t == 0`) the moments are all zeros and are left out, so the file
+    holds the model only; resuming from it starts the same fresh Adam."""
     return Checkpoint(
         config=cfg,
         params={k: p.data for k, p in model.params().items()},
-        opt_state=opt.state_arrays() if opt else {},
+        opt_state=opt.state_arrays() if opt and opt.t else {},
         opt_step=opt.t if opt else 0,
         epoch=epoch,
     )
@@ -74,7 +86,14 @@ def load_params(model: TrajectoryModel, ckpt: Checkpoint) -> None:
 
 
 def restore_model(ckpt: Checkpoint) -> TrajectoryModel:
-    model = build_model(ckpt.config)
+    """The model a checkpoint holds, built from its config without drawing
+    initial weights: `load_params` fills every parameter."""
+    return _filled_model(ckpt.config.model, ckpt)
+
+
+def _filled_model(cfg: ModelConfig, ckpt: Checkpoint) -> TrajectoryModel:
+    """A model of `cfg` holding `ckpt`'s parameters, its weights undrawn."""
+    model = TrajectoryModel(cfg, _NoDraws())
     load_params(model, ckpt)
     return model
 
@@ -161,20 +180,23 @@ class TrainResult:
 def train(cfg: Config, resume: str | Path | None = None) -> TrainResult:
     """Optimize the full model; checkpoints land in cfg.train.out_dir.
 
-    A run from scratch sets the flow's PatternNorms from its first windows.
-    `resume` instead restores params, Adam state and the epoch from a
-    checkpoint, never re-initialises, and continues the lr schedule of the
+    A run from scratch draws its initial weights and sets the flow's
+    PatternNorms from its first windows. `resume` instead restores params,
+    Adam state and the epoch from a checkpoint into a model built without
+    drawing, never re-initialises, and continues the lr schedule of the
     *passed* config from that epoch. Under "cosine" the annealing horizon is
     `cfg.train.epochs`, so a run with a smaller `epochs` follows a different
     lr curve: it is a different run, not a prefix of a longer one. To resume
     an interrupted run bit for bit, pass the config it was started with. A
-    checkpoint already past `cfg.train.epochs` raises `ConfigError` before
+    checkpoint already past `cfg.train.epochs` raises `ConfigError`, and one
+    past optimizer step 0 without Adam state `CheckpointError`, before
     anything is written.
 
     Files are written straight from the live arrays, the only copy of the
-    model. The result carries paths, history and flags; `last_path` holds
-    the last-good state, also after an abort on a non-finite loss. A call
-    that raises leaves no directory it made and left empty.
+    model; the first, saved before any step, holds no Adam state. The result
+    carries paths, history and flags; `last_path` holds the last-good state,
+    also after an abort on a non-finite loss. A call that raises leaves no
+    directory it made and left empty.
     """
     validate(cfg)
     with _out_dir(cfg.train.out_dir) as out_dir:
@@ -182,14 +204,15 @@ def train(cfg: Config, resume: str | Path | None = None) -> TrainResult:
 
 
 def _train(cfg: Config, resume: str | Path | None, out_dir: Path) -> TrainResult:
-    model = build_model(cfg)
+    ckpt = None if resume is None else load_checkpoint(resume)
+    model = build_model(cfg) if ckpt is None else _filled_model(cfg.model, ckpt)
     opt = Adam(
         model.params(),
         lr=cfg.train.lr,
         betas=cfg.train.betas,
         weight_decay=cfg.train.weight_decay,
     )
-    start_epoch = 0 if resume is None else _resume(model, opt, resume, cfg.train.epochs)
+    start_epoch = 0 if ckpt is None else _resume(opt, ckpt, resume, cfg.train.epochs)
 
     windows = load_training_windows(cfg)
     if not windows:
@@ -285,13 +308,15 @@ def _train(cfg: Config, resume: str | Path | None, out_dir: Path) -> TrainResult
     return result
 
 
-def _resume(model: TrajectoryModel, opt: Adam, path: str | Path, epochs: int) -> int:
-    """Load a checkpoint's params and Adam state into `model` and `opt`, and
-    return its epoch. The loaded moments become `opt`'s own arrays."""
-    ckpt = load_checkpoint(path)
-    load_params(model, ckpt)
+def _resume(opt: Adam, ckpt: Checkpoint, path: str | Path, epochs: int) -> int:
+    """Load the Adam state of the checkpoint read from `path` into `opt` and
+    return its epoch. The loaded moments become `opt`'s own arrays. A file
+    without moments is one written before the first step, and `opt` stays
+    the fresh Adam it was; after that step, a file without them is refused."""
     if ckpt.opt_state:
         opt.load_state_arrays(ckpt.opt_state, ckpt.opt_step)
+    elif ckpt.opt_step:
+        raise CheckpointError(f"{path}: no Adam state at optimizer step {ckpt.opt_step}")
     if ckpt.epoch > epochs:
         raise ConfigError(f"checkpoint is at epoch {ckpt.epoch}, past train.epochs = {epochs}")
     return ckpt.epoch

@@ -129,6 +129,15 @@ def nan_on_call(n: int):
     return batch_loss
 
 
+class Interrupted(Exception):
+    pass
+
+
+def interrupted(*args, **kw):
+    """A TrajectoryModel.batch_loss that stops the run at its first step."""
+    raise Interrupted
+
+
 class TestConfig:
     def test_flat_round_trip(self, tmp_path):
         cfg = toy_config(seed=11)
@@ -533,18 +542,70 @@ class TestCheckpoint:
             (json.dumps({k: v for k, v in valid_header().items() if k != "epoch"}).encode(), "incomplete header"),
             (json.dumps({**valid_header(), "opt_step": "3"}).encode(), "incomplete header"),
             (json.dumps({**valid_header(), "param_names": 7}).encode(), "incomplete header"),
+            (json.dumps({**valid_header(), "epoch": -2}).encode(), "header epoch must be a non-negative integer, got -2"),
+            (json.dumps({**valid_header(), "opt_step": -3}).encode(), "header opt_step must be a non-negative integer, got -3"),
+            (json.dumps({**valid_header(), "epoch": True}).encode(), "header epoch must be a non-negative integer, got True"),
+            (json.dumps({**valid_header(), "opt_step": False}).encode(), "header opt_step must be a non-negative integer, got False"),
             (
                 json.dumps({**valid_header(), "config": {**flatten(toy_config()), "model.d": "x"}}).encode(),
                 "header config: model.d: expected int",
             ),
         ],
-        ids=["non_utf8", "cut_json", "not_an_object", "no_epoch", "str_opt_step", "int_names", "mistyped_config"],
+        ids=[
+            "non_utf8",
+            "cut_json",
+            "not_an_object",
+            "no_epoch",
+            "str_opt_step",
+            "int_names",
+            "negative_epoch",
+            "negative_opt_step",
+            "bool_epoch",
+            "bool_opt_step",
+            "mistyped_config",
+        ],
     )
     def test_malformed_header_rejected(self, tmp_path, header, message):
         path = tmp_path / "m.ckpt"
         write_with_header(path, header)
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
+
+
+class TestRestore:
+    """A model restored from a checkpoint is built without drawing initial
+    weights; the checkpoint fills every parameter."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        return load_checkpoint(pl.train(tiny_config(tmp_path_factory.mktemp("restore"), epochs=1)).last_path)
+
+    def test_parameters_are_the_checkpoint_bit_for_bit(self, trained):
+        params = pl.restore_model(trained).params()
+        assert list(params) == list(pl.build_model(trained.config).params())
+        for name, arr in trained.params.items():
+            assert params[name].data.tobytes() == arr.tobytes(), name
+
+    def test_forecast_matches_a_drawn_then_loaded_model(self, trained):
+        drawn = pl.build_model(trained.config)
+        pl.load_params(drawn, trained)
+        windows = synth_scenes(SynthSpec(kinds=("straight", "turn", "crossing_pair"), count=3, seed=2, noise_std=0.01))
+        futures = [
+            model.forecast(windows, 5, 1.0, [np.random.default_rng(i) for i in range(len(windows))])
+            for model in (pl.restore_model(trained), drawn)
+        ]
+        assert futures[0].tobytes() == futures[1].tobytes()
+
+    def test_restore_and_resume_draw_no_weights(self, trained, tmp_path, monkeypatch):
+        keys = []
+        real_stream = pl.rng_stream
+        monkeypatch.setattr(pl, "build_model", lambda cfg: pytest.fail("drew a model's initial weights"))
+        monkeypatch.setattr(pl, "rng_stream", lambda seed, *key: keys.append(key) or real_stream(seed, *key))
+        pl.restore_model(trained)
+        save_checkpoint(trained, tmp_path / "in.ckpt")
+        result = pl.train(tiny_config(tmp_path / "out", epochs=2), resume=tmp_path / "in.ckpt")
+        assert load_checkpoint(result.last_path).epoch == 2
+        assert keys and (pl.STREAM_INIT,) not in keys
 
 
 class TestTraining:
@@ -556,7 +617,7 @@ class TestTraining:
         fresh = pl.build_model(cfg)
         fresh_params = {k: p.data for k, p in fresh.params().items()}
         ckpt = load_checkpoint(result.last_path)
-        assert ckpt.epoch == 0 and ckpt.opt_step == 0
+        assert ckpt.epoch == 0 and ckpt.opt_step == 0 and ckpt.opt_state == {}
         pn = [name for name in ckpt.params if ".pn." in name]
         assert pn and any(ckpt.params[n].tobytes() != fresh_params[n].tobytes() for n in pn)
         for name, arr in ckpt.params.items():
@@ -596,6 +657,32 @@ class TestTraining:
         assert set(a.opt_state) == set(b.opt_state) and a.opt_state
         for name, arr in a.opt_state.items():
             assert arr.tobytes() == b.opt_state[name].tobytes(), name
+
+    @pytest.mark.parametrize("moments", ["none", "all_zero"])
+    def test_resume_from_the_start_of_run_file_is_bit_exact(self, tmp_path, monkeypatch, moments):
+        """A run stopped in its first epoch leaves its start-of-run file: the
+        model only, at optimizer step 0. Resuming from it, or from the same
+        file carrying all-zero moments, ends as the uninterrupted run does."""
+        full = pl.train(tiny_config(tmp_path / "full", epochs=2)).last_path
+        with monkeypatch.context() as m:
+            m.setattr(TrajectoryModel, "batch_loss", interrupted)
+            with pytest.raises(Interrupted):
+                pl.train(tiny_config(tmp_path / "cut", epochs=2))
+        start_path = tmp_path / "cut" / "last.ckpt"
+        start = load_checkpoint(start_path)
+        assert start.epoch == 0 and start.opt_step == 0 and start.opt_state == {}
+        assert start_path.stat().st_size < 0.4 * full.stat().st_size  # a third: no m and v
+        if moments == "all_zero":
+            start.opt_state = {f"{mv}.{k}": np.zeros_like(a) for k, a in start.params.items() for mv in "mv"}
+            save_checkpoint(start, start_path)
+        resumed = pl.train(tiny_config(tmp_path / "resumed", epochs=2), resume=start_path).last_path
+        a, b = load_checkpoint(full), load_checkpoint(resumed)
+        assert (b.epoch, b.opt_step) == (a.epoch, a.opt_step) and a.epoch == 2 and a.opt_step > 0
+        for group in ("params", "opt_state"):
+            x, y = getattr(a, group), getattr(b, group)
+            assert x and list(x) == list(y)
+            for name, arr in x.items():
+                assert arr.tobytes() == y[name].tobytes(), name
 
     def test_non_finite_loss_aborts_with_last_good_checkpoint(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path / "run", epochs=3)
@@ -744,7 +831,9 @@ class TestTraining:
 
     def test_checkpoints_are_written_from_the_live_arrays(self, tmp_path, monkeypatch):
         """Training keeps one copy of the model: every file it writes (last,
-        per-epoch and best) streams the live parameter and Adam arrays."""
+        per-epoch and best) streams the live parameter arrays, and every file
+        after the first optimizer step the live Adam moments too. The first
+        file, saved before that step, holds the model only, at step 0."""
         live: dict = {}
         real_build, real_adam, real_save = pl.build_model, pl.Adam, pl.save_checkpoint
         monkeypatch.setattr(pl, "build_model", lambda cfg: live.setdefault("model", real_build(cfg)))
@@ -753,10 +842,14 @@ class TestTraining:
 
         def checking_save(ckpt, path):
             params = {k: p.data for k, p in live["model"].params().items()}
-            opt_state = live["opt"].state_arrays()
-            assert set(ckpt.params) == set(params) and set(ckpt.opt_state) == set(opt_state)
+            assert set(ckpt.params) == set(params)
             assert all(np.shares_memory(a, params[k]) for k, a in ckpt.params.items())
-            assert all(np.shares_memory(a, opt_state[k]) for k, a in ckpt.opt_state.items())
+            if written:
+                opt_state = live["opt"].state_arrays()
+                assert ckpt.opt_step == live["opt"].t > 0 and set(ckpt.opt_state) == set(opt_state)
+                assert all(np.shares_memory(a, opt_state[k]) for k, a in ckpt.opt_state.items())
+            else:
+                assert ckpt.opt_step == live["opt"].t == 0 and ckpt.opt_state == {}
             written.append(Path(path).name)
             real_save(ckpt, path)
 
@@ -765,7 +858,8 @@ class TestTraining:
         cfg.train.val_fraction = 0.25
         cfg.train.keep_epoch_checkpoints = True
         pl.train(cfg)
-        assert {"last.ckpt", "epoch_002.ckpt", "best.ckpt"} <= set(written)
+        assert written[0] == "last.ckpt"
+        assert {"last.ckpt", "epoch_002.ckpt", "best.ckpt"} <= set(written[1:])
 
     def test_resume_past_epochs_rejected_before_writing(self, tmp_path):
         pl.train(tiny_config(tmp_path, epochs=3))
@@ -782,6 +876,15 @@ class TestTraining:
         save_checkpoint(ckpt, tmp_path / "partial.ckpt")
         with pytest.raises(ShapeError, match="optimizer state does not match"):
             pl.train(tiny_config(tmp_path / "b", epochs=2), resume=tmp_path / "partial.ckpt")
+
+    def test_resume_rejects_missing_adam_state_after_step_0(self, tmp_path):
+        ckpt = load_checkpoint(pl.train(tiny_config(tmp_path / "a", epochs=1)).last_path)
+        assert ckpt.opt_step > 0
+        ckpt.opt_state = {}
+        save_checkpoint(ckpt, tmp_path / "no_adam.ckpt")
+        with pytest.raises(CheckpointError, match=f"no_adam.ckpt: no Adam state at optimizer step {ckpt.opt_step}"):
+            pl.train(tiny_config(tmp_path / "b", epochs=2), resume=tmp_path / "no_adam.ckpt")
+        assert not (tmp_path / "b").exists()
 
     def test_resume_rejects_mismatched_architecture(self, tmp_path):
         pl.train(tiny_config(tmp_path / "a", epochs=1))
@@ -1129,6 +1232,8 @@ class TestCli:
             "eval_no_windows",
             "sample_huge_sigma_fresh_out",
             "train_no_windows_fresh_out_dir",
+            "train_resume_negative_epoch",
+            "train_resume_without_adam_state",
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, case):
@@ -1146,6 +1251,10 @@ class TestCli:
         save_checkpoint(dataclasses.replace(load_checkpoint(good_ckpt), config=from_flat({"eval.sigma": -1.0}, cfg)), negative_sigma_ckpt)
         bad_ckpt = tmp_path / "bad.ckpt"
         write_with_header(bad_ckpt, b"{}")
+        negative_epoch_ckpt = tmp_path / "negative_epoch.ckpt"
+        write_with_header(negative_epoch_ckpt, json.dumps({**valid_header(), "epoch": -2, "opt_step": -3}).encode())
+        no_adam_ckpt = tmp_path / "no_adam.ckpt"  # the 0-epoch file holds no moments
+        save_checkpoint(dataclasses.replace(load_checkpoint(good_ckpt), opt_step=4), no_adam_ckpt)
         missing = str(tmp_path / "missing")
         non_utf8 = tmp_path / "utf16.txt"
         non_utf8.write_bytes(b"\xff\xfe1\x000\x00 \x001\x00")
@@ -1224,6 +1333,8 @@ class TestCli:
             "eval_no_windows": ["eval", "--ckpt", str(good_ckpt), "--data", os.devnull],
             "sample_huge_sigma_fresh_out": ["sample", "--ckpt", str(good_ckpt), "--data", synth, "--scene", "0", "--out", str(fresh_out), "--sigma", "1e200"],
             "train_no_windows_fresh_out_dir": ["train", "--config", str(no_windows_cfg)],
+            "train_resume_negative_epoch": ["train", "--config", str(good_cfg), "--resume", str(negative_epoch_ckpt)],
+            "train_resume_without_adam_state": ["train", "--config", str(good_cfg), "--resume", str(no_adam_ckpt)],
         }[case]
         if case == "train_non_integer_seed":
             monkeypatch.setenv("STGLOW_SEED", "12a")
@@ -1286,6 +1397,8 @@ class TestCli:
             "eval_no_windows": "null: no pedestrian is tracked for the 20 frames of a window",
             "sample_huge_sigma_fresh_out": "a forecast lies beyond ±1e+06 m at sigma 1e+200",
             "train_no_windows_fresh_out_dir": "no training windows available",
+            "train_resume_negative_epoch": "negative_epoch.ckpt: header epoch must be a non-negative integer, got -2",
+            "train_resume_without_adam_state": "no_adam.ckpt: no Adam state at optimizer step 4",
         }[case]
         assert cause in err
         # a failed command removes the output directories it made, empty
